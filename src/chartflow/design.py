@@ -4,10 +4,13 @@ A sample is an (artist, week) pair: the response is the target city's
 velocity for that artist at that week, and the predictors are the velocities
 of that artist in each included city at each of the previous ``lag_count``
 weeks. Eligibility requires the target city to have defined velocity rows at
-the sample week and at every one of the lag weeks, so the own-history and
-all-history designs share the identical sample set and their errors compare
-directly. Lagged values of *other* cities that are undefined (absence, gap)
-enter as 0.0, the no-change value.
+the sample week and at every one of the lag weeks. Under the ``target``
+active rule the sample set therefore depends on the target city alone;
+under ``union`` it also depends on which cities are included, so an
+own-history design and an all-history design can hold different rows.
+Evaluation sidesteps this by fitting the own-history model on the target
+city's columns of the all-history design. Lagged values of *other* cities
+that are undefined (absence, gap) enter as 0.0, the no-change value.
 """
 
 from __future__ import annotations

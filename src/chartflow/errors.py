@@ -41,6 +41,10 @@ class DimensionError(ChartFlowError):
     """Array arguments have incompatible or empty shapes."""
 
 
+class NonFiniteError(ChartFlowError, ValueError):
+    """An array argument holds NaN or infinite entries."""
+
+
 class ConvergenceError(ChartFlowError):
     """An iterative solve exceeded its iteration cap."""
 

@@ -112,44 +112,51 @@ def evaluate_city(
     ridge: float = 0.0,
     active_rule: str = "target",
 ) -> CityResult:
-    """Fit and score both models for one city on the identical sample set."""
+    """Fit and score both models for one city on the identical sample set.
+
+    Only the all-history design is built. The own-history model is fitted on
+    the target city's ``lag_count`` columns of it, so both models see the
+    same rows by construction.
+    """
     if own_config.scope != OWN_HISTORY or all_config.scope != ALL_HISTORY:
         raise ValueError("expected an (own_history, all_history) config pair")
     if own_config.lag_count != all_config.lag_count:
         raise ValueError("config pair must share lag_count")
+    if target_city not in all_config.cities_included:
+        raise ValueError(
+            f"all_history config does not include target {target_city!r}"
+        )
     if solver_variant not in ("ols", "nnls"):
         raise ValueError(f"unknown solver variant {solver_variant!r}")
 
-    own_design = build_design(velocities, target_city, own_config, active_rule)
-    all_design = build_design(velocities, target_city, all_config, active_rule)
-    if own_design.row_meta != all_design.row_meta:
-        raise ChartFlowError("internal: sample sets diverged between scopes")
+    design = build_design(velocities, target_city, all_config, active_rule)
     if boundary is None:
         boundary = default_boundary(velocities.weeks)
-    own_split = temporal_split(own_design, boundary)
-    all_split = temporal_split(all_design, boundary)
+    split = temporal_split(design, boundary)
+    first = all_config.cities_included.index(target_city) * all_config.lag_count
+    own = slice(first, first + all_config.lag_count)
 
     def fit(x, y):
         if solver_variant == "nnls":
             return fit_nnls(x, y)
         return fit_ols(x, y, ridge=ridge)
 
-    own_fit = fit(own_split.train.x, own_split.train.y)
-    all_fit = fit(all_split.train.x, all_split.train.y)
-    test_y = all_split.test.y
-    baseline = baseline_rmse(test_y)
+    train, test = split.train, split.test
+    own_fit = fit(train.x[:, own], train.y)
+    all_fit = fit(train.x, train.y)
+    baseline = baseline_rmse(test.y)
     self_pct = percent_of_baseline(
-        rmse(test_y, predict(own_split.test.x, own_fit)), baseline
+        rmse(test.y, predict(test.x[:, own], own_fit)), baseline
     )
     all_pct = percent_of_baseline(
-        rmse(test_y, predict(all_split.test.x, all_fit)), baseline
+        rmse(test.y, predict(test.x, all_fit)), baseline
     )
     return CityResult(
         city=target_city,
         self_history_pct=self_pct,
         all_history_pct=all_pct,
         difference=self_pct - all_pct,
-        sample_counts=(all_split.train.n_rows, all_split.test.n_rows),
+        sample_counts=(train.n_rows, test.n_rows),
         rank_flags=(own_fit.rank_deficient, all_fit.rank_deficient),
     )
 

@@ -2,16 +2,22 @@
 
 The production paths are ``fit_ols`` (minimum-norm solution via
 column-pivoted rank-revealing QR, LAPACK *gelsy*) and ``fit_nnls``
-(Lawson-Hanson active set). ``oracle_ols`` and ``oracle_nnls`` are slow,
-structurally independent reimplementations kept for cross-checking: the
-first solves the normal equations by explicit Gaussian elimination, the
-second enumerates every sign pattern.
+(Lawson-Hanson active set). Neither solves on the n x k design itself:
+``[X | y]`` is first folded, ``REDUCE_BLOCK_ROWS`` rows at a time, into the
+upper-triangular factor ``[R | Q^T y]`` of its QR decomposition (streaming
+TSQR). Because ``||X b - y||^2 = ||R b - Q^T y||^2 + const``, both problems
+have the same solution set, and the solvers then work on at most k + 1 rows.
+``oracle_ols`` and ``oracle_nnls`` are slow, structurally independent
+reimplementations kept for cross-checking: the first solves the normal
+equations by explicit Gaussian elimination, the second enumerates every
+sign pattern.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,6 +28,7 @@ from .errors import (
     ChartFlowError,
     ConvergenceError,
     DimensionError,
+    NonFiniteError,
     SingularMatrixError,
 )
 
@@ -29,6 +36,8 @@ from .errors import (
 RANK_TOL = 1e-10
 # Absolute tolerance on the dual vector for NNLS termination.
 DUAL_TOL = 1e-10
+# Rows of [X | y] stacked under the running triangle per QR step.
+REDUCE_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -59,8 +68,32 @@ def _validated(x, y) -> tuple[np.ndarray, np.ndarray]:
             f"row mismatch: x has {x.shape[0]} rows, y has {y.shape[0]}"
         )
     if not np.isfinite(x).all() or not np.isfinite(y).all():
-        raise ValueError("non-finite entries in x or y")
+        raise NonFiniteError("non-finite entries in x or y")
     return x, y
+
+
+def _reduce(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fold ``[x | y]`` into its triangular QR factor, block by block.
+
+    Returns ``(r, qty)`` with at most k + 1 rows such that
+    ``||x b - y|| == ||r b - qty||`` for every b. Only one block of rows is
+    copied at a time, never the whole design.
+    """
+    k = x.shape[1]
+    r = np.empty((0, k + 1))
+    for start in range(0, x.shape[0], REDUCE_BLOCK_ROWS):
+        stop = start + REDUCE_BLOCK_ROWS
+        block = np.column_stack([x[start:stop], y[start:stop]])
+        r = np.linalg.qr(np.vstack([r, block]), mode="r")
+    return r[:, :k], r[:, k]
+
+
+@contextmanager
+def _lapack_failures_as_singular():
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"linear algebra failure: {exc}") from exc
 
 
 def _training_rmse(x: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
@@ -80,14 +113,14 @@ def fit_ols(x, y, ridge: float = 0.0) -> Coefficients:
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
     n_cols = x.shape[1]
-    if ridge > 0:
-        xa = np.vstack([x, np.sqrt(ridge) * np.eye(n_cols)])
-        ya = np.concatenate([y, np.zeros(n_cols)])
-    else:
-        xa, ya = x, y
-    beta, _, rank, _ = scipy.linalg.lstsq(
-        xa, ya, cond=RANK_TOL, lapack_driver="gelsy"
-    )
+    with _lapack_failures_as_singular():
+        r, qty = _reduce(x, y)
+        if ridge > 0:
+            r = np.vstack([r, np.sqrt(ridge) * np.eye(n_cols)])
+            qty = np.concatenate([qty, np.zeros(n_cols)])
+        beta, _, rank, _ = scipy.linalg.lstsq(
+            r, qty, cond=RANK_TOL, lapack_driver="gelsy"
+        )
     return Coefficients(
         values=beta,
         variant="ols",
@@ -104,9 +137,23 @@ def fit_nnls(x, y, max_iter: int | None = None) -> Coefficients:
     iteration cap defaults to ``max(10 * n_cols, 100)``.
     """
     x, y = _validated(x, y)
-    n_cols = x.shape[1]
-    cap = max(10 * n_cols, 100) if max_iter is None else max_iter
+    cap = max(10 * x.shape[1], 100) if max_iter is None else max_iter
+    with _lapack_failures_as_singular():
+        r, qty = _reduce(x, y)
+        beta, iterations = _lawson_hanson(r, qty, cap, x.shape)
+    return Coefficients(
+        values=beta,
+        variant="nnls",
+        training_rmse=_training_rmse(x, y, beta),
+        iterations=iterations,
+    )
 
+
+def _lawson_hanson(
+    x: np.ndarray, y: np.ndarray, cap: int, shape: tuple[int, int]
+) -> tuple[np.ndarray, int]:
+    """The active-set loop of ``fit_nnls``; ``shape`` names the system in errors."""
+    n_cols = x.shape[1]
     beta = np.zeros(n_cols)
     free = np.zeros(n_cols, dtype=bool)  # the positive (passive) set
     w = x.T @ y  # dual vector: -gradient at beta = 0
@@ -125,7 +172,7 @@ def fit_nnls(x, y, max_iter: int | None = None) -> Coefficients:
             if iterations > cap:
                 raise ConvergenceError(
                     f"NNLS exceeded {cap} iterations on a "
-                    f"{x.shape[0]}x{n_cols} system"
+                    f"{shape[0]}x{shape[1]} system"
                 )
             trial = np.zeros(n_cols)
             trial[free], _, _, _ = np.linalg.lstsq(x[:, free], y, rcond=None)
@@ -151,13 +198,7 @@ def fit_nnls(x, y, max_iter: int | None = None) -> Coefficients:
             free[free & (beta <= 0.0)] = False
             beta[~free] = 0.0
         w = x.T @ (y - x @ beta)
-    beta = np.where(free, beta, 0.0)
-    return Coefficients(
-        values=beta,
-        variant="nnls",
-        training_rmse=_training_rmse(x, y, beta),
-        iterations=iterations,
-    )
+    return np.where(free, beta, 0.0), iterations
 
 
 def predict(x, coefficients: Coefficients) -> np.ndarray:

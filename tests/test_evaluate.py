@@ -1,8 +1,10 @@
 """Scoring, percentages, and region-report assembly."""
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from chartflow import (
@@ -11,16 +13,20 @@ from chartflow import (
     CityResult,
     LagConfig,
     baseline_rmse,
+    build_design,
     build_report,
     build_velocities,
+    default_boundary,
     evaluate_city,
     evaluate_region,
     percent_of_baseline,
     read_labels_csv,
     report_csv_text,
     report_json_text,
+    generate_planted,
     report_table_text,
     rmse,
+    temporal_split,
 )
 from chartflow.errors import (
     DimensionError,
@@ -29,7 +35,7 @@ from chartflow.errors import (
 )
 from chartflow.evaluate import format_pct
 
-from conftest import make_series
+from conftest import SMALL_PLANT, make_series
 
 # Transcribed reference table for the North America all-genres run: rows are
 # (city, self_pct, all_pct, difference), followed by the published averages.
@@ -215,6 +221,24 @@ class TestEvaluateCity:
             evaluate_city(
                 small_velocities, "echo", own, alls, solver_variant="lasso"
             )
+        with pytest.raises(ValueError):
+            evaluate_city(
+                small_velocities,
+                "echo",
+                own,
+                LagConfig(8, ALL_HISTORY, ("lead", "other")),
+            )
+
+    def test_own_model_is_target_slice_of_all_design(self, small_velocities):
+        # Listing the target last moves its columns; the result must not move.
+        own = LagConfig(8, OWN_HISTORY)
+        first = LagConfig(8, ALL_HISTORY, ("echo", "lead", "other"))
+        last = LagConfig(8, ALL_HISTORY, ("lead", "other", "echo"))
+        a = evaluate_city(small_velocities, "echo", own, first)
+        b = evaluate_city(small_velocities, "echo", own, last)
+        assert a.self_history_pct == pytest.approx(b.self_history_pct, abs=1e-9)
+        assert a.all_history_pct == pytest.approx(b.all_history_pct, abs=1e-9)
+        assert a.sample_counts == b.sample_counts
 
     def test_nnls_variant_runs(self, small_velocities):
         own = LagConfig(4, OWN_HISTORY)
@@ -251,6 +275,55 @@ class TestEvaluateRegion:
         assert by_city["tiny"].status != "ok"
         report = build_report(results, {}, "r", "all")
         assert report.rows[-1].city == "tiny"
+
+    def test_non_finite_city_does_not_abort_region(self):
+        # Artist "q" charts only in "bad", so a NaN in bad's q velocity
+        # reaches bad's own design and no other city's.
+        rows = []
+        for k in range(40):
+            for city in ("bad", "good", "fine"):
+                rows += [(k, city, "a", 10 + k), (k, city, "b", 60 - k)]
+            rows += [(k, "bad", "q", 5 + (k * 7) % 11)]
+        velocities = build_velocities(make_series(rows))
+        artist_q = velocities.artists.index("q")
+        bad = velocities.cities.index("bad")
+        matrix = velocities.matrices[3]
+        start, end = matrix.indptr[bad], matrix.indptr[bad + 1]
+        hit = start + list(matrix.indices[start:end]).index(artist_q)
+        matrix.data[hit] = np.nan
+        results = {r.city: r for r in evaluate_region(velocities)}
+        assert results["bad"].status.startswith("NonFiniteError")
+        assert results["good"].ok and results["fine"].ok
+
+
+class TestUnionActiveSet:
+    """Under ``union`` both models share the all-history sample set."""
+
+    @pytest.fixture(scope="class")
+    def sparse_chart_velocities(self):
+        # 12 of 40 artists chart per city-week, so no city covers them all.
+        spec = dataclasses.replace(SMALL_PLANT, chart_size=12)
+        return build_velocities(generate_planted(spec))
+
+    def test_every_city_ok(self, sparse_chart_velocities):
+        velocities = sparse_chart_velocities
+        results = evaluate_region(velocities, lag_count=4, active_rule="union")
+        assert [r.status for r in results] == ["ok"] * len(velocities.cities)
+        boundary = default_boundary(velocities.weeks)
+        for result in results:
+            config = LagConfig(4, ALL_HISTORY, velocities.cities)
+            design = build_design(velocities, result.city, config, "union")
+            split = temporal_split(design, boundary)
+            assert result.sample_counts == (split.train.n_rows, split.test.n_rows)
+
+    def test_union_widens_target_rule(self, sparse_chart_velocities):
+        target = evaluate_region(sparse_chart_velocities, lag_count=4)
+        union = evaluate_region(
+            sparse_chart_velocities, lag_count=4, active_rule="union"
+        )
+        for t, u in zip(target, union):
+            assert t.ok and u.ok
+            assert sum(u.sample_counts) > sum(t.sample_counts)
 
 
 class TestReportSerialization:

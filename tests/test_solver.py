@@ -3,13 +3,29 @@
 import numpy as np
 import pytest
 
-from chartflow import fit_nnls, fit_ols, oracle_nnls, oracle_ols, predict, rng
+import scipy.linalg
+
+from chartflow import (
+    ChartFlowError,
+    fit_nnls,
+    fit_ols,
+    oracle_nnls,
+    oracle_ols,
+    predict,
+    rng,
+)
 from chartflow.errors import (
     ConvergenceError,
     DimensionError,
+    NonFiniteError,
     SingularMatrixError,
 )
-from chartflow.solver import coefficients_csv_text
+from chartflow.solver import (
+    RANK_TOL,
+    REDUCE_BLOCK_ROWS,
+    _reduce,
+    coefficients_csv_text,
+)
 
 
 def random_system(seed, rows, cols, nonneg_target=False):
@@ -98,6 +114,22 @@ class TestFitOls:
         x = np.array([[1.0], [np.nan]])
         with pytest.raises(ValueError):
             fit_ols(x, np.array([1.0, 2.0]))
+
+    def test_non_finite_is_chartflow_error(self):
+        with pytest.raises(NonFiniteError) as err:
+            fit_nnls(np.ones((2, 1)), np.array([1.0, np.inf]))
+        assert isinstance(err.value, ChartFlowError)
+        assert isinstance(err.value, ValueError)
+
+    @pytest.mark.parametrize("fit", [fit_ols, fit_nnls])
+    def test_lapack_failure_is_singular(self, fit, monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "qr", broken)
+        x, y = random_system(402, 20, 3)
+        with pytest.raises(SingularMatrixError):
+            fit(x, y)
 
 
 class TestOracleNnls:
@@ -229,6 +261,101 @@ class TestInvariants:
                 ours_n = fit_nnls(x, y).values
                 ref_n = oracle_nnls(x, y).values
                 assert np.abs(ours_n - ref_n).max() < 1e-8
+
+
+class TestReduction:
+    """Fits on the folded (R, Q^T y) match fits on the unreduced design."""
+
+    TALL_ROWS = 3 * REDUCE_BLOCK_ROWS + 217  # four blocks, the last partial
+
+    def test_residual_norm_preserved(self):
+        x, y = random_system(1300, self.TALL_ROWS, 7)
+        r, qty = _reduce(x, y)
+        assert r.shape == (8, 7) and qty.shape == (8,)
+        assert np.allclose(np.tril(r, -1), 0.0)
+        for seed in range(5):
+            b = rng.normals(rng.derive_key(1301, seed), 7)
+            assert np.linalg.norm(r @ b - qty) == pytest.approx(
+                np.linalg.norm(x @ b - y), rel=1e-12
+            )
+
+    def test_tall_ols_matches_lstsq(self):
+        for seed in range(3):
+            x, y = random_system(1310 + seed, self.TALL_ROWS, 9)
+            fit = fit_ols(x, y)
+            ref, _, _, _ = np.linalg.lstsq(x, y, rcond=None)
+            assert np.abs(fit.values - ref).max() < 1e-10
+            assert np.abs(fit.values - oracle_ols(x, y).values).max() < 1e-10
+            assert not fit.rank_deficient
+            residual = np.sqrt(np.mean((x @ ref - y) ** 2))
+            assert fit.training_rmse == pytest.approx(residual, rel=1e-12)
+
+    def test_tall_ridge_matches_augmented_lstsq(self):
+        x, y = random_system(1315, self.TALL_ROWS, 5)
+        ridge = 250.0
+        xa = np.vstack([x, np.sqrt(ridge) * np.eye(5)])
+        ya = np.concatenate([y, np.zeros(5)])
+        ref, _, _, _ = np.linalg.lstsq(xa, ya, rcond=None)
+        assert np.abs(fit_ols(x, y, ridge=ridge).values - ref).max() < 1e-10
+
+    def test_tall_nnls_matches_oracle(self):
+        for seed in range(3):
+            x, y = random_system(1320 + seed, self.TALL_ROWS, 8)
+            fit = fit_nnls(x, y)
+            ref = oracle_nnls(x, y)
+            assert np.abs(fit.values - ref.values).max() < 1e-10
+            assert ((fit.values == 0.0) == (ref.values == 0.0)).all()
+            assert fit.training_rmse == pytest.approx(
+                ref.training_rmse, rel=1e-12
+            )
+
+    def test_tall_nnls_feasible_target_matches_lstsq(self):
+        x, y = random_system(1330, self.TALL_ROWS, 6, nonneg_target=True)
+        ref, _, _, _ = np.linalg.lstsq(x, y, rcond=None)
+        assert ref.min() > 0  # fixture sanity: the constraint is inactive
+        assert np.abs(fit_nnls(x, y).values - ref).max() < 1e-10
+
+    def test_wide_ols_is_minimum_norm(self):
+        x, y = random_system(1340, 5, 9)
+        fit = fit_ols(x, y)
+        ref, _, _, _ = np.linalg.lstsq(x, y, rcond=None)
+        assert fit.rank_deficient
+        assert np.abs(fit.values - ref).max() < 1e-10
+        assert fit.training_rmse == pytest.approx(0.0, abs=1e-12)
+
+    def test_wide_nnls_matches_oracle_residual(self):
+        x, y = random_system(1341, 5, 9)
+        fit = fit_nnls(x, y)
+        ref = oracle_nnls(x, y)
+        assert fit.values.min() >= 0.0
+        assert fit.training_rmse == pytest.approx(ref.training_rmse, abs=1e-10)
+
+    def test_duplicate_columns_keep_rank_flag(self):
+        x, y = random_system(1350, self.TALL_ROWS, 5)
+        x = np.column_stack([x, x[:, 2]])
+        _, _, rank, _ = scipy.linalg.lstsq(
+            x, y, cond=RANK_TOL, lapack_driver="gelsy"
+        )
+        assert rank == 5  # the unreduced design is deficient too
+        fit = fit_ols(x, y)
+        assert fit.rank_deficient
+        ref, _, _, _ = np.linalg.lstsq(x, y, rcond=None)
+        assert np.abs(fit.values - ref).max() < 1e-10
+        # The minimum-norm solution splits the duplicated weight evenly.
+        assert fit.values[2] == pytest.approx(fit.values[5], abs=1e-10)
+        nnls = fit_nnls(x, y)
+        assert nnls.values.min() >= 0.0
+        assert nnls.training_rmse == pytest.approx(
+            oracle_nnls(x, y).training_rmse, rel=1e-12
+        )
+
+    def test_full_rank_flag_unchanged(self):
+        x, y = random_system(1351, self.TALL_ROWS, 6)
+        _, _, rank, _ = scipy.linalg.lstsq(
+            x, y, cond=RANK_TOL, lapack_driver="gelsy"
+        )
+        assert rank == 6
+        assert not fit_ols(x, y).rank_deficient
 
 
 def test_coefficients_csv():
