@@ -24,6 +24,9 @@ from .errors import (
 )
 
 CHART_HEADER = ("week_start", "city", "artist", "listeners")
+# Largest listener count accepted: every integer up to 2**53 is exact as a
+# float64, and sums of squares of such counts stay finite.
+MAX_LISTENERS = 2**53
 TAG_HEADER = ("artist", "tag")
 
 
@@ -62,6 +65,11 @@ class ChartSeries:
             if rec.listeners <= 0:
                 raise ChartFlowError(
                     f"non-positive listener count {rec.listeners} for "
+                    f"({rec.week_start}, {rec.city}, {rec.artist})"
+                )
+            if rec.listeners > MAX_LISTENERS:
+                raise ChartValueError(
+                    f"listener count above {MAX_LISTENERS} for "
                     f"({rec.week_start}, {rec.city}, {rec.artist})"
                 )
             weekday = rec.week_start.toordinal() % 7
@@ -115,10 +123,31 @@ def parse_chart_csv(path: str | Path, region_label: str = "") -> ChartSeries:
     """Parse a chart CSV (header ``week_start,city,artist,listeners``).
 
     Zero-listener rows are dropped; negative counts, malformed rows, and
-    duplicate (week, city, artist) keys raise with the offending line number.
+    duplicate (week, city, artist) keys raise with the offending line number,
+    as do counts above ``MAX_LISTENERS`` and bytes that are not UTF-8.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        return _parse_chart_rows(csv.reader(handle), region_label)
+        try:
+            return _parse_chart_rows(csv.reader(handle), region_label)
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, exc) from None
+
+
+def _decode_error(path: str | Path, exc: UnicodeDecodeError) -> ParseError:
+    """Name the line of the first byte sequence in ``path`` that is not UTF-8.
+
+    The text reader decodes in chunks, so ``exc`` carries an offset into a
+    chunk; the file is read again as bytes to find the line.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        return ParseError(
+            f"invalid UTF-8 byte 0x{raw[whole.start]:02x}",
+            line=raw.count(b"\n", 0, whole.start) + 1,
+        )
+    return ParseError(f"invalid UTF-8: {exc.reason}")
 
 
 def parse_chart_csv_text(text: str, region_label: str = "") -> ChartSeries:
@@ -154,6 +183,10 @@ def _parse_chart_rows(reader, region_label: str = "") -> ChartSeries:
         if listeners < 0:
             raise ChartValueError(
                 f"negative listener count {listeners}", line=lineno
+            )
+        if listeners > MAX_LISTENERS:
+            raise ChartValueError(
+                f"listener count above {MAX_LISTENERS}", line=lineno
             )
         weekday = week.toordinal() % 7
         if anchor is None:
@@ -195,21 +228,27 @@ def write_chart_csv(series: ChartSeries, path: str | Path) -> None:
 
 def load_tags(path: str | Path) -> dict[str, set[str]]:
     """Read a tag CSV (header ``artist,tag``) into tag -> artist set."""
-    tags: dict[str, set[str]] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != TAG_HEADER:
-            raise ParseError(
-                f"expected header {','.join(TAG_HEADER)!r}, got {header!r}", line=1
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 fields, got {len(row)}", line=lineno)
-            artist, tag = row
-            tags.setdefault(tag, set()).add(artist)
+        try:
+            return _parse_tag_rows(csv.reader(handle))
+        except UnicodeDecodeError as exc:
+            raise _decode_error(path, exc) from None
+
+
+def _parse_tag_rows(reader) -> dict[str, set[str]]:
+    header = next(reader, None)
+    if header is None or tuple(header) != TAG_HEADER:
+        raise ParseError(
+            f"expected header {','.join(TAG_HEADER)!r}, got {header!r}", line=1
+        )
+    tags: dict[str, set[str]] = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ParseError(f"expected 2 fields, got {len(row)}", line=lineno)
+        artist, tag = row
+        tags.setdefault(tag, set()).add(artist)
     return tags
 
 

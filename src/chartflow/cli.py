@@ -398,6 +398,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ChartFlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        # Corpus and tag files name the line; other inputs only the byte.
+        print(f"error: input is not UTF-8: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

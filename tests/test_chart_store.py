@@ -17,6 +17,7 @@ from chartflow import (
     parse_chart_csv_text,
     write_chart_csv,
 )
+from chartflow.chart_store import MAX_LISTENERS
 from chartflow.errors import (
     ChartFlowError,
     ChartValueError,
@@ -52,6 +53,23 @@ class TestParse:
         with pytest.raises(ChartValueError) as err:
             parse_chart_csv_text(text)
         assert err.value.line == 2
+
+    def test_listener_bound(self):
+        at_bound = HEADER + f"2007-01-07,montreal,x,{MAX_LISTENERS}\n"
+        assert parse_chart_csv_text(at_bound).records[0].listeners == 2**53
+        text = HEADER + f"2007-01-07,montreal,x,{MAX_LISTENERS + 1}\n"
+        with pytest.raises(ChartValueError) as err:
+            parse_chart_csv_text(text)
+        assert err.value.line == 2
+
+    def test_non_utf8_byte_names_line(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_bytes(
+            HEADER.encode() + b"2007-01-07,a,x,1\n2007-01-07,a,\xff,2\n"
+        )
+        with pytest.raises(ParseError) as err:
+            parse_chart_csv(path)
+        assert err.value.line == 3
 
     def test_zero_listeners_dropped(self):
         text = HEADER + (
@@ -160,6 +178,11 @@ class TestFromRecords:
         with pytest.raises(ChartFlowError):
             ChartSeries.from_records([ChartRecord(week(0), "c", "a", 0)])
 
+    def test_rejects_above_bound(self):
+        record = ChartRecord(week(0), "c", "a", MAX_LISTENERS + 1)
+        with pytest.raises(ChartValueError):
+            ChartSeries.from_records([record])
+
     def test_rejects_duplicates(self):
         records = [
             ChartRecord(week(0), "c", "a", 1),
@@ -181,6 +204,14 @@ def test_load_tags_bad_header(tmp_path):
     path.write_text("a,b\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_tags(path)
+
+
+def test_load_tags_non_utf8_names_line(tmp_path):
+    path = tmp_path / "tags.csv"
+    path.write_bytes(b"artist,tag\nx,indie\n\xfe,rock\n")
+    with pytest.raises(ParseError) as err:
+        load_tags(path)
+    assert err.value.line == 3
 
 
 # Names deliberately include CSV-hostile characters (commas, quotes,

@@ -46,6 +46,51 @@ class TestValidate:
         assert run(["validate", "--corpus-path", path]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_huge_listener_count_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text(
+            "week_start,city,artist,listeners\n"
+            f"2007-01-07,a,b,1{'0' * 400}\n"
+            "2007-01-14,a,b,5\n"
+        )
+        for command in ("validate", "evaluate"):
+            code = run(
+                [command, "--corpus-path", path, "--output-dir", tmp_path / "o"]
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "line 2" in err and "listener count above" in err
+            assert "Traceback" not in err
+
+    def test_non_utf8_byte_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(
+            b"week_start,city,artist,listeners\n"
+            b"2007-01-07,a,b,5\n"
+            b"2007-01-07,a,caf\xff,5\n"
+        )
+        for command in ("validate", "evaluate"):
+            code = run(
+                [command, "--corpus-path", path, "--output-dir", tmp_path / "o"]
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "line 3" in err and "0xff" in err
+
+    def test_non_utf8_labels_exit_2(self, corpus_path, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(b"city,role\n\xff,leader\n")
+        code = run(
+            [
+                "evaluate",
+                "--corpus-path", corpus_path,
+                "--labels-path", labels,
+                "--output-dir", tmp_path / "o",
+            ]
+        )
+        assert code == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_header_only(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("week_start,city,artist,listeners\n")
