@@ -129,25 +129,25 @@ def parse_chart_csv(path: str | Path, region_label: str = "") -> ChartSeries:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         try:
             return _parse_chart_rows(csv.reader(handle), region_label)
-        except UnicodeDecodeError as exc:
-            raise _decode_error(path, exc) from None
+        except UnicodeDecodeError:
+            raise _decode_error(path) from None
 
 
-def _decode_error(path: str | Path, exc: UnicodeDecodeError) -> ParseError:
+def _decode_error(path: str | Path) -> ParseError:
     """Name the line of the first byte sequence in ``path`` that is not UTF-8.
 
-    The text reader decodes in chunks, so ``exc`` carries an offset into a
-    chunk; the file is read again as bytes to find the line.
+    The text reader decodes in chunks and reports an offset into a chunk,
+    so the file is read again as bytes to find the line.
     """
     raw = Path(path).read_bytes()
     try:
         raw.decode("utf-8")
-    except UnicodeDecodeError as whole:
+    except UnicodeDecodeError as exc:
         return ParseError(
-            f"invalid UTF-8 byte 0x{raw[whole.start]:02x}",
-            line=raw.count(b"\n", 0, whole.start) + 1,
+            f"invalid UTF-8 byte 0x{raw[exc.start]:02x}",
+            line=raw.count(b"\n", 0, exc.start) + 1,
         )
-    return ParseError(f"invalid UTF-8: {exc.reason}")
+    return ParseError("invalid UTF-8")
 
 
 def parse_chart_csv_text(text: str, region_label: str = "") -> ChartSeries:
@@ -231,8 +231,8 @@ def load_tags(path: str | Path) -> dict[str, set[str]]:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         try:
             return _parse_tag_rows(csv.reader(handle))
-        except UnicodeDecodeError as exc:
-            raise _decode_error(path, exc) from None
+        except UnicodeDecodeError:
+            raise _decode_error(path) from None
 
 
 def _parse_tag_rows(reader) -> dict[str, set[str]]:
