@@ -27,6 +27,7 @@ from pathlib import Path
 
 from .chart_store import (
     ChartSeries,
+    _decode_error,
     build_artist_index,
     filter_by_tag,
     load_tags,
@@ -112,10 +113,12 @@ class CliInputError(ChartFlowError):
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Parse a flat ``key = value`` config document."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _decode_error(path) from None
     values: dict[str, str] = {}
-    for lineno, raw_line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -211,7 +214,7 @@ def cmd_validate(config: RunConfig) -> int:
     series = _load_corpus(config)
     index = build_artist_index(series)
     print(f"region: {series.region_label}")
-    print(f"records: {len(series.records)}")
+    print(f"records: {len(series)}")
     if series.weeks:
         print(f"weeks: {len(series.weeks)} ({series.weeks[0]} .. {series.weeks[-1]})")
     else:
@@ -304,7 +307,7 @@ def cmd_synth(spec_path: str, output_dir: str) -> int:
     sidecar_path = out / "corpus.meta.json"
     write_chart_csv(series, corpus_path)
     sidecar_path.write_text(sidecar_json_text(spec, digest), encoding="utf-8")
-    print(f"wrote {corpus_path} ({len(series.records)} records)")
+    print(f"wrote {corpus_path} ({len(series)} records)")
     print(f"wrote {sidecar_path}")
     print(f"fingerprint: {digest}")
     return 0
@@ -397,10 +400,6 @@ def main(argv: list[str] | None = None) -> int:
         raise AssertionError(f"unhandled command {args.command!r}")
     except (ChartFlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        # Corpus and tag files name the line; other inputs only the byte.
-        print(f"error: input is not UTF-8: {exc}", file=sys.stderr)
         return 2
 
 

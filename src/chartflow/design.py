@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -75,17 +76,32 @@ class LagConfig:
 
 @dataclass(frozen=True)
 class LabeledDesign:
-    """Dense design matrix with row and column labels."""
+    """Dense design matrix with row and column labels.
+
+    Row ``r`` is the sample of artist ``artists[artist_idx[r]]`` at week
+    ``weeks[week_idx[r]]``; the label tuples are the velocity series' own.
+    """
 
     x: np.ndarray
     y: np.ndarray
-    row_meta: tuple[RowMeta, ...]
+    week_idx: np.ndarray
+    artist_idx: np.ndarray
+    weeks: tuple[date, ...]
+    artists: tuple[str, ...]
     col_meta: tuple[ColMeta, ...]
     target_city: str
 
     @property
     def n_rows(self) -> int:
         return self.x.shape[0]
+
+    @property
+    def row_meta(self) -> tuple[RowMeta, ...]:
+        """(artist, week) label of every row, built on each access."""
+        return tuple(
+            RowMeta(self.artists[a], self.weeks[w])
+            for w, a in zip(self.week_idx.tolist(), self.artist_idx.tolist())
+        )
 
 
 @dataclass(frozen=True)
@@ -164,7 +180,8 @@ def build_design(
     included_rows = [city_row[c] for c in dict.fromkeys(c for c, _ in col_meta)]
     x_blocks: list[np.ndarray] = []
     y_parts: list[np.ndarray] = []
-    row_meta: list[RowMeta] = []
+    week_parts: list[np.ndarray] = []
+    artist_parts: list[np.ndarray] = []
     for i, lag_idx in eligible:
         if active_rule == ACTIVE_TARGET:
             support = velocities.support[i]
@@ -184,19 +201,25 @@ def build_design(
             block[:, col] = dense(lag_idx[lag - 1], city_row[city])[active]
         x_blocks.append(block)
         y_parts.append(dense(i, target_row)[active])
-        week = velocities.weeks[i]
-        row_meta.extend(RowMeta(velocities.artists[a], week) for a in active)
+        week_parts.append(np.full(active.size, i, dtype=np.int32))
+        artist_parts.append(active.astype(np.int32))
 
     if x_blocks:
         x = np.vstack(x_blocks)
         y = np.concatenate(y_parts)
+        week_idx = np.concatenate(week_parts)
+        artist_idx = np.concatenate(artist_parts)
     else:
         x = np.zeros((0, len(col_meta)))
         y = np.zeros(0)
+        week_idx = artist_idx = np.zeros(0, dtype=np.int32)
     return LabeledDesign(
         x=x,
         y=y,
-        row_meta=tuple(row_meta),
+        week_idx=week_idx,
+        artist_idx=artist_idx,
+        weeks=velocities.weeks,
+        artists=velocities.artists,
         col_meta=col_meta,
         target_city=target_city,
     )
@@ -204,7 +227,7 @@ def build_design(
 
 def temporal_split(design: LabeledDesign, boundary: date) -> SplitDesign:
     """Partition samples into target weeks before vs. from the boundary on."""
-    mask = np.array([m.week < boundary for m in design.row_meta], dtype=bool)
+    mask = design.week_idx < bisect_left(design.weeks, boundary)
     if not mask.any() or mask.all():
         raise DegenerateSplitError(
             f"boundary {boundary} leaves an empty partition "
@@ -212,12 +235,12 @@ def temporal_split(design: LabeledDesign, boundary: date) -> SplitDesign:
         )
 
     def part(keep: np.ndarray) -> LabeledDesign:
-        return LabeledDesign(
+        return replace(
+            design,
             x=design.x[keep],
             y=design.y[keep],
-            row_meta=tuple(m for m, k in zip(design.row_meta, keep) if k),
-            col_meta=design.col_meta,
-            target_city=design.target_city,
+            week_idx=design.week_idx[keep],
+            artist_idx=design.artist_idx[keep],
         )
 
     return SplitDesign(train=part(mask), test=part(~mask), boundary=boundary)
@@ -239,9 +262,11 @@ def design_csv_text(design: LabeledDesign) -> str:
         ("artist", "week", "y")
         + tuple(f"{c.city}@lag{c.lag}" for c in design.col_meta)
     )
-    for row, meta in enumerate(design.row_meta):
+    weeks = [w.isoformat() for w in design.weeks]
+    rows = zip(design.artist_idx.tolist(), design.week_idx.tolist())
+    for row, (a, w) in enumerate(rows):
         writer.writerow(
-            (meta.artist, meta.week.isoformat(), repr(float(design.y[row])))
+            (design.artists[a], weeks[w], repr(float(design.y[row])))
             + tuple(repr(float(v)) for v in design.x[row])
         )
     return buffer.getvalue()

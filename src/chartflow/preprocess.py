@@ -14,8 +14,7 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass
-from datetime import date, timedelta
-from pathlib import Path
+from datetime import date
 from typing import Sequence
 
 import numpy as np
@@ -76,24 +75,18 @@ def to_listeners_matrices(
     series: ChartSeries, index: ArtistIndex
 ) -> list[ListenersMatrix]:
     """One sparse counts matrix per distinct week of the corpus."""
-    city_row = {c: i for i, c in enumerate(series.cities)}
     shape = (len(series.cities), index.size)
+    column = np.array(
+        [index.column_of(a) for a in series.artists], dtype=np.int32
+    )
+    cols = column[series.artist_idx]
+    data = series.listeners.astype(np.float64)
     matrices: list[ListenersMatrix] = []
-    pos = 0
-    records = series.records
-    n = len(records)
-    for week in series.weeks:
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        while pos < n and records[pos].week_start == week:
-            rec = records[pos]
-            rows.append(city_row[rec.city])
-            cols.append(index.column_of(rec.artist))
-            data.append(float(rec.listeners))
-            pos += 1
+    for week, rows in series.week_slices():
         mat = sparse.csr_matrix(
-            (data, (rows, cols)), shape=shape, dtype=np.float64
+            (data[rows], (series.city_idx[rows], cols[rows])),
+            shape=shape,
+            dtype=np.float64,
         )
         row_nnz = np.diff(mat.indptr)
         if np.any(row_nnz > CHART_ROW_LIMIT):
@@ -222,15 +215,6 @@ def matrix_csv_text(
     return buffer.getvalue()
 
 
-def dump_matrix_csv(
-    entries: sparse.csr_matrix,
-    cities: Sequence[str],
-    artists: Sequence[str],
-    path: str | Path,
-) -> None:
-    Path(path).write_text(matrix_csv_text(entries, cities, artists), "utf-8")
-
-
 def week_gaps(weeks: Sequence[date]) -> list[tuple[date, date, int]]:
     """Adjacent week pairs more than 7 days apart, with the gap in days."""
     gaps = []
@@ -240,7 +224,3 @@ def week_gaps(weeks: Sequence[date]) -> list[tuple[date, date, int]]:
             gaps.append((a, b, days))
     return gaps
 
-
-def expected_week(week: date, lag: int) -> date:
-    """The chart week ``lag`` weeks before ``week``."""
-    return week - timedelta(days=7 * lag)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .chart_store import ChartRecord, ChartSeries, chart_csv_text
+from .chart_store import ChartSeries, _decode_error, chart_csv_chunks
 from .errors import PlantSpecError
 
 ROLES = ("leader", "follower", "unlabeled")
@@ -202,6 +202,8 @@ class PlantSpec:
     def from_json_file(cls, path: str | Path) -> "PlantSpec":
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError:
+            raise _decode_error(path) from None
         except json.JSONDecodeError as exc:
             raise PlantSpecError(f"spec file is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
@@ -300,43 +302,39 @@ def generate_planted(spec: PlantSpec) -> ChartSeries:
         inc[city] = steps
 
     width = max(4, len(str(n_artists - 1)))
-    artist_names = [f"a{idx:0{width}d}" for idx in range(n_artists)]
-    idx_row = np.arange(n_artists, dtype=np.int64)
-
-    records: list[ChartRecord] = []
+    artist_names = tuple(f"a{idx:0{width}d}" for idx in range(n_artists))
     sorted_names = sorted(names)
-    counts_by_city: dict[str, np.ndarray] = {}
+    chart_idx: list[np.ndarray] = []
+    chart_counts: list[np.ndarray] = []
     for city in sorted_names:
         latent = mu[city] + state[city][offset[city] :]
         # Clipped so extreme specs cannot overflow the integer counts.
         counts = np.rint(
             np.clip(spec.city_size * np.exp(latent), 1.0, 1e15)
         ).astype(np.int64)
-        counts_by_city[city] = counts
-    for t in range(spec.weeks):
-        week = spec.start_week + timedelta(days=7 * t)
-        for city in sorted_names:
-            counts = counts_by_city[city][t]
-            if n_artists > spec.chart_size:
-                # Top of the chart: count descending, artist index on ties.
-                order_key = np.lexsort((idx_row, -counts))
-                sel = np.sort(order_key[: spec.chart_size])
-            else:
-                sel = idx_row
-            for a in sel:
-                records.append(
-                    ChartRecord(week, city, artist_names[a], int(counts[a]))
-                )
+        if n_artists > spec.chart_size:
+            # Top of the chart: count descending, artist index on ties.
+            top = np.argsort(-counts, axis=1, kind="stable")
+            sel = np.sort(top[:, : spec.chart_size], axis=1)
+        else:
+            sel = np.broadcast_to(np.arange(n_artists), counts.shape)
+        chart_idx.append(sel)
+        chart_counts.append(np.take_along_axis(counts, sel, axis=1))
 
+    # One cell per (week, city, chart slot).
+    artist_idx = np.stack(chart_idx, axis=1)
+    shape = artist_idx.shape
     weeks = tuple(
         spec.start_week + timedelta(days=7 * t) for t in range(spec.weeks)
     )
-    # Records are emitted in (week, city, artist) order, so the canonical
-    # constructor's sort/validation pass is skipped.
-    return ChartSeries(
-        records=tuple(records),
-        weeks=weeks,
-        cities=tuple(sorted_names),
+    return ChartSeries.from_columns(
+        weeks,
+        tuple(sorted_names),
+        artist_names,
+        np.broadcast_to(np.arange(shape[0])[:, None, None], shape).ravel(),
+        np.broadcast_to(np.arange(shape[1])[None, :, None], shape).ravel(),
+        artist_idx.ravel(),
+        np.stack(chart_counts, axis=1).ravel(),
         region_label="synthetic",
     )
 
@@ -348,7 +346,10 @@ def fingerprint(series: ChartSeries) -> str:
     the same records share the digest regardless of construction order. The
     empty corpus digest is the hash of the bare header line.
     """
-    return hashlib.sha256(chart_csv_text(series).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256()
+    for chunk in chart_csv_chunks(series):
+        digest.update(chunk.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def sidecar_json_text(spec: PlantSpec, digest: str) -> str:

@@ -2,6 +2,7 @@
 
 from datetime import date
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,8 +93,15 @@ class TestParse:
         assert err.value.line == 2
 
     def test_bad_count(self):
-        with pytest.raises(ParseError) as err:
-            parse_chart_csv_text(HEADER + "2007-01-07,a,b,many\n")
+        # Counts are an optional minus sign and ASCII digits, nothing else.
+        for raw in ("many", "1_000", " 5", "5 ", "+5", "\u0665", "\uff15",
+                    "1.0", "", "-", "0x10"):
+            text = HEADER + "2007-01-07,a,a,1\n" + f'2007-01-07,a,b,"{raw}"\n'
+            with pytest.raises(ParseError, match="bad listener count") as err:
+                parse_chart_csv_text(text)
+            assert err.value.line == 3, raw
+        with pytest.raises(ChartValueError, match="negative") as err:
+            parse_chart_csv_text(HEADER + "2007-01-07,a,b,-5\n")
         assert err.value.line == 2
 
     def test_wrong_field_count(self):
@@ -123,6 +131,70 @@ class TestParse:
         write_chart_csv(series, path)
         again = parse_chart_csv(path, region_label="test")
         assert again == series
+
+
+    def test_earlier_line_wins_over_later_syntax_error(self):
+        text = HEADER + (
+            "2007-01-07,a,x,1\n2007-01-07,a,x,2\n2007-01-07,a,y,lots\n"
+        )
+        with pytest.raises(DuplicateKeyError) as err:
+            parse_chart_csv_text(text)
+        assert err.value.line == 3
+
+    def test_weeks_keyed_by_date(self):
+        # Both spellings are ISO 8601 for the same day: one week, one key.
+        text = HEADER + "2007-01-07,a,x,1\n20070107,a,y,2\n"
+        series = parse_chart_csv_text(text)
+        assert series.weeks == (date(2007, 1, 7),)
+        with pytest.raises(DuplicateKeyError):
+            parse_chart_csv_text(HEADER + "2007-01-07,a,x,1\n20070107,a,x,2\n")
+
+    def test_zero_row_labels_dropped(self):
+        text = HEADER + "2007-01-14,b,x,0\n2007-01-07,a,y,5\n"
+        series = parse_chart_csv_text(text)
+        assert series.weeks == (date(2007, 1, 7),)
+        assert series.cities == ("a",) and series.artists == ("y",)
+
+
+class TestFromColumns:
+    def test_canonical_order_and_labels(self):
+        series = ChartSeries.from_columns(
+            (week(1), week(0)), ("z", "a"), ("q", "p", "unused"),
+            [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 1, 0], [4, 3, 2, 1],
+        )
+        assert series.weeks == (week(0), week(1))
+        assert series.cities == ("a", "z")
+        assert series.artists == ("p", "q")
+        assert [(r.week_start, r.city, r.artist, r.listeners)
+                for r in series.records] == [
+            (week(0), "a", "p", 2),
+            (week(0), "z", "q", 3),
+            (week(1), "a", "q", 1),
+            (week(1), "z", "p", 4),
+        ]
+        assert series.week_idx.dtype == np.int32
+        assert series.listeners.dtype == np.int64
+
+    def test_first_invalid_row_in_input_order(self):
+        # Row 1 repeats row 0's key; row 2 is negative: the repeat is first.
+        with pytest.raises(DuplicateKeyError) as err:
+            ChartSeries.from_columns(
+                (week(0),), ("c",), ("a", "b"),
+                [0, 0, 0], [0, 0, 0], [0, 0, 1], [1, 2, -1], lines=[5, 6, 7],
+            )
+        assert err.value.line == 6
+
+    def test_rejects_repeated_labels(self):
+        with pytest.raises(ValueError):
+            ChartSeries.from_columns(
+                (week(0),), ("c", "c"), ("a",), [0], [0], [0], [1]
+            )
+
+    def test_equality_reads_columns(self):
+        base = make_series([(0, "c", "a", 1), (0, "c", "b", 2)])
+        assert base == make_series([(0, "c", "b", 2), (0, "c", "a", 1)])
+        assert base != make_series([(0, "c", "a", 1), (0, "c", "b", 3)])
+        assert base != make_series([(0, "c", "a", 1), (0, "c", "b", 2)], "x")
 
 
 class TestArtistIndex:

@@ -89,7 +89,24 @@ class TestValidate:
             ]
         )
         assert code == 2
-        assert "not UTF-8" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and "line 2" in err
+
+    def test_non_utf8_config_names_line(self, corpus_path, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"lag_count = 4\n# caf\xe9\n")
+        code = run(["validate", "--config", config,
+                    "--corpus-path", corpus_path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "0xe9" in err
+
+    def test_non_utf8_spec_names_line(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b'{\n  "cities": [{"name": "\xff"}]\n}\n')
+        assert run(["synth", spec, "--output-dir", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "0xff" in err
 
     def test_header_only(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

@@ -1,0 +1,71 @@
+"""The benchmark's traced run still sees every layer of the pipeline.
+
+``perfbench/trace_run.py`` wraps chartflow functions by module attribute
+and reads a few counts off their results; a rename or a changed return type
+would silently empty a per-layer metric. This runs a traced ``synth`` and a
+traced ``evaluate`` on a small spec and checks the metrics they give.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+SPEC = {
+    "cities": [
+        {"name": "lead", "role": "leader"},
+        {"name": "echo", "role": "follower"},
+        {"name": "other", "role": "unlabeled"},
+    ],
+    "influence": [{"leader": "lead", "follower": "echo", "lag": 2,
+                   "strength": 0.8}],
+    "weeks": 30,
+    "artists": 20,
+    "chart_size": 12,
+    "noise_sigma": 0.04,
+    "seed": 7,
+}
+
+
+def _traced(spans: Path, *args) -> list[dict]:
+    subprocess.run(
+        [sys.executable, str(PERFBENCH / "trace_run.py"), str(spans),
+         *map(str, args)],
+        check=True,
+        capture_output=True,
+        env={**{k: v for k, v in os.environ.items()
+                 if not k.startswith("CHARTFLOW_")},
+             "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    return json.loads(spans.read_text())
+
+
+def test_traced_layers_are_all_measured(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC))
+    synth_spans = _traced(tmp_path / "synth.json", "synth", spec,
+                          "--output-dir", tmp_path)
+    eval_spans = _traced(tmp_path / "eval.json", "evaluate", "--corpus-path",
+                         tmp_path / "corpus.csv", "--output-dir",
+                         tmp_path / "out")
+
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from layers import layer_metrics
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    metrics = layer_metrics(synth_spans, eval_spans, 0.0, 0.0)
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert {m["name"] for m in declared} <= set(metrics)
+    rows = (tmp_path / "corpus.csv").read_text().count("\n") - 1
+    assert rows == 30 * 3 * 12
+    assert metrics["chart_store.records"]["value"] == rows
+    assert metrics["design.calls"]["value"] == len(SPEC["cities"])
+    for name in ("chart_store.parse_s", "synth.fingerprint_s",
+                 "preprocess.listeners_s", "design.build_s"):
+        assert metrics[name]["value"] > 0, name
