@@ -45,7 +45,7 @@ series = generate_planted(spec)
 velocities = build_velocities(series)
 boundary = default_boundary(velocities.weeks)
 
-results = evaluate_region(velocities, boundary=boundary, jobs=4)
+results = evaluate_region(velocities, boundary=boundary)
 report = build_report(
     results, spec.labels(), region_label="synthetic demo", genre_label="all"
 )

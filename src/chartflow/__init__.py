@@ -29,7 +29,6 @@ from .design import (
     SplitDesign,
     build_design,
     default_boundary,
-    dump_design_csv,
     temporal_split,
 )
 from .errors import ChartFlowError
@@ -57,14 +56,7 @@ from .preprocess import (
     restrict_artists,
     to_listeners_matrices,
 )
-from .solver import (
-    Coefficients,
-    fit_nnls,
-    fit_ols,
-    oracle_nnls,
-    oracle_ols,
-    predict,
-)
+from .solver import Coefficients, fit_nnls, fit_ols, predict
 from .synth import Influence, PlantSpec, fingerprint, generate_planted
 
 __version__ = "0.1.0"
@@ -97,7 +89,6 @@ __all__ = [
     "chart_csv_text",
     "compute_velocities",
     "default_boundary",
-    "dump_design_csv",
     "evaluate_city",
     "evaluate_region",
     "filter_by_tag",
@@ -107,8 +98,6 @@ __all__ = [
     "generate_planted",
     "load_tags",
     "normalize_rows",
-    "oracle_nnls",
-    "oracle_ols",
     "parse_chart_csv",
     "parse_chart_csv_text",
     "percent_of_baseline",

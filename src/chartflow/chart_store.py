@@ -15,6 +15,7 @@ constructor :meth:`ChartSeries.from_columns`.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import re
 from dataclasses import dataclass, field
@@ -405,9 +406,19 @@ def chart_csv_text(series: ChartSeries) -> str:
     return "".join(chart_csv_chunks(series))
 
 
-def write_chart_csv(series: ChartSeries, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(chart_csv_chunks(series))
+def write_chart_csv(series: ChartSeries, path: str | Path) -> str:
+    """Write the canonical CSV; returns the hex SHA-256 of the bytes written.
+
+    The digest equals ``synth.fingerprint(series)``: both hash the same
+    encoded chunks, here in the one pass that writes them.
+    """
+    digest = hashlib.sha256()
+    with open(path, "wb") as handle:
+        for chunk in chart_csv_chunks(series):
+            data = chunk.encode("utf-8")
+            digest.update(data)
+            handle.write(data)
+    return digest.hexdigest()
 
 
 def load_tags(path: str | Path) -> dict[str, set[str]]:

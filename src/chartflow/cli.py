@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 input error, 3 every city failed to evaluate.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -82,7 +83,6 @@ class RunConfig:
     active_set: str = "target"
     filter_stage: str = "pre"
     output_dir: str = "."
-    jobs: int = 1
 
 
 def _parse_cities(raw: str) -> tuple[str, ...]:
@@ -103,7 +103,13 @@ _PARSERS = {
     "active_set": str,
     "filter_stage": str,
     "output_dir": str,
-    "jobs": int,
+}
+
+# Allowed values of the enumerated keys, for argparse and for resolve_config.
+_CHOICES = {
+    "solver": ("ols", "nnls"),
+    "active_set": ("target", "union"),
+    "filter_stage": ("pre", "post"),
 }
 
 
@@ -153,20 +159,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag_value = getattr(args, spec_field.name, None)
         if flag_value is not None:
             config = replace(config, **{spec_field.name: flag_value})
-    if config.solver not in ("ols", "nnls"):
-        raise CliInputError(f"solver must be ols or nnls, got {config.solver!r}")
-    if config.active_set not in ("target", "union"):
-        raise CliInputError(
-            f"active_set must be target or union, got {config.active_set!r}"
-        )
-    if config.filter_stage not in ("pre", "post"):
-        raise CliInputError(
-            f"filter_stage must be pre or post, got {config.filter_stage!r}"
-        )
+    for key, (a, b) in _CHOICES.items():
+        value = getattr(config, key)
+        if value not in (a, b):
+            raise CliInputError(f"{key} must be {a} or {b}, got {value!r}")
     if config.lag_count < 1:
         raise CliInputError(f"lag_count must be >= 1, got {config.lag_count}")
-    if config.jobs < 1:
-        raise CliInputError(f"jobs must be >= 1, got {config.jobs}")
+    if not (math.isfinite(config.ridge) and config.ridge >= 0):
+        raise CliInputError(f"ridge must be finite and >= 0, got {config.ridge}")
+    if config.cities_included == ():
+        raise CliInputError("cities_included must name at least one city")
     return config
 
 
@@ -263,7 +265,6 @@ def cmd_evaluate(config: RunConfig) -> int:
         solver_variant=config.solver,
         ridge=config.ridge,
         active_rule=config.active_set,
-        jobs=config.jobs,
     )
     report = build_report(
         results,
@@ -300,12 +301,11 @@ def cmd_evaluate(config: RunConfig) -> int:
 def cmd_synth(spec_path: str, output_dir: str) -> int:
     spec = PlantSpec.from_json_file(spec_path)
     series = generate_planted(spec)
-    digest = fingerprint(series)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     corpus_path = out / "corpus.csv"
     sidecar_path = out / "corpus.meta.json"
-    write_chart_csv(series, corpus_path)
+    digest = write_chart_csv(series, corpus_path)
     sidecar_path.write_text(sidecar_json_text(spec, digest), encoding="utf-8")
     print(f"wrote {corpus_path} ({len(series)} records)")
     print(f"wrote {sidecar_path}")
@@ -341,22 +341,10 @@ def cmd_dump_design(config: RunConfig, city: str, scope: str, out: str | None) -
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--corpus-path")
-    parser.add_argument("--tags-path")
-    parser.add_argument("--tag")
-    parser.add_argument("--labels-path")
-    parser.add_argument("--region-label")
-    parser.add_argument(
-        "--cities-included", type=_parse_cities, metavar="CITY,CITY,..."
-    )
-    parser.add_argument("--lag-count", type=int)
-    parser.add_argument("--boundary", type=date.fromisoformat, metavar="YYYY-MM-DD")
-    parser.add_argument("--solver", choices=("ols", "nnls"))
-    parser.add_argument("--ridge", type=float)
-    parser.add_argument("--active-set", choices=("target", "union"))
-    parser.add_argument("--filter-stage", choices=("pre", "post"))
-    parser.add_argument("--output-dir")
-    parser.add_argument("--jobs", type=int)
+    for key, parse in _PARSERS.items():
+        parser.add_argument(
+            "--" + key.replace("_", "-"), type=parse, choices=_CHOICES.get(key)
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

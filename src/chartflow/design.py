@@ -20,7 +20,6 @@ import io
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -270,7 +269,3 @@ def design_csv_text(design: LabeledDesign) -> str:
             + tuple(repr(float(v)) for v in design.x[row])
         )
     return buffer.getvalue()
-
-
-def dump_design_csv(design: LabeledDesign, path: str | Path) -> None:
-    Path(path).write_text(design_csv_text(design), encoding="utf-8")

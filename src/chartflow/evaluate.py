@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
 from decimal import ROUND_HALF_UP, Decimal
@@ -171,7 +170,6 @@ def evaluate_region(
     solver_variant: str = "ols",
     ridge: float = 0.0,
     active_rule: str = "target",
-    jobs: int = 1,
 ) -> list[CityResult]:
     """Evaluate every included city; failures become status rows."""
     cities = tuple(
@@ -203,10 +201,7 @@ def evaluate_region(
                 status=f"{type(exc).__name__}: {exc}",
             )
 
-    if jobs <= 1:
-        return [one(city) for city in cities]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, cities))
+    return [one(city) for city in cities]
 
 
 def build_report(

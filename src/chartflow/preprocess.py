@@ -10,8 +10,6 @@ absences yield flagged-undefined rows, never imputed values.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass
 from datetime import date
@@ -196,23 +194,6 @@ def restrict_artists(
         for m in normalized
     ]
     return sliced, kept_artists
-
-
-def matrix_csv_text(
-    entries: sparse.csr_matrix,
-    cities: Sequence[str],
-    artists: Sequence[str],
-) -> str:
-    """Debug dump of any city x artist matrix as ``city,artist,value`` CSV."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("city", "artist", "value"))
-    csr = entries.tocsr()
-    for row in range(csr.shape[0]):
-        start, end = csr.indptr[row], csr.indptr[row + 1]
-        for col, value in zip(csr.indices[start:end], csr.data[start:end]):
-            writer.writerow((cities[row], artists[col], repr(float(value))))
-    return buffer.getvalue()
 
 
 def week_gaps(weeks: Sequence[date]) -> list[tuple[date, date, int]]:

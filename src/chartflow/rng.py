@@ -55,9 +55,7 @@ def uniforms(key: int, n: int, start: int = 0) -> np.ndarray:
 
 def normals(key: int, n: int) -> np.ndarray:
     """``n`` standard normal doubles via Box-Muller on counter pairs."""
-    if n == 0:
-        return np.zeros(0)
     # u1 is shifted into (0, 1] so log() never sees zero.
-    u1 = ((_outputs(key, 0, n) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    u2 = (_outputs(key, n, n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    u1 = uniforms(key, n) + 2.0**-53
+    u2 = uniforms(key, n, start=n)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)

@@ -1,31 +1,23 @@
-"""Least-squares fitting: unconstrained, non-negative, and test oracles.
+"""Least-squares fitting: unconstrained and non-negative.
 
-The production paths are ``fit_ols`` (minimum-norm solution via
-column-pivoted rank-revealing QR, LAPACK *gelsy*) and ``fit_nnls``
-(Lawson-Hanson active set). Neither solves on the n x k design itself:
-``[X | y]`` is first folded, ``REDUCE_BLOCK_ROWS`` rows at a time, into the
-upper-triangular factor ``[R | Q^T y]`` of its QR decomposition (streaming
-TSQR). Because ``||X b - y||^2 = ||R b - Q^T y||^2 + const``, both problems
-have the same solution set, and the solvers then work on at most k + 1 rows.
-``oracle_ols`` and ``oracle_nnls`` are slow, structurally independent
-reimplementations kept for cross-checking: the first solves the normal
-equations by explicit Gaussian elimination, the second enumerates every
-sign pattern.
+The two paths are ``fit_ols`` (minimum-norm solution via column-pivoted
+rank-revealing QR, LAPACK *gelsy*) and ``fit_nnls`` (Lawson-Hanson active
+set). Neither solves on the n x k design itself: ``[X | y]`` is first
+folded, ``REDUCE_BLOCK_ROWS`` rows at a time, into the upper-triangular
+factor ``[R | Q^T y]`` of its QR decomposition (streaming TSQR). Because
+``||X b - y||^2 = ||R b - Q^T y||^2 + const``, both problems have the same
+solution set, and the solvers then work on at most k + 1 rows.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (
-    ChartFlowError,
     ConvergenceError,
     DimensionError,
     NonFiniteError,
@@ -212,97 +204,3 @@ def predict(x, coefficients: Coefficients) -> np.ndarray:
             f"{len(coefficients.values)}"
         )
     return x @ coefficients.values
-
-
-def oracle_ols(x, y) -> Coefficients:
-    """Normal-equations oracle: explicit Gaussian elimination, <= 12 columns.
-
-    Independent of the production QR path; for testing only.
-    """
-    x, y = _validated(x, y)
-    k = x.shape[1]
-    if k > 12:
-        raise DimensionError(f"oracle_ols handles at most 12 columns, got {k}")
-    a = x.T @ x
-    b = x.T @ y
-    beta = _gaussian_solve(a, b)
-    return Coefficients(
-        values=beta, variant="ols", training_rmse=_training_rmse(x, y, beta)
-    )
-
-
-def _gaussian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a small dense symmetric system with partial pivoting."""
-    a = a.copy()
-    b = b.copy()
-    k = a.shape[0]
-    tol = 1e-12 * max(1.0, float(np.abs(a).max()))
-    for col in range(k):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[pivot_row, col]) <= tol:
-            raise SingularMatrixError("normal matrix is numerically singular")
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            b[[col, pivot_row]] = b[[pivot_row, col]]
-        for row in range(col + 1, k):
-            factor = a[row, col] / a[col, col]
-            a[row, col:] -= factor * a[col, col:]
-            b[row] -= factor * b[col]
-    beta = np.zeros(k)
-    for col in range(k - 1, -1, -1):
-        beta[col] = (b[col] - a[col, col + 1 :] @ beta[col + 1 :]) / a[col, col]
-    return beta
-
-
-def oracle_nnls(x, y) -> Coefficients:
-    """Exhaustive NNLS oracle: try every zero pattern, <= 10 columns.
-
-    Solves the reduced unconstrained problem for each subset of columns
-    pinned to zero, keeps the feasible candidates, and returns the one with
-    the smallest residual. For testing only.
-    """
-    x, y = _validated(x, y)
-    k = x.shape[1]
-    if k > 10:
-        raise DimensionError(f"oracle_nnls handles at most 10 columns, got {k}")
-    best_beta: np.ndarray | None = None
-    best_residual = np.inf
-    for pattern in range(2**k):
-        free = np.array([(pattern >> i) & 1 == 1 for i in range(k)])
-        beta = np.zeros(k)
-        if free.any():
-            try:
-                reduced = oracle_ols(x[:, free], y)
-            except SingularMatrixError:
-                continue
-            if reduced.values.min() < -1e-12:
-                continue
-            beta[free] = np.maximum(reduced.values, 0.0)
-        residual = float(np.linalg.norm(x @ beta - y))
-        if residual < best_residual - 1e-15:
-            best_residual = residual
-            best_beta = beta
-    if best_beta is None:
-        raise ChartFlowError("no feasible zero pattern found")
-    return Coefficients(
-        values=best_beta,
-        variant="nnls",
-        training_rmse=_training_rmse(x, y, best_beta),
-    )
-
-
-def coefficients_csv_text(
-    coefficients: Coefficients, col_meta: Sequence[tuple[str, int]]
-) -> str:
-    """Serialize a coefficient vector as ``city,lag,value`` CSV."""
-    if len(col_meta) != len(coefficients.values):
-        raise DimensionError(
-            f"{len(col_meta)} column labels for "
-            f"{len(coefficients.values)} coefficients"
-        )
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("city", "lag", "value"))
-    for (city, lag), value in zip(col_meta, coefficients.values):
-        writer.writerow((city, lag, repr(float(value))))
-    return buffer.getvalue()

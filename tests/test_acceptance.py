@@ -23,8 +23,6 @@ from chartflow import (
     fit_ols,
     generate_planted,
     normalize_rows,
-    oracle_nnls,
-    oracle_ols,
     rng,
     temporal_split,
     to_listeners_matrices,
@@ -35,6 +33,7 @@ from chartflow.evaluate import format_pct, report_table_text
 from chartflow.preprocess import compute_velocities
 
 from conftest import NULL_SPEC, REFERENCE_SPEC, SMALL_PLANT
+from oracles import oracle_nnls, oracle_ols
 from test_evaluate import (
     NORTH_AMERICA_ALL,
     na_labels,
@@ -250,11 +249,11 @@ def test_report_format_golden():
 
 
 def test_determinism(tmp_path):
-    """cmd_evaluate emits byte-identical reports across runs and job counts."""
+    """cmd_evaluate emits byte-identical reports across three runs."""
     corpus = tmp_path / "corpus.csv"
     write_chart_csv(generate_planted(SMALL_PLANT), corpus)
     outputs = []
-    for name, jobs in (("a", "1"), ("b", "1"), ("c", "8")):
+    for name in ("a", "b", "c"):
         out_dir = tmp_path / name
         code = main(
             [
@@ -263,8 +262,6 @@ def test_determinism(tmp_path):
                 str(corpus),
                 "--output-dir",
                 str(out_dir),
-                "--jobs",
-                jobs,
             ]
         )
         assert code == 0
@@ -273,7 +270,7 @@ def test_determinism(tmp_path):
             + (out_dir / "report.json").read_bytes()
         )
     assert outputs[0] == outputs[1] == outputs[2]
-    _pass("determinism", "2 runs + jobs 1 vs 8 byte-identical")
+    _pass("determinism", "3 runs byte-identical")
 
 
 def test_dimensional_fidelity():

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from chartflow import write_chart_csv
-from chartflow.cli import main, parse_config_file, resolve_config
+from chartflow.cli import CliInputError, main, parse_config_file, resolve_config
 from chartflow.errors import ChartFlowError
 
 from conftest import SMALL_PLANT, make_series
@@ -155,9 +155,9 @@ class TestEvaluate:
         assert payload["metadata"]["lag_count"] == 8
         assert payload["metadata"]["corpus_fingerprint"]
 
-    def test_byte_identical_runs_and_jobs(self, corpus_path, tmp_path):
+    def test_byte_identical_runs_and_jobs(self, corpus_path, tmp_path, capsys):
         outputs = []
-        for name, jobs in (("r1", 1), ("r2", 1), ("r8", 8)):
+        for name in ("r1", "r2", "r3"):
             out_dir = tmp_path / name
             assert (
                 run(
@@ -167,8 +167,6 @@ class TestEvaluate:
                         corpus_path,
                         "--output-dir",
                         out_dir,
-                        "--jobs",
-                        jobs,
                     ]
                 )
                 == 0
@@ -180,6 +178,16 @@ class TestEvaluate:
                 )
             )
         assert outputs[0] == outputs[1] == outputs[2]
+        # The thread pool is gone: its flag and config key are rejected.
+        with pytest.raises(SystemExit) as exc_info:
+            run(["evaluate", "--corpus-path", corpus_path, "--jobs", 2])
+        assert exc_info.value.code == 2
+        config = tmp_path / "run.cfg"
+        config.write_text("jobs = 2\n")
+        capsys.readouterr()
+        assert run(["evaluate", "--config", config,
+                    "--corpus-path", corpus_path]) == 2
+        assert "unknown key 'jobs'" in capsys.readouterr().err
 
     def test_boundary_outside_corpus(self, corpus_path, tmp_path, capsys):
         code = run(
@@ -446,12 +454,44 @@ class TestConfigResolution:
             resolve_config(ns)
 
     def test_validation(self):
-        with pytest.raises(ChartFlowError):
-            resolve_config(argparse.Namespace(solver="lasso"))
-        with pytest.raises(ChartFlowError):
-            resolve_config(argparse.Namespace(jobs=0))
-        with pytest.raises(ChartFlowError):
-            resolve_config(argparse.Namespace(filter_stage="mid"))
+        bad = [
+            ({"solver": "lasso"}, "solver must be ols or nnls, got 'lasso'"),
+            ({"active_set": "all"},
+             "active_set must be target or union, got 'all'"),
+            ({"filter_stage": "mid"},
+             "filter_stage must be pre or post, got 'mid'"),
+            ({"lag_count": 0}, "lag_count must be >= 1, got 0"),
+            ({"ridge": -1.0}, "ridge must be finite and >= 0, got -1.0"),
+            ({"ridge": float("inf")}, "ridge must be finite and >= 0, got inf"),
+            ({"ridge": float("nan")}, "ridge must be finite and >= 0, got nan"),
+            ({"cities_included": ()},
+             "cities_included must name at least one city"),
+        ]
+        for values, message in bad:
+            with pytest.raises(CliInputError) as exc_info:
+                resolve_config(argparse.Namespace(**values))
+            assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("command", ["evaluate", "dump-design"])
+    def test_bad_values_exit_2_via_main(
+        self, command, corpus_path, tmp_path, monkeypatch, capsys
+    ):
+        base = [command, "--corpus-path", corpus_path,
+                "--output-dir", tmp_path / "o"]
+        if command == "dump-design":
+            base += ["--city", "echo"]
+        for flag in ("--ridge=-1", "--ridge=inf", "--ridge=nan",
+                     "--cities-included=,"):
+            assert run(base + [flag]) == 2, flag
+            assert "error: " in capsys.readouterr().err
+        config = tmp_path / "run.cfg"
+        config.write_text("ridge = nan\n")
+        assert run(base + ["--config", config]) == 2
+        assert "ridge must be finite" in capsys.readouterr().err
+        monkeypatch.setenv("CHARTFLOW_CITIES_INCLUDED", ",")
+        assert run(base) == 2
+        assert "cities_included" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_config_file_via_main(self, corpus_path, tmp_path, capsys):
         config = tmp_path / "run.cfg"

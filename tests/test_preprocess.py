@@ -12,7 +12,7 @@ from chartflow import (
     to_listeners_matrices,
 )
 from chartflow.errors import IndexingError, InsufficientDataError
-from chartflow.preprocess import ListenersMatrix, matrix_csv_text
+from chartflow.preprocess import ListenersMatrix
 
 from conftest import make_series, week
 
@@ -199,12 +199,3 @@ def test_restrict_artists():
     assert kept == ("b",)
     # Norms are from the full corpus: week-0 b entry stays 0.8.
     assert sliced[0].entries.toarray()[0].tolist() == [0.8]
-
-
-def test_matrix_csv_dump():
-    series = make_series([(0, "c", "a", 3), (0, "c", "b", 4)])
-    index = build_artist_index(series)
-    mat = to_listeners_matrices(series, index)[0]
-    text = matrix_csv_text(mat.entries, series.cities, index.artists)
-    assert text.splitlines()[0] == "city,artist,value"
-    assert "c,a,3.0" in text

@@ -9,8 +9,6 @@ from chartflow import (
     ChartFlowError,
     fit_nnls,
     fit_ols,
-    oracle_nnls,
-    oracle_ols,
     predict,
     rng,
 )
@@ -20,12 +18,9 @@ from chartflow.errors import (
     NonFiniteError,
     SingularMatrixError,
 )
-from chartflow.solver import (
-    RANK_TOL,
-    REDUCE_BLOCK_ROWS,
-    _reduce,
-    coefficients_csv_text,
-)
+from chartflow.solver import RANK_TOL, REDUCE_BLOCK_ROWS, _reduce
+
+from oracles import oracle_nnls, oracle_ols
 
 
 def random_system(seed, rows, cols, nonneg_target=False):
@@ -356,20 +351,6 @@ class TestReduction:
         )
         assert rank == 6
         assert not fit_ols(x, y).rank_deficient
-
-
-def test_coefficients_csv():
-    fit = fit_ols(np.eye(2), np.array([1.0, 2.0]))
-    text = coefficients_csv_text(fit, [("boston", 1), ("boston", 2)])
-    lines = text.splitlines()
-    assert lines[0] == "city,lag,value"
-    assert lines[1] == "boston,1,1.0"
-
-
-def test_coefficients_csv_length_mismatch():
-    fit = fit_ols(np.eye(2), np.array([1.0, 2.0]))
-    with pytest.raises(DimensionError):
-        coefficients_csv_text(fit, [("a", 1)])
 
 
 def test_oracle_failure_unreachable_via_zero_vector():

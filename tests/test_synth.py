@@ -1,5 +1,6 @@
 """Synthetic corpus generator: determinism, planted structure, validation."""
 
+import hashlib
 import json
 from collections import Counter
 from datetime import timedelta
@@ -12,11 +13,13 @@ from chartflow import (
     PlantSpec,
     fingerprint,
     generate_planted,
+    write_chart_csv,
 )
 from chartflow.errors import PlantSpecError
 from chartflow.synth import sidecar_json_text
 
-from conftest import NULL_SPEC, SMALL_PLANT
+from conftest import NULL_SPEC, REFERENCE_SPEC, SMALL_PLANT
+from test_golden import REFERENCE_SPEC_SHA256, SMALL_PLANT_SHA256
 
 # Hash of the bare header line; the digest of an empty corpus.
 EMPTY_DIGEST = "81269196093390e00fbbc64ea76b3acba7deb5ffde7e84166516b7c7bee38cb7"
@@ -118,6 +121,18 @@ class TestFingerprint:
 
     def test_empty_digest(self):
         assert fingerprint(ChartSeries.from_records([])) == EMPTY_DIGEST
+
+    def test_write_returns_digest_of_bytes_written(self, tmp_path):
+        cases = [
+            (generate_planted(SMALL_PLANT), SMALL_PLANT_SHA256),
+            (generate_planted(REFERENCE_SPEC), REFERENCE_SPEC_SHA256),
+            (ChartSeries.from_records([]), EMPTY_DIGEST),
+        ]
+        for series, golden in cases:
+            path = tmp_path / "corpus.csv"
+            digest = write_chart_csv(series, path)
+            assert digest == fingerprint(series) == golden
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == golden
 
 
 class TestSpecValidation:
