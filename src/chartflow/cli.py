@@ -169,6 +169,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise CliInputError(f"ridge must be finite and >= 0, got {config.ridge}")
     if config.cities_included == ():
         raise CliInputError("cities_included must name at least one city")
+    if config.cities_included is not None:
+        try:
+            LagConfig(cities_included=config.cities_included)
+        except ValueError as exc:  # a repeated city
+            raise CliInputError(str(exc)) from None
     return config
 
 

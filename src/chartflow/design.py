@@ -11,6 +11,12 @@ own-history design and an all-history design can hold different rows.
 Evaluation sidesteps this by fitting the own-history model on the target
 city's columns of the all-history design. Lagged values of *other* cities
 that are undefined (absence, gap) enter as 0.0, the no-change value.
+
+``build_design`` densifies the velocity rows of the cities it needs once
+per call into a (week, city, artist) array and fills each eligible week's
+block of rows with one gather from it. Rows come out in ascending week
+order, so ``temporal_split`` cuts the design into two row slices, views
+that share the design's memory.
 """
 
 from __future__ import annotations
@@ -58,6 +64,9 @@ class LagConfig:
             raise ValueError(f"unknown scope {self.scope!r}")
         if self.scope == ALL_HISTORY and not self.cities_included:
             raise ValueError("all_history scope needs a non-empty city list")
+        for i, city in enumerate(self.cities_included):
+            if city in self.cities_included[:i]:
+                raise ValueError(f"cities_included names {city!r} more than once")
 
     def columns(self, target_city: str) -> tuple[ColMeta, ...]:
         """Column labels: configured city order, lags ascending within city."""
@@ -110,10 +119,21 @@ class SplitDesign:
     boundary: date
 
 
-def _dense_row(matrix, row: int, width: int) -> np.ndarray:
-    out = np.zeros(width)
-    start, end = matrix.indptr[row], matrix.indptr[row + 1]
-    out[matrix.indices[start:end]] = matrix.data[start:end]
+def _densify(velocities: VelocitySeries, rows: Sequence[int]) -> np.ndarray:
+    """The given city rows of every velocity week as one dense array.
+
+    Returns shape ``(weeks, len(rows), artists)``; entry ``[w, p, a]`` is
+    city ``rows[p]``'s velocity for artist ``a`` in week ``w``, 0.0 where
+    the sparse matrix stores nothing.
+    """
+    n_cities = len(velocities.cities)
+    position = np.full(n_cities, -1)
+    position[list(rows)] = np.arange(len(rows))
+    out = np.zeros((velocities.n_weeks, len(rows), len(velocities.artists)))
+    for w, matrix in enumerate(velocities.matrices):
+        city = position[np.repeat(np.arange(n_cities), np.diff(matrix.indptr))]
+        keep = city >= 0
+        out[w, city[keep], matrix.indices[keep]] = matrix.data[keep]
     return out
 
 
@@ -128,7 +148,8 @@ def build_design(
     The ``target`` active rule admits an (artist, week) sample when the
     artist appears in the target city's chart at either endpoint of the
     sample week's velocity; ``union`` widens that to any included city's
-    chart across the sample week and the whole lag window.
+    chart across the sample week and the whole lag window. Rows come out in
+    ascending week order, artists ascending within a week.
     """
     if active_rule not in (ACTIVE_TARGET, ACTIVE_UNION):
         raise ValueError(f"unknown active rule {active_rule!r}")
@@ -152,8 +173,9 @@ def build_design(
     defined = velocities.defined
 
     # Weeks where the target city's velocity and all its lagged velocities
-    # exist at exact 7-day spacing.
-    eligible: list[tuple[int, list[int]]] = []
+    # exist at exact 7-day spacing, with the artists each one samples.
+    included_rows = [city_row[c] for c in dict.fromkeys(c for c, _ in col_meta)]
+    eligible: list[tuple[int, list[int], np.ndarray]] = []
     for i, week in enumerate(velocities.weeks):
         if not defined[i, target_row]:
             continue
@@ -163,25 +185,8 @@ def build_design(
             if j is None or not defined[j, target_row]:
                 break
             lag_idx.append(j)
-        if len(lag_idx) == config.lag_count:
-            eligible.append((i, lag_idx))
-
-    row_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def dense(week_idx: int, row: int) -> np.ndarray:
-        key = (week_idx, row)
-        if key not in row_cache:
-            row_cache[key] = _dense_row(
-                velocities.matrices[week_idx], row, n_artists
-            )
-        return row_cache[key]
-
-    included_rows = [city_row[c] for c in dict.fromkeys(c for c, _ in col_meta)]
-    x_blocks: list[np.ndarray] = []
-    y_parts: list[np.ndarray] = []
-    week_parts: list[np.ndarray] = []
-    artist_parts: list[np.ndarray] = []
-    for i, lag_idx in eligible:
+        if len(lag_idx) < config.lag_count:
+            continue
         if active_rule == ACTIVE_TARGET:
             support = velocities.support[i]
             start, end = support.indptr[target_row], support.indptr[target_row + 1]
@@ -193,25 +198,31 @@ def build_design(
                 for r in included_rows:
                     mask[support.indices[support.indptr[r] : support.indptr[r + 1]]] = True
             active = np.flatnonzero(mask)
-        if active.size == 0:
-            continue
-        block = np.zeros((active.size, len(col_meta)))
-        for col, (city, lag) in enumerate(col_meta):
-            block[:, col] = dense(lag_idx[lag - 1], city_row[city])[active]
-        x_blocks.append(block)
-        y_parts.append(dense(i, target_row)[active])
-        week_parts.append(np.full(active.size, i, dtype=np.int32))
-        artist_parts.append(active.astype(np.int32))
+        if active.size:
+            eligible.append((i, lag_idx, active))
 
-    if x_blocks:
-        x = np.vstack(x_blocks)
-        y = np.concatenate(y_parts)
-        week_idx = np.concatenate(week_parts)
-        artist_idx = np.concatenate(artist_parts)
-    else:
-        x = np.zeros((0, len(col_meta)))
-        y = np.zeros(0)
-        week_idx = artist_idx = np.zeros(0, dtype=np.int32)
+    # Slot w * len(rows) + p of ``dense`` is week w of city rows[p].
+    rows = list(dict.fromkeys([target_row, *included_rows]))
+    position = {r: p for p, r in enumerate(rows)}
+    dense = _densify(velocities, rows).reshape(-1, n_artists)
+    col_lag = np.array([lag for _, lag in col_meta]) - 1
+    col_pos = np.array([position[city_row[c]] for c, _ in col_meta])
+    target_pos = position[target_row]
+
+    n_rows = sum(active.size for _, _, active in eligible)
+    x = np.empty((n_rows, len(col_meta)))
+    y = np.empty(n_rows)
+    week_idx = np.empty(n_rows, dtype=np.int32)
+    artist_idx = np.empty(n_rows, dtype=np.int32)
+    start = 0
+    for i, lag_idx, active in eligible:
+        stop = start + active.size
+        slots = np.asarray(lag_idx)[col_lag] * len(rows) + col_pos
+        x[start:stop] = dense[np.ix_(slots, active)].T
+        y[start:stop] = dense[i * len(rows) + target_pos, active]
+        week_idx[start:stop] = i
+        artist_idx[start:stop] = active
+        start = stop
     return LabeledDesign(
         x=x,
         y=y,
@@ -225,24 +236,34 @@ def build_design(
 
 
 def temporal_split(design: LabeledDesign, boundary: date) -> SplitDesign:
-    """Partition samples into target weeks before vs. from the boundary on."""
-    mask = design.week_idx < bisect_left(design.weeks, boundary)
-    if not mask.any() or mask.all():
+    """Partition samples into target weeks before vs. from the boundary on.
+
+    Rows are in ascending week order, so each part is a row slice: a view
+    of the design's arrays, not a copy.
+    """
+    cut = int(
+        np.searchsorted(design.week_idx, bisect_left(design.weeks, boundary))
+    )
+    if cut == 0 or cut == design.n_rows:
         raise DegenerateSplitError(
             f"boundary {boundary} leaves an empty partition "
-            f"({int(mask.sum())} train rows of {len(mask)})"
+            f"({cut} train rows of {design.n_rows})"
         )
 
-    def part(keep: np.ndarray) -> LabeledDesign:
+    def part(rows: slice) -> LabeledDesign:
         return replace(
             design,
-            x=design.x[keep],
-            y=design.y[keep],
-            week_idx=design.week_idx[keep],
-            artist_idx=design.artist_idx[keep],
+            x=design.x[rows],
+            y=design.y[rows],
+            week_idx=design.week_idx[rows],
+            artist_idx=design.artist_idx[rows],
         )
 
-    return SplitDesign(train=part(mask), test=part(~mask), boundary=boundary)
+    return SplitDesign(
+        train=part(slice(None, cut)),
+        test=part(slice(cut, None)),
+        boundary=boundary,
+    )
 
 
 def default_boundary(weeks: Sequence[date]) -> date:

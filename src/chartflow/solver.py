@@ -3,10 +3,15 @@
 The two paths are ``fit_ols`` (minimum-norm solution via column-pivoted
 rank-revealing QR, LAPACK *gelsy*) and ``fit_nnls`` (Lawson-Hanson active
 set). Neither solves on the n x k design itself: ``[X | y]`` is first
-folded, ``REDUCE_BLOCK_ROWS`` rows at a time, into the upper-triangular
-factor ``[R | Q^T y]`` of its QR decomposition (streaming TSQR). Because
-``||X b - y||^2 = ||R b - Q^T y||^2 + const``, both problems have the same
-solution set, and the solvers then work on at most k + 1 rows.
+reduced to the (k + 1) x (k + 1) upper triangle ``[R | Q^T y]`` of its QR
+decomposition. Because ``||X b - y||^2 = ||R b - Q^T y||^2 + const``, both
+problems have the same solution set, and the solvers then work on at most
+k + 1 rows. The triangle is normally the Cholesky factor of the augmented
+Gram matrix ``[X | y]^T [X | y]`` (one pass of matrix products over X, as
+in FNNLS). A system whose Gram matrix is not positive definite, or whose R
+has a condition number above ``MAX_GRAM_COND``, is folded by streaming QR
+instead, ``REDUCE_BLOCK_ROWS`` rows at a time; that path alone sees
+rank-deficient systems, so gelsy's rank flag is taken on an accurate R.
 """
 
 from __future__ import annotations
@@ -30,6 +35,10 @@ RANK_TOL = 1e-10
 DUAL_TOL = 1e-10
 # Rows of [X | y] stacked under the running triangle per QR step.
 REDUCE_BLOCK_ROWS = 1024
+# Largest cond(R) accepted from the Cholesky fold. The Gram matrix has
+# condition cond(R)**2, so eps * MAX_GRAM_COND**2 ~ 2e-10 bounds the
+# relative error the squaring can add; worse systems take the QR fold.
+MAX_GRAM_COND = 1e3
 
 
 @dataclass(frozen=True)
@@ -65,11 +74,36 @@ def _validated(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reduce(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fold ``[x | y]`` into a (k + 1) x (k + 1) upper triangle ``[r | qty]``.
+
+    Returns ``(r, qty)`` such that ``||x b - y|| == ||r b - qty||`` for
+    every b. The triangle is the upper Cholesky factor of the augmented
+    Gram matrix ``[x | y]^T [x | y]``, which equals the R factor of the QR
+    decomposition of ``[x | y]`` up to row signs. Forming the Gram matrix
+    squares the condition number, so when Cholesky fails or ``cond(r)``
+    exceeds ``MAX_GRAM_COND`` the QR fold of ``_qr_fold`` is used instead;
+    only that path sees rank-deficient or ill-conditioned systems.
+    """
+    k = x.shape[1]
+    gram = np.empty((k + 1, k + 1))
+    gram[:k, :k] = x.T @ x
+    gram[:k, k] = gram[k, :k] = x.T @ y
+    gram[k, k] = y @ y
+    try:
+        factor = np.linalg.cholesky(gram, upper=True)
+    except np.linalg.LinAlgError:
+        return _qr_fold(x, y)
+    singular = np.linalg.svd(factor[:k, :k], compute_uv=False)
+    if not singular[0] <= MAX_GRAM_COND * singular[-1]:
+        return _qr_fold(x, y)
+    return factor[:, :k], factor[:, k]
+
+
+def _qr_fold(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fold ``[x | y]`` into its triangular QR factor, block by block.
 
-    Returns ``(r, qty)`` with at most k + 1 rows such that
-    ``||x b - y|| == ||r b - qty||`` for every b. Only one block of rows is
-    copied at a time, never the whole design.
+    The same contract as ``_reduce``, with at most k + 1 rows. Only one
+    block of rows is copied at a time, never the whole design.
     """
     k = x.shape[1]
     r = np.empty((0, k + 1))

@@ -1,16 +1,23 @@
-"""Slow, structurally independent least-squares oracles for the tests.
+"""Slow, structurally independent oracles for the tests.
 
 ``oracle_ols`` solves the normal equations by explicit Gaussian
 elimination; ``oracle_nnls`` enumerates every sign pattern. Neither shares
-code with the QR reduction or the Lawson-Hanson loop of ``chartflow.solver``,
-so agreement between them is evidence for both.
+code with the Gram/QR reduction or the Lawson-Hanson loop of
+``chartflow.solver``, so agreement between them is evidence for both.
+``build_design_by_columns`` assembles a design one column at a time from
+per-(week, city) dense rows, the way ``chartflow.design.build_design`` did
+before it gathered each week's block at once.
 """
 
 from __future__ import annotations
 
+from datetime import timedelta
+
 import numpy as np
 
+from chartflow.design import ACTIVE_TARGET, LabeledDesign, LagConfig
 from chartflow.errors import ChartFlowError, DimensionError, SingularMatrixError
+from chartflow.preprocess import VelocitySeries
 from chartflow.solver import Coefficients, _training_rmse, _validated
 
 
@@ -88,4 +95,97 @@ def oracle_nnls(x, y) -> Coefficients:
         values=best_beta,
         variant="nnls",
         training_rmse=_training_rmse(x, y, best_beta),
+    )
+
+
+def _dense_row(matrix, row: int, width: int) -> np.ndarray:
+    out = np.zeros(width)
+    start, end = matrix.indptr[row], matrix.indptr[row + 1]
+    out[matrix.indices[start:end]] = matrix.data[start:end]
+    return out
+
+
+def build_design_by_columns(
+    velocities: VelocitySeries,
+    target_city: str,
+    config: LagConfig,
+    active_rule: str = ACTIVE_TARGET,
+) -> LabeledDesign:
+    """Per-column design assembly; valid input only, for testing only."""
+    cities = velocities.cities
+    col_meta = config.columns(target_city)
+    city_row = {c: i for i, c in enumerate(cities)}
+    target_row = city_row[target_city]
+    week_of = velocities.week_index()
+    n_artists = len(velocities.artists)
+    defined = velocities.defined
+
+    eligible: list[tuple[int, list[int]]] = []
+    for i, week in enumerate(velocities.weeks):
+        if not defined[i, target_row]:
+            continue
+        lag_idx = []
+        for lag in range(1, config.lag_count + 1):
+            j = week_of.get(week - timedelta(days=7 * lag))
+            if j is None or not defined[j, target_row]:
+                break
+            lag_idx.append(j)
+        if len(lag_idx) == config.lag_count:
+            eligible.append((i, lag_idx))
+
+    row_cache: dict[tuple[int, int], np.ndarray] = {}
+
+    def dense(week_idx: int, row: int) -> np.ndarray:
+        key = (week_idx, row)
+        if key not in row_cache:
+            row_cache[key] = _dense_row(
+                velocities.matrices[week_idx], row, n_artists
+            )
+        return row_cache[key]
+
+    included_rows = [city_row[c] for c in dict.fromkeys(c for c, _ in col_meta)]
+    x_blocks: list[np.ndarray] = []
+    y_parts: list[np.ndarray] = []
+    week_parts: list[np.ndarray] = []
+    artist_parts: list[np.ndarray] = []
+    for i, lag_idx in eligible:
+        if active_rule == ACTIVE_TARGET:
+            support = velocities.support[i]
+            start, end = support.indptr[target_row], support.indptr[target_row + 1]
+            active = support.indices[start:end]
+        else:
+            mask = np.zeros(n_artists, dtype=bool)
+            for j in [i, *lag_idx]:
+                support = velocities.support[j]
+                for r in included_rows:
+                    mask[support.indices[support.indptr[r] : support.indptr[r + 1]]] = True
+            active = np.flatnonzero(mask)
+        if active.size == 0:
+            continue
+        block = np.zeros((active.size, len(col_meta)))
+        for col, (city, lag) in enumerate(col_meta):
+            block[:, col] = dense(lag_idx[lag - 1], city_row[city])[active]
+        x_blocks.append(block)
+        y_parts.append(dense(i, target_row)[active])
+        week_parts.append(np.full(active.size, i, dtype=np.int32))
+        artist_parts.append(active.astype(np.int32))
+
+    if x_blocks:
+        x = np.vstack(x_blocks)
+        y = np.concatenate(y_parts)
+        week_idx = np.concatenate(week_parts)
+        artist_idx = np.concatenate(artist_parts)
+    else:
+        x = np.zeros((0, len(col_meta)))
+        y = np.zeros(0)
+        week_idx = artist_idx = np.zeros(0, dtype=np.int32)
+    return LabeledDesign(
+        x=x,
+        y=y,
+        week_idx=week_idx,
+        artist_idx=artist_idx,
+        weeks=velocities.weeks,
+        artists=velocities.artists,
+        col_meta=col_meta,
+        target_city=target_city,
     )

@@ -466,6 +466,8 @@ class TestConfigResolution:
             ({"ridge": float("nan")}, "ridge must be finite and >= 0, got nan"),
             ({"cities_included": ()},
              "cities_included must name at least one city"),
+            ({"cities_included": ("lead", "echo", "lead")},
+             "cities_included names 'lead' more than once"),
         ]
         for values, message in bad:
             with pytest.raises(CliInputError) as exc_info:
@@ -481,7 +483,7 @@ class TestConfigResolution:
         if command == "dump-design":
             base += ["--city", "echo"]
         for flag in ("--ridge=-1", "--ridge=inf", "--ridge=nan",
-                     "--cities-included=,"):
+                     "--cities-included=,", "--cities-included=lead,lead,echo"):
             assert run(base + [flag]) == 2, flag
             assert "error: " in capsys.readouterr().err
         config = tmp_path / "run.cfg"

@@ -4,7 +4,7 @@ Each example takes small valid inputs to ``chartflow evaluate``, mutates
 one of the three files (a line inserted, dropped or repeated; a byte or
 token inserted; a value replaced), and runs ``main()`` in-process. It must
 return 0, 2 or 3 without raising, and any report.json it writes must be
-strict JSON (no NaN or Infinity).
+strict JSON (no NaN or Infinity) with at most one row per city.
 """
 
 import contextlib
@@ -96,10 +96,12 @@ def _config_with(old: bytes, new: bytes) -> tuple[str, bytes]:
 
 
 @given(mutated_files())
-# Mutations that random draws reach only rarely: a "byte" and two "value".
+# Mutations that random draws reach only rarely: a "byte", two "value" and
+# a repeated city.
 @example(_config_with(b"ridge = 0.5", b"ridge = -0.5"))
 @example(_config_with(b"ridge = 0.5", b"ridge = nan"))
 @example(_config_with(b"lead,echo,other", b""))
+@example(_config_with(b"lead,echo,other", b"lead,lead,echo"))
 @settings(
     max_examples=100,
     deadline=None,
@@ -124,5 +126,7 @@ def test_main_survives_mutated_inputs(workdir, mutated):
         code = main([str(a) for a in argv])
     assert code in (0, 2, 3)
     if code != 2:
-        json.loads((out / "report.json").read_text(),
-                   parse_constant=_reject_constant)
+        report = json.loads((out / "report.json").read_text(),
+                            parse_constant=_reject_constant)
+        cities = [row["city"] for row in report["rows"]]
+        assert len(cities) == len(set(cities))

@@ -1,5 +1,6 @@
 """Design-matrix assembly checked against a brute-force enumeration."""
 
+import dataclasses
 from datetime import date
 
 import numpy as np
@@ -26,7 +27,8 @@ from chartflow.errors import (
     UnknownCityError,
 )
 
-from conftest import make_series, week
+from conftest import SMALL_PLANT, make_series, week
+from oracles import build_design_by_columns
 
 
 def single_city_fixture():
@@ -175,6 +177,35 @@ class TestEligibilityAndFill:
         assert min(c.lag for c in design.col_meta) >= 1
 
 
+class TestGatherMatchesColumnLoop:
+    """The per-week gather gives the old per-column assembly, bit for bit."""
+
+    @pytest.mark.parametrize("chart_size", [SMALL_PLANT.chart_size, 12])
+    @pytest.mark.parametrize("active_rule", ["target", "union"])
+    def test_bit_equal(self, chart_size, active_rule):
+        spec = dataclasses.replace(SMALL_PLANT, chart_size=chart_size)
+        velocities = build_velocities(generate_planted(spec))
+        cities = velocities.cities
+        configs = (
+            LagConfig(8, ALL_HISTORY, cities),
+            LagConfig(3, ALL_HISTORY, tuple(reversed(cities))),
+            LagConfig(8, OWN_HISTORY),
+        )
+        for config in configs:
+            for city in cities:
+                got = build_design(velocities, city, config, active_rule)
+                ref = build_design_by_columns(
+                    velocities, city, config, active_rule
+                )
+                assert got.n_rows > 0
+                assert got.col_meta == ref.col_meta
+                for name in ("x", "y", "week_idx", "artist_idx"):
+                    a, b = getattr(got, name), getattr(ref, name)
+                    assert a.shape == b.shape and a.dtype == b.dtype, name
+                    assert a.tobytes() == b.tobytes(), (config, city, name)
+                assert np.all(np.diff(got.week_idx) >= 0)
+
+
 class TestDeterminismAndEquivariance:
     def test_bit_identical_rebuild(self, small_velocities):
         config = LagConfig(8, ALL_HISTORY, small_velocities.cities)
@@ -233,6 +264,8 @@ class TestErrors:
             LagConfig(8, "some_history")
         with pytest.raises(ValueError):
             LagConfig(8, ALL_HISTORY, ())
+        with pytest.raises(ValueError, match="'a' more than once"):
+            LagConfig(8, ALL_HISTORY, ("a", "b", "a"))
 
 
 class TestTemporalSplit:
@@ -252,6 +285,17 @@ class TestTemporalSplit:
         assert split.train.col_meta == split.test.col_meta == design.col_meta
         stacked = np.vstack([split.train.x, split.test.x])
         assert np.array_equal(stacked, design.x)
+
+    def test_parts_are_views(self, small_velocities):
+        design = build_design(
+            small_velocities,
+            "echo",
+            LagConfig(8, ALL_HISTORY, small_velocities.cities),
+        )
+        split = temporal_split(design, default_boundary(small_velocities.weeks))
+        for part in (split.train, split.test):
+            for name in ("x", "y", "week_idx", "artist_idx"):
+                assert np.shares_memory(getattr(part, name), getattr(design, name))
 
     def test_boundary_before_everything(self, small_velocities):
         design = build_design(small_velocities, "echo", LagConfig(8, OWN_HISTORY))

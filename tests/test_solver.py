@@ -18,7 +18,8 @@ from chartflow.errors import (
     NonFiniteError,
     SingularMatrixError,
 )
-from chartflow.solver import RANK_TOL, REDUCE_BLOCK_ROWS, _reduce
+from chartflow import solver
+from chartflow.solver import RANK_TOL, REDUCE_BLOCK_ROWS, _qr_fold, _reduce
 
 from oracles import oracle_nnls, oracle_ols
 
@@ -122,6 +123,7 @@ class TestFitOls:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "qr", broken)
+        monkeypatch.setattr(np.linalg, "cholesky", broken)
         x, y = random_system(402, 20, 3)
         with pytest.raises(SingularMatrixError):
             fit(x, y)
@@ -265,14 +267,49 @@ class TestReduction:
 
     def test_residual_norm_preserved(self):
         x, y = random_system(1300, self.TALL_ROWS, 7)
+        for fold in (_reduce, _qr_fold):
+            r, qty = fold(x, y)
+            assert r.shape == (8, 7) and qty.shape == (8,)
+            assert np.allclose(np.tril(r, -1), 0.0)
+            for seed in range(5):
+                b = rng.normals(rng.derive_key(1301, seed), 7)
+                assert np.linalg.norm(r @ b - qty) == pytest.approx(
+                    np.linalg.norm(x @ b - y), rel=1e-12
+                ), fold.__name__
+
+    def test_well_conditioned_system_takes_cholesky_path(self, monkeypatch):
+        def unreachable(x, y):
+            raise AssertionError("QR fallback taken")
+
+        monkeypatch.setattr(solver, "_qr_fold", unreachable)
+        x, y = random_system(1302, self.TALL_ROWS, 7)
         r, qty = _reduce(x, y)
-        assert r.shape == (8, 7) and qty.shape == (8,)
-        assert np.allclose(np.tril(r, -1), 0.0)
-        for seed in range(5):
-            b = rng.normals(rng.derive_key(1301, seed), 7)
-            assert np.linalg.norm(r @ b - qty) == pytest.approx(
-                np.linalg.norm(x @ b - y), rel=1e-12
-            )
+        qr_r, qr_qty = _qr_fold(x, y)  # this module's name, not the patch
+        # Both are the triangle of [x | y], up to the sign of each row.
+        signs = np.sign(np.diag(qr_r[:, :7]))
+        assert np.abs(r[:7] - signs[:, None] * qr_r[:7]).max() < 1e-10
+        assert np.abs(qty[:7] - signs * qr_qty[:7]).max() < 1e-10
+        assert abs(qty[7]) == pytest.approx(abs(qr_qty[7]), rel=1e-10)
+
+    @pytest.mark.parametrize("fit", [fit_ols, fit_nnls])
+    def test_exact_fit_recovers_coefficients(self, fit):
+        x, _ = random_system(1303, self.TALL_ROWS, 6)
+        b = np.abs(rng.normals(rng.derive_key(1304, 0), 6)) + 0.25
+        got = fit(x, x @ b)
+        assert np.abs(got.values - b).max() < 1e-10
+        assert not got.rank_deficient
+
+    def test_near_duplicate_columns_take_qr_path(self):
+        x, y = random_system(1305, self.TALL_ROWS, 5)
+        nudge = 1e-7 * rng.normals(rng.derive_key(1306, 0), self.TALL_ROWS)
+        x = np.column_stack([x, x[:, 2] + nudge])
+        r, qty = _reduce(x, y)
+        qr_r, qr_qty = _qr_fold(x, y)
+        assert np.array_equal(r, qr_r) and np.array_equal(qty, qr_qty)
+        _, _, rank, _ = scipy.linalg.lstsq(
+            x, y, cond=RANK_TOL, lapack_driver="gelsy"
+        )
+        assert fit_ols(x, y).rank_deficient == (rank < 6)
 
     def test_tall_ols_matches_lstsq(self):
         for seed in range(3):
