@@ -53,7 +53,7 @@ with tempfile.TemporaryDirectory() as tmp:
 print(f"weeks: {len(series.weeks)}, gaps: {len(week_gaps(series.weeks))}")
 
 # ---------------------------------------------------------------------------
-# Listeners matrices: one sparse city x artist matrix per week.
+# Listeners matrices: one sparse (CSR) city x artist matrix per week.
 # ---------------------------------------------------------------------------
 index = build_artist_index(series)
 listeners = to_listeners_matrices(series, index)
@@ -67,9 +67,7 @@ print(
 # Unit-norm rows: cities compare by proportions, not audience size.
 # ---------------------------------------------------------------------------
 normalized = [normalize_rows(m) for m in listeners]
-norms = np.sqrt(
-    np.asarray(normalized[0].entries.multiply(normalized[0].entries).sum(axis=1))
-).ravel()
+norms = np.linalg.norm(normalized[0].entries.toarray(), axis=1)
 print("row norms after normalization:", np.round(norms, 12))
 
 # ---------------------------------------------------------------------------
@@ -79,7 +77,7 @@ velocities = compute_velocities(normalized, series.cities, index.artists)
 print(f"\n{velocities.n_weeks} velocity weeks; all rows defined:",
       bool(velocities.defined.all()))
 magnitudes = [
-    float(np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).max()))
+    float(np.linalg.norm(m.toarray(), axis=1).max())
     for m in velocities.matrices[:5]
 ]
 print("largest row movement in the first five weeks:",

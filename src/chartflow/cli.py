@@ -207,6 +207,8 @@ def _velocities_for(config: RunConfig, series: ChartSeries) -> VelocitySeries:
     tagged = _tagged_artists(config)
     if tagged is None:
         return build_velocities(series)
+    if tagged.isdisjoint(series.artists):
+        raise CliInputError(f"tag {config.tag!r} names no artist in the corpus")
     if config.filter_stage == "pre":
         return build_velocities(filter_by_tag(series, tagged))
     index = build_artist_index(series)

@@ -124,7 +124,7 @@ def _densify(velocities: VelocitySeries, rows: Sequence[int]) -> np.ndarray:
 
     Returns shape ``(weeks, len(rows), artists)``; entry ``[w, p, a]`` is
     city ``rows[p]``'s velocity for artist ``a`` in week ``w``, 0.0 where
-    the sparse matrix stores nothing.
+    the week's CSR matrix stores no entry.
     """
     n_cities = len(velocities.cities)
     position = np.full(n_cities, -1)

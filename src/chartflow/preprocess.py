@@ -6,17 +6,22 @@ proportions rather than audience size, and the week-over-week difference of
 those unit rows is the city's velocity through artist space. A velocity row
 exists only where the city charts in two consecutive (7-day) weeks; gaps and
 absences yield flagged-undefined rows, never imputed values.
+
+The matrices are ``CsrMatrix`` records of plain numpy arrays in compressed
+sparse row layout, columns ascending within each row. The corpus is already
+sorted by (week, city, artist), so every week's matrix is a slice of its
+columns, and each velocity matrix comes from one merge of the sorted
+(city, artist) keys of two adjacent weeks.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .chart_store import ArtistIndex, ChartSeries, build_artist_index
 from .errors import InsufficientDataError
@@ -27,11 +32,38 @@ CHART_ROW_LIMIT = 500
 
 
 @dataclass(frozen=True)
+class CsrMatrix:
+    """A sparse matrix in compressed sparse row layout.
+
+    Row ``r`` stores ``data[indptr[r]:indptr[r + 1]]`` at the columns
+    ``indices[indptr[r]:indptr[r + 1]]``, which ascend.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        out[self.rows(), self.indices] = self.data
+        return out
+
+
+@dataclass(frozen=True)
 class ListenersMatrix:
     """Raw listener counts for one week (rows: cities, columns: artists)."""
 
     week_start: date
-    entries: sparse.csr_matrix
+    entries: CsrMatrix
 
 
 @dataclass(frozen=True)
@@ -39,7 +71,7 @@ class NormalizedMatrix:
     """One week's counts with every non-empty city row scaled to unit norm."""
 
     week_start: date
-    entries: sparse.csr_matrix
+    entries: CsrMatrix
 
 
 @dataclass(frozen=True)
@@ -49,15 +81,15 @@ class VelocitySeries:
     ``matrices[i]`` holds the change from ``weeks[i] - 7 days`` to
     ``weeks[i]``. ``defined[i, c]`` marks whether city ``c`` has a valid
     velocity row there (non-empty at both endpoints, exactly 7 days apart);
-    undefined rows are stored as all zeros. ``support[i]`` is the boolean
-    union of the two endpoint charts, i.e. which artists the city listed at
-    either endpoint week.
+    undefined rows store nothing. ``support[i]`` is the boolean union of
+    the two endpoint charts, i.e. which artists the city listed (stored an
+    entry for) at either endpoint week.
     """
 
     weeks: tuple[date, ...]
-    matrices: tuple[sparse.csr_matrix, ...]
+    matrices: tuple[CsrMatrix, ...]
     defined: np.ndarray
-    support: tuple[sparse.csr_matrix, ...]
+    support: tuple[CsrMatrix, ...]
     cities: tuple[str, ...]
     artists: tuple[str, ...]
 
@@ -72,21 +104,23 @@ class VelocitySeries:
 def to_listeners_matrices(
     series: ChartSeries, index: ArtistIndex
 ) -> list[ListenersMatrix]:
-    """One sparse counts matrix per distinct week of the corpus."""
+    """One sparse counts matrix per distinct week of the corpus.
+
+    ``index`` must list the corpus's artists in their sorted order, as
+    ``build_artist_index`` does, possibly among others.
+    """
     shape = (len(series.cities), index.size)
     column = np.array(
         [index.column_of(a) for a in series.artists], dtype=np.int32
     )
     cols = column[series.artist_idx]
     data = series.listeners.astype(np.float64)
+    city_start = np.arange(shape[0] + 1)
     matrices: list[ListenersMatrix] = []
     for week, rows in series.week_slices():
-        mat = sparse.csr_matrix(
-            (data[rows], (series.city_idx[rows], cols[rows])),
-            shape=shape,
-            dtype=np.float64,
-        )
-        row_nnz = np.diff(mat.indptr)
+        # A week's rows are sorted by city, then artist.
+        indptr = np.searchsorted(series.city_idx[rows], city_start)
+        row_nnz = np.diff(indptr)
         if np.any(row_nnz > CHART_ROW_LIMIT):
             worst = int(row_nnz.max())
             warnings.warn(
@@ -94,17 +128,28 @@ def to_listeners_matrices(
                 f"top-{CHART_ROW_LIMIT} chart limit",
                 stacklevel=2,
             )
+        mat = CsrMatrix(indptr, cols[rows], data[rows], shape)
         matrices.append(ListenersMatrix(week, mat))
     return matrices
 
 
 def normalize_rows(matrix: ListenersMatrix) -> NormalizedMatrix:
-    """Scale every non-empty row to unit Euclidean norm."""
-    m = matrix.entries.astype(np.float64).tocsr(copy=True)
-    norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
+    """Scale every non-empty row to unit Euclidean norm.
+
+    Each row's sum of squares is one ``np.add.reduceat`` segment, the
+    summation order of ``scipy.sparse`` row sums, so the bits match them.
+    """
+    m = matrix.entries
+    data = m.data.astype(np.float64)
+    nonempty = np.flatnonzero(np.diff(m.indptr))
+    norms = np.zeros(m.shape[0])
+    if nonempty.size:
+        norms[nonempty] = np.sqrt(
+            np.add.reduceat(data * data, m.indptr[nonempty])
+        )
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    m.data *= np.repeat(inv, np.diff(m.indptr))
-    return NormalizedMatrix(matrix.week_start, m)
+    data *= np.repeat(inv, np.diff(m.indptr))
+    return NormalizedMatrix(matrix.week_start, replace(m, data=data))
 
 
 def compute_velocities(
@@ -116,7 +161,8 @@ def compute_velocities(
 
     Produces one matrix per adjacent pair of input weeks. A city's row is
     defined only when both endpoint rows are non-empty and the pair is
-    exactly 7 days apart; everything else is zeroed and flagged undefined.
+    exactly 7 days apart; everything else is flagged undefined and stores
+    nothing, and exact zeros are never stored.
     """
     if len(normalized) < 2:
         raise InsufficientDataError(
@@ -125,40 +171,52 @@ def compute_velocities(
     week_dates = [m.week_start for m in normalized]
     if any(b <= a for a, b in zip(week_dates, week_dates[1:])):
         raise ValueError("normalized matrices must be ordered by week_start")
-
-    present = np.array(
-        [np.diff(m.entries.indptr) > 0 for m in normalized], dtype=bool
+    n_cities, n_artists = len(cities), len(artists)
+    entries = [m.entries for m in normalized]
+    present = np.array([np.diff(m.indptr) > 0 for m in entries], dtype=bool)
+    consecutive = np.array(
+        [(b - a).days == 7 for a, b in zip(week_dates, week_dates[1:])]
     )
-    weeks: list[date] = []
-    matrices: list[sparse.csr_matrix] = []
-    defined_rows: list[np.ndarray] = []
-    supports: list[sparse.csr_matrix] = []
-    for i in range(1, len(normalized)):
-        gap = (week_dates[i] - week_dates[i - 1]).days
-        consecutive = gap == 7
-        defined = (
-            present[i] & present[i - 1]
-            if consecutive
-            else np.zeros(len(cities), dtype=bool)
-        )
-        vel = (normalized[i].entries - normalized[i - 1].entries).tocsr()
-        if not defined.all():
-            vel.data *= np.repeat(
-                defined.astype(np.float64), np.diff(vel.indptr)
+    defined = present[1:] & present[:-1] & consecutive[:, None]
+    # Key every stored entry by (city, artist); the keys ascend in a week.
+    cell = [m.rows() * n_artists + m.indices for m in entries]
+    row_start = np.arange(n_cities + 1) * n_artists
+    shape = (n_cities, n_artists)
+    matrices, supports = [], []
+    for i in range(len(defined)):
+        # Velocity week i is week i + 1 minus week i. Each week's keys are a
+        # sorted run holding a key at most once, so a stable sort of the two
+        # runs is a linear merge that puts a key's week-i + 1 entry right
+        # before its week-i entry.
+        key = np.concatenate((cell[i + 1], cell[i]))
+        value = np.concatenate((entries[i + 1].data, -entries[i].data))
+        order = np.argsort(key, kind="stable")
+        key, value = key.take(order), value.take(order)
+        repeat = key[1:] == key[:-1]  # entry j + 1 has entry j's key
+        value[1:] += np.where(repeat, value[:-1], 0.0)  # -b + a is exactly a - b
+        # Masks select through flatnonzero + take: boolean indexing is
+        # several times slower on masks this irregular.
+        last = np.flatnonzero(np.append(~repeat, len(key) > 0))  # one per key
+        union, diff = key.take(last), value.take(last)
+        indptr = np.searchsorted(union, row_start)
+        row_size = np.diff(indptr)
+        columns = (union - np.repeat(row_start[:-1], row_size)).astype(np.int32)
+        keep = np.flatnonzero((diff != 0) & np.repeat(defined[i], row_size))
+        matrices.append(
+            CsrMatrix(
+                np.searchsorted(keep, indptr),
+                columns.take(keep),
+                diff.take(keep),
+                shape,
             )
-        vel.eliminate_zeros()
-        support = (
-            normalized[i].entries.astype(bool)
-            + normalized[i - 1].entries.astype(bool)
-        ).tocsr()
-        weeks.append(week_dates[i])
-        matrices.append(vel)
-        defined_rows.append(defined)
-        supports.append(support)
+        )
+        supports.append(
+            CsrMatrix(indptr, columns, np.ones(len(union), dtype=bool), shape)
+        )
     return VelocitySeries(
-        weeks=tuple(weeks),
+        weeks=tuple(week_dates[1:]),
         matrices=tuple(matrices),
-        defined=np.array(defined_rows, dtype=bool),
+        defined=defined,
         support=tuple(supports),
         cities=tuple(cities),
         artists=tuple(artists),
@@ -189,11 +247,20 @@ def restrict_artists(
     """
     keep = [i for i, a in enumerate(index.artists) if a in artist_subset]
     kept_artists = tuple(index.artists[i] for i in keep)
-    sliced = [
-        NormalizedMatrix(m.week_start, m.entries[:, keep].tocsr())
-        for m in normalized
-    ]
-    return sliced, kept_artists
+    column = np.full(index.size, -1, dtype=np.int32)
+    column[keep] = np.arange(len(keep), dtype=np.int32)
+
+    def sliced(m: CsrMatrix) -> CsrMatrix:
+        new = column[m.indices]
+        kept = new >= 0
+        before = np.concatenate(([0], np.cumsum(kept)))
+        return CsrMatrix(
+            before[m.indptr], new[kept], m.data[kept], (m.shape[0], len(keep))
+        )
+
+    return [
+        NormalizedMatrix(m.week_start, sliced(m.entries)) for m in normalized
+    ], kept_artists
 
 
 def week_gaps(weeks: Sequence[date]) -> list[tuple[date, date, int]]:
@@ -204,4 +271,3 @@ def week_gaps(weeks: Sequence[date]) -> list[tuple[date, date, int]]:
         if days != 7:
             gaps.append((a, b, days))
     return gaps
-

@@ -1,7 +1,7 @@
 """Least-squares fitting: unconstrained and non-negative.
 
-The two paths are ``fit_ols`` (minimum-norm solution via column-pivoted
-rank-revealing QR, LAPACK *gelsy*) and ``fit_nnls`` (Lawson-Hanson active
+The two paths are ``fit_ols`` (minimum-norm solution via the SVD,
+``np.linalg.lstsq``) and ``fit_nnls`` (Lawson-Hanson active
 set). Neither solves on the n x k design itself: ``[X | y]`` is first
 reduced to the (k + 1) x (k + 1) upper triangle ``[R | Q^T y]`` of its QR
 decomposition. Because ``||X b - y||^2 = ||R b - Q^T y||^2 + const``, both
@@ -11,7 +11,7 @@ Gram matrix ``[X | y]^T [X | y]`` (one pass of matrix products over X, as
 in FNNLS). A system whose Gram matrix is not positive definite, or whose R
 has a condition number above ``MAX_GRAM_COND``, is folded by streaming QR
 instead, ``REDUCE_BLOCK_ROWS`` rows at a time; that path alone sees
-rank-deficient systems, so gelsy's rank flag is taken on an accurate R.
+rank-deficient systems, so the SVD's rank flag is taken on an accurate R.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceError,
@@ -29,7 +28,7 @@ from .errors import (
     SingularMatrixError,
 )
 
-# Relative cutoff under which pivots / singular values count as zero rank.
+# Relative cutoff under which singular values count as zero rank.
 RANK_TOL = 1e-10
 # Absolute tolerance on the dual vector for NNLS termination.
 DUAL_TOL = 1e-10
@@ -130,7 +129,7 @@ def _training_rmse(x: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
 def fit_ols(x, y, ridge: float = 0.0) -> Coefficients:
     """Minimum-norm least-squares fit.
 
-    Rank is revealed by column-pivoted QR with relative cutoff ``RANK_TOL``;
+    Rank counts the singular values above ``RANK_TOL`` times the largest;
     a deficient system still returns the minimum-norm solution but is
     flagged. ``ridge > 0`` solves the Tikhonov-augmented system instead (and
     is always full rank).
@@ -144,9 +143,7 @@ def fit_ols(x, y, ridge: float = 0.0) -> Coefficients:
         if ridge > 0:
             r = np.vstack([r, np.sqrt(ridge) * np.eye(n_cols)])
             qty = np.concatenate([qty, np.zeros(n_cols)])
-        beta, _, rank, _ = scipy.linalg.lstsq(
-            r, qty, cond=RANK_TOL, lapack_driver="gelsy"
-        )
+        beta, _, rank, _ = np.linalg.lstsq(r, qty, rcond=RANK_TOL)
     return Coefficients(
         values=beta,
         variant="ols",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 
 from chartflow import (
@@ -30,6 +31,12 @@ def make_series(rows, region_label="test"):
         for k, city, artist, listeners in rows
     ]
     return ChartSeries.from_records(records, region_label)
+
+
+def row_norms(matrix) -> np.ndarray:
+    """Euclidean norm of every row of a sparse matrix, through its dense array."""
+    dense = matrix.toarray()
+    return np.sqrt((dense * dense).sum(axis=1))
 
 
 # Five cities, one planted edge: beta echoes alpha two weeks later at 0.8.

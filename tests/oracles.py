@@ -6,7 +6,9 @@ code with the Gram/QR reduction or the Lawson-Hanson loop of
 ``chartflow.solver``, so agreement between them is evidence for both.
 ``build_design_by_columns`` assembles a design one column at a time from
 per-(week, city) dense rows, the way ``chartflow.design.build_design`` did
-before it gathered each week's block at once.
+before it gathered each week's block at once. The ``oracle_*`` preprocessing
+functions build the per-week matrices with ``scipy.sparse``, the way
+``chartflow.preprocess`` did before it kept them as plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -14,10 +16,16 @@ from __future__ import annotations
 from datetime import timedelta
 
 import numpy as np
+from scipy import sparse
 
+from chartflow.chart_store import ArtistIndex, ChartSeries
 from chartflow.design import ACTIVE_TARGET, LabeledDesign, LagConfig
 from chartflow.errors import ChartFlowError, DimensionError, SingularMatrixError
-from chartflow.preprocess import VelocitySeries
+from chartflow.preprocess import (
+    ListenersMatrix,
+    NormalizedMatrix,
+    VelocitySeries,
+)
 from chartflow.solver import Coefficients, _training_rmse, _validated
 
 
@@ -189,3 +197,80 @@ def build_design_by_columns(
         col_meta=col_meta,
         target_city=target_city,
     )
+
+
+def oracle_listeners_matrices(
+    series: ChartSeries, index: ArtistIndex
+) -> list[ListenersMatrix]:
+    """One ``scipy.sparse`` CSR counts matrix per week, built from COO."""
+    shape = (len(series.cities), index.size)
+    column = np.array(
+        [index.column_of(a) for a in series.artists], dtype=np.int32
+    )
+    cols = column[series.artist_idx]
+    data = series.listeners.astype(np.float64)
+    return [
+        ListenersMatrix(
+            week,
+            sparse.csr_matrix(
+                (data[rows], (series.city_idx[rows], cols[rows])),
+                shape=shape,
+                dtype=np.float64,
+            ),
+        )
+        for week, rows in series.week_slices()
+    ]
+
+
+def oracle_normalize_rows(matrix: ListenersMatrix) -> NormalizedMatrix:
+    """Unit rows through ``scipy.sparse`` arithmetic."""
+    m = matrix.entries.astype(np.float64).tocsr(copy=True)
+    norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    m.data *= np.repeat(inv, np.diff(m.indptr))
+    return NormalizedMatrix(matrix.week_start, m)
+
+
+def oracle_compute_velocities(normalized, cities, artists) -> VelocitySeries:
+    """Week-by-week ``scipy.sparse`` differences of adjacent unit rows."""
+    week_dates = [m.week_start for m in normalized]
+    present = np.array(
+        [np.diff(m.entries.indptr) > 0 for m in normalized], dtype=bool
+    )
+    matrices, defined_rows, supports = [], [], []
+    for i in range(1, len(normalized)):
+        if (week_dates[i] - week_dates[i - 1]).days == 7:
+            defined = present[i] & present[i - 1]
+        else:
+            defined = np.zeros(len(cities), dtype=bool)
+        vel = (normalized[i].entries - normalized[i - 1].entries).tocsr()
+        if not defined.all():
+            vel.data *= np.repeat(
+                defined.astype(np.float64), np.diff(vel.indptr)
+            )
+        vel.eliminate_zeros()
+        support = (
+            normalized[i].entries.astype(bool)
+            + normalized[i - 1].entries.astype(bool)
+        ).tocsr()
+        matrices.append(vel)
+        defined_rows.append(defined)
+        supports.append(support)
+    return VelocitySeries(
+        weeks=tuple(week_dates[1:]),
+        matrices=tuple(matrices),
+        defined=np.array(defined_rows, dtype=bool),
+        support=tuple(supports),
+        cities=tuple(cities),
+        artists=tuple(artists),
+    )
+
+
+def oracle_restrict_artists(normalized, index: ArtistIndex, artist_subset):
+    """Column-slice ``scipy.sparse`` unit rows to an artist subset."""
+    keep = [i for i, a in enumerate(index.artists) if a in artist_subset]
+    sliced = [
+        NormalizedMatrix(m.week_start, m.entries[:, keep].tocsr())
+        for m in normalized
+    ]
+    return sliced, tuple(index.artists[i] for i in keep)

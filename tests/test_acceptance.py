@@ -32,7 +32,7 @@ from chartflow.cli import main
 from chartflow.evaluate import format_pct, report_table_text
 from chartflow.preprocess import compute_velocities
 
-from conftest import NULL_SPEC, REFERENCE_SPEC, SMALL_PLANT
+from conftest import NULL_SPEC, REFERENCE_SPEC, SMALL_PLANT, row_norms
 from oracles import oracle_nnls, oracle_ols
 from test_evaluate import (
     NORTH_AMERICA_ALL,
@@ -117,9 +117,7 @@ def test_normalization_and_velocity_invariants():
 
     worst_norm = 0.0
     for matrix in normalized:
-        norms = np.sqrt(
-            np.asarray(matrix.entries.multiply(matrix.entries).sum(axis=1)).ravel()
-        )
+        norms = row_norms(matrix.entries)
         nonempty = norms[norms > 0]
         worst_norm = max(worst_norm, float(np.abs(nonempty - 1.0).max()))
     assert worst_norm < 1e-9
@@ -130,7 +128,7 @@ def test_normalization_and_velocity_invariants():
     )
     assert worst_entry <= 1.0 + 1e-12
     worst_row_norm = max(
-        float(np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel().max()))
+        float(row_norms(m).max())
         for m in velocities.matrices
     )
     assert worst_row_norm <= 2.0 + 1e-12
@@ -142,8 +140,8 @@ def test_normalization_and_velocity_invariants():
         both = velocities.defined[i] & velocities.defined[i - 1]
         if not both.any():
             continue
-        lhs = (velocities.matrices[i] + velocities.matrices[i - 1]).toarray()
-        rhs = (normalized[i + 1].entries - normalized[i - 1].entries).toarray()
+        lhs = velocities.matrices[i].toarray() + velocities.matrices[i - 1].toarray()
+        rhs = normalized[i + 1].entries.toarray() - normalized[i - 1].entries.toarray()
         worst_telescope = max(
             worst_telescope, float(np.abs((lhs - rhs)[both]).max())
         )

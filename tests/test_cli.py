@@ -350,6 +350,22 @@ class TestTagFilter:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("stage", ["pre", "post"])
+    def test_tag_naming_no_corpus_artist_exits_2(
+        self, corpus_path, tmp_path, capsys, stage
+    ):
+        tags = tmp_path / "tags.csv"
+        tags.write_text("artist,tag\nnobody,rock\na0001,indie\n")
+        common = [
+            "--corpus-path", corpus_path, "--tags-path", tags,
+            "--tag", "rock", "--filter-stage", stage,
+        ]
+        assert run(["evaluate", *common, "--output-dir", tmp_path / "o"]) == 2
+        assert run(["dump-design", *common, "--city", "echo"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("tag 'rock' names no artist in the corpus") == 2
+        assert not (tmp_path / "o").exists()
+
 
 class TestSynth:
     def test_deterministic_corpus(self, spec_path, tmp_path):

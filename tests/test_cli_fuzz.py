@@ -96,12 +96,13 @@ def _config_with(old: bytes, new: bytes) -> tuple[str, bytes]:
 
 
 @given(mutated_files())
-# Mutations that random draws reach only rarely: a "byte", two "value" and
-# a repeated city.
+# Mutations that random draws reach only rarely: a "byte", two "value", a
+# repeated city, and a tag that names no corpus artist (config: post stage).
 @example(_config_with(b"ridge = 0.5", b"ridge = -0.5"))
 @example(_config_with(b"ridge = 0.5", b"ridge = nan"))
 @example(_config_with(b"lead,echo,other", b""))
 @example(_config_with(b"lead,echo,other", b"lead,lead,echo"))
+@example(("tags.csv", b"artist,tag\nnobody,indie\n"))
 @settings(
     max_examples=100,
     deadline=None,

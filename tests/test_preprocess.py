@@ -14,7 +14,13 @@ from chartflow import (
 from chartflow.errors import IndexingError, InsufficientDataError
 from chartflow.preprocess import ListenersMatrix
 
-from conftest import make_series, week
+from conftest import make_series, row_norms, week
+from oracles import (
+    oracle_compute_velocities,
+    oracle_listeners_matrices,
+    oracle_normalize_rows,
+    oracle_restrict_artists,
+)
 
 
 def pipeline(rows):
@@ -70,7 +76,7 @@ class TestNormalizeRows:
         again = normalize_rows(
             ListenersMatrix(normalized[0].week_start, normalized[0].entries)
         )
-        diff = (again.entries - normalized[0].entries).toarray()
+        diff = again.entries.toarray() - normalized[0].entries.toarray()
         assert np.abs(diff).max() < 1e-12
 
     def test_zero_row_preserved(self):
@@ -83,11 +89,7 @@ class TestNormalizeRows:
         _, _, _, normalized = pipeline(
             [(0, "c", a, n) for a, n in (("w", 17), ("x", 3), ("y", 999))]
         )
-        norms = np.sqrt(
-            np.asarray(
-                normalized[0].entries.multiply(normalized[0].entries).sum(axis=1)
-            ).ravel()
-        )
+        norms = row_norms(normalized[0].entries)
         assert abs(norms[0] - 1.0) < 1e-9
 
 
@@ -157,7 +159,7 @@ class TestVelocityInvariants:
 
     def test_row_norms_bounded(self, small_velocities):
         for m in small_velocities.matrices:
-            norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
+            norms = row_norms(m)
             assert norms.max() <= 2.0 + 1e-12
 
     def test_telescoping(self):
@@ -168,8 +170,8 @@ class TestVelocityInvariants:
                 rows.append((k, "c", a, c))
         _, index, _, normalized = pipeline(rows)
         vel = compute_velocities(normalized, ("c",), index.artists)
-        lhs = (vel.matrices[0] + vel.matrices[1]).toarray()
-        rhs = (normalized[2].entries - normalized[0].entries).toarray()
+        lhs = vel.matrices[0].toarray() + vel.matrices[1].toarray()
+        rhs = normalized[2].entries.toarray() - normalized[0].entries.toarray()
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_scale_invariance(self):
@@ -179,7 +181,7 @@ class TestVelocityInvariants:
         _, _, _, norm_b = pipeline(scaled)
         vel_a = compute_velocities(norm_a, ("c",), index.artists)
         vel_b = compute_velocities(norm_b, ("c",), index.artists)
-        diff = (vel_a.matrices[0] - vel_b.matrices[0]).toarray()
+        diff = vel_a.matrices[0].toarray() - vel_b.matrices[0].toarray()
         assert np.abs(diff).max() < 1e-12
 
 
@@ -199,3 +201,92 @@ def test_restrict_artists():
     assert kept == ("b",)
     # Norms are from the full corpus: week-0 b entry stays 0.8.
     assert sliced[0].entries.toarray()[0].tolist() == [0.8]
+
+
+def _assert_same_csr(new, old):
+    """The numpy CSR record holds the scipy matrix's arrays, bit for bit."""
+    assert tuple(new.shape) == tuple(old.shape)
+    assert np.array_equal(new.indptr, old.indptr)
+    assert np.array_equal(new.indices, old.indices)
+    assert new.data.dtype == old.data.dtype
+    assert new.data.tobytes() == old.data.tobytes()
+
+
+def _assert_same_velocities(new, old):
+    assert (new.weeks, new.cities, new.artists) == (
+        old.weeks, old.cities, old.artists
+    )
+    assert np.array_equal(new.defined, old.defined)
+    assert len(new.matrices) == len(old.matrices) == len(new.support)
+    for a, b in zip(new.matrices, old.matrices):
+        _assert_same_csr(a, b)
+    for a, b in zip(new.support, old.support):
+        _assert_same_csr(a, b)
+
+
+def _gap_and_absence_series():
+    """Weeks 0-9 and 12-20 (a 21-day gap); c2 is absent in weeks 3-5 and
+    c3 charts only in even weeks. Artists come and go at random, and artist
+    "solo" charts only in c1's weeks 0, 1 and 7."""
+    rnd = np.random.default_rng(17)
+    rows = [(k, "c1", "solo", 5 + k) for k in (0, 1, 7)]
+    for k in [*range(10), *range(12, 21)]:
+        for city in ("c1", "c2", "c3"):
+            if (city == "c2" and 3 <= k <= 5) or (city == "c3" and k % 2):
+                continue
+            for a in range(30):
+                if rnd.random() < 0.4:
+                    rows.append((k, city, f"a{a:02d}", int(rnd.integers(1, 10**6))))
+    return make_series(rows)
+
+
+class TestMatchesScipyOracle:
+    """Velocities, ``defined`` and support equal the scipy.sparse pipeline."""
+
+    @staticmethod
+    def _check(series, subset=None):
+        index = build_artist_index(series)
+        listeners = to_listeners_matrices(series, index)
+        old_listeners = oracle_listeners_matrices(series, index)
+        normalized = [normalize_rows(m) for m in listeners]
+        old_normalized = [oracle_normalize_rows(m) for m in old_listeners]
+        for new, old in zip(
+            listeners + normalized, old_listeners + old_normalized
+        ):
+            assert new.week_start == old.week_start
+            _assert_same_csr(new.entries, old.entries)
+        artists = index.artists
+        if subset is not None:
+            normalized, artists = restrict_artists(normalized, index, subset)
+            old_normalized, old_artists = oracle_restrict_artists(
+                old_normalized, index, subset
+            )
+            assert artists == old_artists
+            for new, old in zip(normalized, old_normalized):
+                _assert_same_csr(new.entries, old.entries)
+        new = compute_velocities(normalized, series.cities, artists)
+        old = oracle_compute_velocities(old_normalized, series.cities, artists)
+        _assert_same_velocities(new, old)
+        return new
+
+    def test_small_plant(self, small_series):
+        velocities = self._check(small_series)
+        _assert_same_velocities(build_velocities(small_series), velocities)
+
+    def test_week_gap_and_absent_city(self):
+        velocities = self._check(_gap_and_absence_series())
+        assert not velocities.defined[9].any()  # the 9 -> 12 transition
+        assert not velocities.defined[2:5, 1].any()  # c2 absent
+        assert velocities.defined[:, 0].sum() == velocities.n_weeks - 1
+
+    def test_post_filter_stage(self, small_series):
+        subset = set(small_series.artists[::3])
+        velocities = self._check(small_series, subset)
+        assert len(velocities.artists) == len(subset)
+
+    def test_post_filter_leaving_empty_weeks(self):
+        velocities = self._check(_gap_and_absence_series(), {"solo"})
+        assert velocities.artists == ("solo",)
+        # A row empty after the cut is undefined: only weeks 0 -> 1 move.
+        assert sum(m.nnz for m in velocities.matrices) == 1
+        assert sum(m.nnz for m in velocities.support) == 4
