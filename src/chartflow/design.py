@@ -12,11 +12,17 @@ Evaluation sidesteps this by fitting the own-history model on the target
 city's columns of the all-history design. Lagged values of *other* cities
 that are undefined (absence, gap) enter as 0.0, the no-change value.
 
-``build_design`` densifies the velocity rows of the cities it needs once
-per call into a (week, city, artist) array and fills each eligible week's
-block of rows with one gather from it. Rows come out in ascending week
-order, so ``temporal_split`` cuts the design into two row slices, views
-that share the design's memory.
+The design is gathered from a dense velocity cube: ``densify`` spreads the
+chosen city rows of every velocity week into one (week, artist, city)
+array, so the values one sample row needs, all included cities at one lag
+week, lie side by side. ``evaluate_region`` densifies the included cities
+once and passes that cube to every ``build_design`` call; called alone,
+``build_design`` densifies the cities it needs. Each eligible week's block
+of rows is then filled with one ``take`` from the flat cube, at offsets
+``artist * cities + lag week * week stride + city position``, straight into
+the preallocated design; no index array spans more than one week. Rows
+come out in ascending week order, so ``temporal_split`` cuts the design
+into two row slices, views that share the design's memory.
 """
 
 from __future__ import annotations
@@ -119,21 +125,21 @@ class SplitDesign:
     boundary: date
 
 
-def _densify(velocities: VelocitySeries, rows: Sequence[int]) -> np.ndarray:
-    """The given city rows of every velocity week as one dense array.
+def densify(velocities: VelocitySeries, rows: Sequence[int]) -> np.ndarray:
+    """The given city rows of every velocity week as one dense cube.
 
-    Returns shape ``(weeks, len(rows), artists)``; entry ``[w, p, a]`` is
+    Returns shape ``(weeks, artists, len(rows))``; entry ``[w, a, p]`` is
     city ``rows[p]``'s velocity for artist ``a`` in week ``w``, 0.0 where
     the week's CSR matrix stores no entry.
     """
     n_cities = len(velocities.cities)
     position = np.full(n_cities, -1)
     position[list(rows)] = np.arange(len(rows))
-    out = np.zeros((velocities.n_weeks, len(rows), len(velocities.artists)))
+    out = np.zeros((velocities.n_weeks, len(velocities.artists), len(rows)))
     for w, matrix in enumerate(velocities.matrices):
-        city = position[np.repeat(np.arange(n_cities), np.diff(matrix.indptr))]
+        city = position[matrix.rows()]
         keep = city >= 0
-        out[w, city[keep], matrix.indices[keep]] = matrix.data[keep]
+        out[w, matrix.indices[keep], city[keep]] = matrix.data[keep]
     return out
 
 
@@ -142,6 +148,8 @@ def build_design(
     target_city: str,
     config: LagConfig,
     active_rule: str = ACTIVE_TARGET,
+    *,
+    cube: tuple[np.ndarray, Sequence[int]] | None = None,
 ) -> LabeledDesign:
     """Assemble the lagged design matrix and target vector for one city.
 
@@ -150,6 +158,11 @@ def build_design(
     sample week's velocity; ``union`` widens that to any included city's
     chart across the sample week and the whole lag window. Rows come out in
     ascending week order, artists ascending within a week.
+
+    ``cube`` is ``(densify(velocities, rows), rows)`` for city rows, in any
+    order, that hold every city of ``config.columns(target_city)``; callers
+    building several designs pass one cube to all of them. Without it the
+    design densifies the rows it needs itself.
     """
     if active_rule not in (ACTIVE_TARGET, ACTIVE_UNION):
         raise ValueError(f"unknown active rule {active_rule!r}")
@@ -160,6 +173,8 @@ def build_design(
     missing = sorted({c for c, _ in col_meta} - set(cities))
     if missing:
         raise UnknownCityError(f"cities not in corpus: {missing}")
+    if not velocities.artists:
+        raise InsufficientDataError("velocity series has no artists")
     if config.lag_count >= velocities.n_weeks:
         raise InsufficientDataError(
             f"{velocities.n_weeks} velocity weeks cannot support "
@@ -201,12 +216,17 @@ def build_design(
         if active.size:
             eligible.append((i, lag_idx, active))
 
-    # Slot w * len(rows) + p of ``dense`` is week w of city rows[p].
-    rows = list(dict.fromkeys([target_row, *included_rows]))
+    if cube is None:
+        rows = list(dict.fromkeys([target_row, *included_rows]))
+        cube = (densify(velocities, rows), rows)
+    values, rows = cube
+    # Element w * week_stride + a * n_pos + p of ``flat`` is cube[w, a, p].
     position = {r: p for p, r in enumerate(rows)}
-    dense = _densify(velocities, rows).reshape(-1, n_artists)
+    flat = values.reshape(-1)
+    n_pos = np.intp(len(rows))
+    week_stride = n_artists * n_pos
     col_lag = np.array([lag for _, lag in col_meta]) - 1
-    col_pos = np.array([position[city_row[c]] for c, _ in col_meta])
+    col_pos = np.array([position[city_row[c]] for c, _ in col_meta], dtype=np.intp)
     target_pos = position[target_row]
 
     n_rows = sum(active.size for _, _, active in eligible)
@@ -217,9 +237,10 @@ def build_design(
     start = 0
     for i, lag_idx, active in eligible:
         stop = start + active.size
-        slots = np.asarray(lag_idx)[col_lag] * len(rows) + col_pos
-        x[start:stop] = dense[np.ix_(slots, active)].T
-        y[start:stop] = dense[i * len(rows) + target_pos, active]
+        artist_offset = active * n_pos
+        week_offsets = np.asarray(lag_idx)[col_lag] * week_stride + col_pos
+        flat.take(artist_offset[:, None] + week_offsets, out=x[start:stop])
+        flat.take(artist_offset + (i * week_stride + target_pos), out=y[start:stop])
         week_idx[start:stop] = i
         artist_idx[start:stop] = active
         start = stop

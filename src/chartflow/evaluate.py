@@ -28,6 +28,7 @@ from .design import (
     LagConfig,
     build_design,
     default_boundary,
+    densify,
     temporal_split,
 )
 from .errors import (
@@ -111,12 +112,13 @@ def evaluate_city(
     solver_variant: str = "ols",
     ridge: float = 0.0,
     active_rule: str = "target",
+    cube: tuple[np.ndarray, Sequence[int]] | None = None,
 ) -> CityResult:
     """Fit and score both models for one city on the identical sample set.
 
     Only the all-history design is built. The own-history model is fitted on
     the target city's ``lag_count`` columns of it, so both models see the
-    same rows by construction.
+    same rows by construction. ``cube`` goes to ``build_design``.
     """
     if own_config.scope != OWN_HISTORY or all_config.scope != ALL_HISTORY:
         raise ValueError("expected an (own_history, all_history) config pair")
@@ -129,7 +131,9 @@ def evaluate_city(
     if solver_variant not in ("ols", "nnls"):
         raise ValueError(f"unknown solver variant {solver_variant!r}")
 
-    design = build_design(velocities, target_city, all_config, active_rule)
+    design = build_design(
+        velocities, target_city, all_config, active_rule, cube=cube
+    )
     if boundary is None:
         boundary = default_boundary(velocities.weeks)
     split = temporal_split(design, boundary)
@@ -171,7 +175,12 @@ def evaluate_region(
     ridge: float = 0.0,
     active_rule: str = "target",
 ) -> list[CityResult]:
-    """Evaluate every included city; failures become status rows."""
+    """Evaluate every included city; failures become status rows.
+
+    The included cities' velocities are densified once, into one cube that
+    every city's design is gathered from. A city missing from the corpus is
+    left out of the cube and fails its designs as ``build_design`` does.
+    """
     cities = tuple(
         cities_included if cities_included is not None else velocities.cities
     )
@@ -179,6 +188,9 @@ def evaluate_region(
     all_config = LagConfig(
         lag_count=lag_count, scope=ALL_HISTORY, cities_included=cities
     )
+    city_row = {c: i for i, c in enumerate(velocities.cities)}
+    rows = [city_row[c] for c in cities if c in city_row]
+    cube = (densify(velocities, rows), rows)
 
     def one(city: str) -> CityResult:
         try:
@@ -191,6 +203,7 @@ def evaluate_region(
                 solver_variant=solver_variant,
                 ridge=ridge,
                 active_rule=active_rule,
+                cube=cube,
             )
         except ChartFlowError as exc:
             return CityResult(

@@ -12,6 +12,14 @@ in FNNLS). A system whose Gram matrix is not positive definite, or whose R
 has a condition number above ``MAX_GRAM_COND``, is folded by streaming QR
 instead, ``REDUCE_BLOCK_ROWS`` rows at a time; that path alone sees
 rank-deficient systems, so the SVD's rank flag is taken on an accurate R.
+
+Each inner step of the Lawson-Hanson loop solves least squares on the free
+columns of R. On a Cholesky-path triangle it solves the normal equations
+``G[F, F] b = h[F]`` of ``G = R^T R`` and ``h = R^T Q^T y``, formed once
+per fit, and takes the dual as ``h - G b`` (FNNLS, Bro and de Jong 1997):
+``cond(G[F, F]) <= MAX_GRAM_COND**2``, so the squaring stays bounded. A
+triangle from the QR fold, which may be wide, duplicate-column or nearly
+so, keeps the SVD step ``lstsq(R[:, F], Q^T y)``.
 """
 
 from __future__ import annotations
@@ -72,16 +80,19 @@ def _validated(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _reduce(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _reduce(
+    x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, bool]:
     """Fold ``[x | y]`` into a (k + 1) x (k + 1) upper triangle ``[r | qty]``.
 
-    Returns ``(r, qty)`` such that ``||x b - y|| == ||r b - qty||`` for
-    every b. The triangle is the upper Cholesky factor of the augmented
+    Returns ``(r, qty, cholesky)`` such that ``||x b - y|| == ||r b - qty||``
+    for every b. The triangle is the upper Cholesky factor of the augmented
     Gram matrix ``[x | y]^T [x | y]``, which equals the R factor of the QR
     decomposition of ``[x | y]`` up to row signs. Forming the Gram matrix
     squares the condition number, so when Cholesky fails or ``cond(r)``
     exceeds ``MAX_GRAM_COND`` the QR fold of ``_qr_fold`` is used instead;
     only that path sees rank-deficient or ill-conditioned systems.
+    ``cholesky`` says which path gave the triangle.
     """
     k = x.shape[1]
     gram = np.empty((k + 1, k + 1))
@@ -91,11 +102,11 @@ def _reduce(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         factor = np.linalg.cholesky(gram, upper=True)
     except np.linalg.LinAlgError:
-        return _qr_fold(x, y)
+        return *_qr_fold(x, y), False
     singular = np.linalg.svd(factor[:k, :k], compute_uv=False)
     if not singular[0] <= MAX_GRAM_COND * singular[-1]:
-        return _qr_fold(x, y)
-    return factor[:, :k], factor[:, k]
+        return *_qr_fold(x, y), False
+    return factor[:, :k], factor[:, k], True
 
 
 def _qr_fold(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +150,7 @@ def fit_ols(x, y, ridge: float = 0.0) -> Coefficients:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
     n_cols = x.shape[1]
     with _lapack_failures_as_singular():
-        r, qty = _reduce(x, y)
+        r, qty, _ = _reduce(x, y)
         if ridge > 0:
             r = np.vstack([r, np.sqrt(ridge) * np.eye(n_cols)])
             qty = np.concatenate([qty, np.zeros(n_cols)])
@@ -162,8 +173,8 @@ def fit_nnls(x, y, max_iter: int | None = None) -> Coefficients:
     x, y = _validated(x, y)
     cap = max(10 * x.shape[1], 100) if max_iter is None else max_iter
     with _lapack_failures_as_singular():
-        r, qty = _reduce(x, y)
-        beta, iterations = _lawson_hanson(r, qty, cap, x.shape)
+        r, qty, cholesky = _reduce(x, y)
+        beta, iterations = _lawson_hanson(r, qty, cholesky, cap, x.shape)
     return Coefficients(
         values=beta,
         variant="nnls",
@@ -173,13 +184,38 @@ def fit_nnls(x, y, max_iter: int | None = None) -> Coefficients:
 
 
 def _lawson_hanson(
-    x: np.ndarray, y: np.ndarray, cap: int, shape: tuple[int, int]
+    r: np.ndarray,
+    qty: np.ndarray,
+    cholesky: bool,
+    cap: int,
+    shape: tuple[int, int],
 ) -> tuple[np.ndarray, int]:
-    """The active-set loop of ``fit_nnls``; ``shape`` names the system in errors."""
-    n_cols = x.shape[1]
+    """The active-set loop of ``fit_nnls`` on the triangle ``[r | qty]``.
+
+    ``cholesky`` (from ``_reduce``) selects the step: the normal equations
+    of the Gram matrix, or ``lstsq`` on the free columns of ``r``. ``shape``
+    names the system in errors.
+    """
+    n_cols = r.shape[1]
+    if cholesky:
+        gram, h = r.T @ r, r.T @ qty
+
+        def step(free):
+            return np.linalg.solve(gram[np.ix_(free, free)], h[free])
+
+        def dual(beta):
+            return h - gram @ beta
+    else:
+
+        def step(free):
+            return np.linalg.lstsq(r[:, free], qty, rcond=None)[0]
+
+        def dual(beta):
+            return r.T @ (qty - r @ beta)
+
     beta = np.zeros(n_cols)
     free = np.zeros(n_cols, dtype=bool)  # the positive (passive) set
-    w = x.T @ y  # dual vector: -gradient at beta = 0
+    w = dual(beta)  # -gradient at beta = 0
     iterations = 0
     while True:
         zero_set = ~free
@@ -198,7 +234,7 @@ def _lawson_hanson(
                     f"{shape[0]}x{shape[1]} system"
                 )
             trial = np.zeros(n_cols)
-            trial[free], _, _, _ = np.linalg.lstsq(x[:, free], y, rcond=None)
+            trial[free] = step(free)
             if trial[free].min() > 0:
                 beta = trial
                 break
@@ -220,7 +256,7 @@ def _lawson_hanson(
             free[ratios <= alpha] = False
             free[free & (beta <= 0.0)] = False
             beta[~free] = 0.0
-        w = x.T @ (y - x @ beta)
+        w = dual(beta)
     return np.where(free, beta, 0.0), iterations
 
 

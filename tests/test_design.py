@@ -1,6 +1,7 @@
 """Design-matrix assembly checked against a brute-force enumeration."""
 
 import dataclasses
+import itertools
 from datetime import date
 
 import numpy as np
@@ -20,7 +21,7 @@ from chartflow import (
     predict,
     temporal_split,
 )
-from chartflow.design import design_csv_text
+from chartflow.design import densify, design_csv_text
 from chartflow.errors import (
     DegenerateSplitError,
     InsufficientDataError,
@@ -178,7 +179,12 @@ class TestEligibilityAndFill:
 
 
 class TestGatherMatchesColumnLoop:
-    """The per-week gather gives the old per-column assembly, bit for bit."""
+    """The per-week gather gives the old per-column assembly, bit for bit.
+
+    It is checked with the cube ``build_design`` densifies itself (target
+    city first) and with shared cubes over every city in corpus order and in
+    reverse, as ``evaluate_region`` passes one.
+    """
 
     @pytest.mark.parametrize("chart_size", [SMALL_PLANT.chart_size, 12])
     @pytest.mark.parametrize("active_rule", ["target", "union"])
@@ -186,24 +192,27 @@ class TestGatherMatchesColumnLoop:
         spec = dataclasses.replace(SMALL_PLANT, chart_size=chart_size)
         velocities = build_velocities(generate_planted(spec))
         cities = velocities.cities
+        rows = list(range(len(cities)))
+        cubes = (
+            None,
+            (densify(velocities, rows), rows),
+            (densify(velocities, rows[::-1]), rows[::-1]),
+        )
         configs = (
             LagConfig(8, ALL_HISTORY, cities),
             LagConfig(3, ALL_HISTORY, tuple(reversed(cities))),
             LagConfig(8, OWN_HISTORY),
         )
-        for config in configs:
-            for city in cities:
-                got = build_design(velocities, city, config, active_rule)
-                ref = build_design_by_columns(
-                    velocities, city, config, active_rule
-                )
-                assert got.n_rows > 0
-                assert got.col_meta == ref.col_meta
-                for name in ("x", "y", "week_idx", "artist_idx"):
-                    a, b = getattr(got, name), getattr(ref, name)
-                    assert a.shape == b.shape and a.dtype == b.dtype, name
-                    assert a.tobytes() == b.tobytes(), (config, city, name)
-                assert np.all(np.diff(got.week_idx) >= 0)
+        for cube, config, city in itertools.product(cubes, configs, cities):
+            got = build_design(velocities, city, config, active_rule, cube=cube)
+            ref = build_design_by_columns(velocities, city, config, active_rule)
+            assert got.n_rows > 0
+            assert got.col_meta == ref.col_meta
+            for name in ("x", "y", "week_idx", "artist_idx"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.shape == b.shape and a.dtype == b.dtype, name
+                assert a.tobytes() == b.tobytes(), (config, city, name)
+            assert np.all(np.diff(got.week_idx) >= 0)
 
 
 class TestDeterminismAndEquivariance:

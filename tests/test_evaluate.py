@@ -13,21 +13,28 @@ from chartflow import (
     CityResult,
     LagConfig,
     baseline_rmse,
+    build_artist_index,
     build_design,
     build_report,
     build_velocities,
+    compute_velocities,
     default_boundary,
     evaluate_city,
     evaluate_region,
+    normalize_rows,
     percent_of_baseline,
     read_labels_csv,
     report_csv_text,
     report_json_text,
     generate_planted,
     report_table_text,
+    restrict_artists,
     rmse,
     temporal_split,
+    to_listeners_matrices,
 )
+from chartflow import design as design_module
+from chartflow import evaluate as evaluate_module
 from chartflow.errors import (
     DimensionError,
     ParseError,
@@ -289,6 +296,40 @@ class TestEvaluateRegion:
         results = {r.city: r for r in evaluate_region(velocities)}
         assert results["bad"].status.startswith("NonFiniteError")
         assert results["good"].ok and results["fine"].ok
+
+    def test_unknown_included_city_gives_status_rows(self, small_velocities):
+        results = evaluate_region(small_velocities, ("echo", "atlantis"))
+        assert [r.city for r in results] == ["echo", "atlantis"]
+        for result in results:
+            assert result.status.startswith("UnknownCityError")
+
+    def test_no_artists_gives_status_rows(self, small_series):
+        index = build_artist_index(small_series)
+        normalized = [
+            normalize_rows(m) for m in to_listeners_matrices(small_series, index)
+        ]
+        sliced, kept = restrict_artists(normalized, index, {"nobody"})
+        velocities = compute_velocities(sliced, small_series.cities, kept)
+        results = evaluate_region(velocities)
+        assert [r.city for r in results] == list(small_series.cities)
+        for result in results:
+            assert result.status == (
+                "InsufficientDataError: velocity series has no artists"
+            )
+
+    def test_one_densify_per_region(self, small_velocities, monkeypatch):
+        calls = []
+        densify = design_module.densify
+
+        def counted(velocities, rows):
+            calls.append(list(rows))
+            return densify(velocities, rows)
+
+        monkeypatch.setattr(evaluate_module, "densify", counted)
+        monkeypatch.setattr(design_module, "densify", counted)
+        results = evaluate_region(small_velocities, solver_variant="nnls")
+        assert all(r.ok for r in results)
+        assert calls == [[0, 1, 2]]
 
 
 class TestUnionActiveSet:

@@ -6,6 +6,7 @@ digest, a ``report.csv`` byte, or a ``report.json`` percent by more than
 1e-9 fails here.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -65,6 +66,22 @@ REPORT_ROWS = [
     ("other", "unlabeled", "ok", 1280, 760, False, False),
     ("lead", "leader", "ok", 1280, 760, False, False),
 ]
+
+
+# SHA-256 of ``chartflow dump-design --city echo`` on the small-plant corpus,
+# by extra arguments. The last case lists the target after another city.
+DUMP_DESIGN_SHA256 = {
+    ("--scope", "own"): (
+        "13480fd9f4456f232adb2e07cbed5269e115f8629d815fe27faa0ccc06e266c2"
+    ),
+    ("--scope", "all"): (
+        "04563d54ef49f29dfb4092d58fcff19959226c66a10c054e1d5ec8680554f69a"
+    ),
+    ("--scope", "all", "--cities-included", "other,echo",
+     "--active-set", "union", "--lag-count", "3"): (
+        "5c441b85724c22e7a65f5fb3f980938539410ff3e929c28e443c9a0ab8734a85"
+    ),
+}
 
 
 def test_small_plant_digest(small_series):
@@ -149,3 +166,12 @@ def test_report_json_fields(evaluated):
         "ridge": 0.0,
         "solver": solver,
     }
+
+
+@pytest.mark.parametrize("extra", sorted(DUMP_DESIGN_SHA256))
+def test_dump_design_bytes(extra, small_inputs, tmp_path):
+    out = tmp_path / "design.csv"
+    argv = ["dump-design", "--corpus-path", str(small_inputs / "corpus.csv"),
+            "--city", "echo", "--out", str(out), *extra]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_DESIGN_SHA256[extra]

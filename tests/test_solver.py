@@ -6,11 +6,20 @@ import pytest
 import scipy.linalg
 
 from chartflow import (
+    ALL_HISTORY,
     ChartFlowError,
+    Influence,
+    LagConfig,
+    PlantSpec,
+    build_design,
+    build_velocities,
+    default_boundary,
     fit_nnls,
     fit_ols,
+    generate_planted,
     predict,
     rng,
+    temporal_split,
 )
 from chartflow.errors import (
     ConvergenceError,
@@ -19,7 +28,13 @@ from chartflow.errors import (
     SingularMatrixError,
 )
 from chartflow import solver
-from chartflow.solver import RANK_TOL, REDUCE_BLOCK_ROWS, _qr_fold, _reduce
+from chartflow.solver import (
+    RANK_TOL,
+    REDUCE_BLOCK_ROWS,
+    _lawson_hanson,
+    _qr_fold,
+    _reduce,
+)
 
 from oracles import oracle_nnls, oracle_ols
 
@@ -268,7 +283,7 @@ class TestReduction:
     def test_residual_norm_preserved(self):
         x, y = random_system(1300, self.TALL_ROWS, 7)
         for fold in (_reduce, _qr_fold):
-            r, qty = fold(x, y)
+            r, qty = fold(x, y)[:2]
             assert r.shape == (8, 7) and qty.shape == (8,)
             assert np.allclose(np.tril(r, -1), 0.0)
             for seed in range(5):
@@ -283,7 +298,8 @@ class TestReduction:
 
         monkeypatch.setattr(solver, "_qr_fold", unreachable)
         x, y = random_system(1302, self.TALL_ROWS, 7)
-        r, qty = _reduce(x, y)
+        r, qty, cholesky = _reduce(x, y)
+        assert cholesky
         qr_r, qr_qty = _qr_fold(x, y)  # this module's name, not the patch
         # Both are the triangle of [x | y], up to the sign of each row.
         signs = np.sign(np.diag(qr_r[:, :7]))
@@ -303,7 +319,8 @@ class TestReduction:
         x, y = random_system(1305, self.TALL_ROWS, 5)
         nudge = 1e-7 * rng.normals(rng.derive_key(1306, 0), self.TALL_ROWS)
         x = np.column_stack([x, x[:, 2] + nudge])
-        r, qty = _reduce(x, y)
+        r, qty, cholesky = _reduce(x, y)
+        assert not cholesky
         qr_r, qr_qty = _qr_fold(x, y)
         assert np.array_equal(r, qr_r) and np.array_equal(qty, qr_qty)
         _, _, rank, _ = scipy.linalg.lstsq(
@@ -388,6 +405,98 @@ class TestReduction:
         )
         assert rank == 6
         assert not fit_ols(x, y).rank_deficient
+
+
+# The region-nnls benchmark workload's shape: 12 cities x 600 artists x 120
+# weeks at chart size 120, c00-c03 leading c04-c07 at lags 1-4.
+REGION_SPEC = PlantSpec(
+    cities=tuple((f"c{i:02d}", "unlabeled") for i in range(12)),
+    influence=tuple(
+        Influence(f"c{i:02d}", f"c{i + 4:02d}", i + 1, 0.8) for i in range(4)
+    ),
+    weeks=120,
+    artists=600,
+    chart_size=120,
+    noise_sigma=0.04,
+    seed=101,
+)
+
+
+@pytest.fixture(scope="module")
+def region_train():
+    """The train part of c05's all-history design on ``REGION_SPEC``."""
+    velocities = build_velocities(generate_planted(REGION_SPEC))
+    config = LagConfig(8, ALL_HISTORY, velocities.cities)
+    design = build_design(velocities, "c05", config)
+    train = temporal_split(design, default_boundary(velocities.weeks)).train
+    return train.x, train.y
+
+
+class TestGramStep:
+    """FNNLS steps on the Gram matrix against the lstsq step on R."""
+
+    def assert_same_path(self, x, y):
+        r, qty, cholesky = _reduce(x, y)
+        assert cholesky
+        cap = max(10 * x.shape[1], 100)
+        gram_beta, gram_its = _lawson_hanson(r, qty, True, cap, x.shape)
+        lstsq_beta, lstsq_its = _lawson_hanson(r, qty, False, cap, x.shape)
+        assert np.abs(gram_beta - lstsq_beta).max() < 1e-10
+        assert ((gram_beta == 0.0) == (lstsq_beta == 0.0)).all()
+        assert gram_its == lstsq_its
+        return gram_beta
+
+    def test_tall_systems(self):
+        for seed in range(6):
+            x, y = random_system(1400 + seed, TestReduction.TALL_ROWS, 8)
+            beta = self.assert_same_path(x, y)
+            assert (beta == 0.0).any() and (beta > 0.0).any()
+
+    def test_region_sized_design(self, region_train):
+        x, y = region_train
+        assert x.shape[1] == 96 and x.shape[0] > 5000
+        beta = self.assert_same_path(x, y)
+        assert (beta == 0.0).sum() > 10 and (beta > 0.0).sum() > 10
+        assert fit_nnls(x, y).values.tobytes() == beta.tobytes()
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """Counts of the two step kinds taken by the solver."""
+        counts = {"lstsq": 0, "solve": 0}
+        for name in counts:
+            inner = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _inner=inner, **kwargs):
+                counts[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    def test_well_conditioned_system_takes_gram_step(self, steps):
+        x, y = random_system(1410, TestReduction.TALL_ROWS, 6)
+        assert fit_nnls(x, y).iterations > 0
+        assert steps["solve"] > 0 and steps["lstsq"] == 0
+
+    @pytest.mark.parametrize("kind", ["duplicate", "near_duplicate", "wide"])
+    def test_qr_fold_systems_keep_lstsq_step(self, kind, steps):
+        if kind == "wide":
+            x, y = random_system(1341, 5, 9)
+        else:
+            x, y = random_system(1350, TestReduction.TALL_ROWS, 5)
+            nudge = 0.0
+            if kind == "near_duplicate":
+                nudge = 1e-7 * rng.normals(
+                    rng.derive_key(1306, 0), TestReduction.TALL_ROWS
+                )
+            x = np.column_stack([x, x[:, 2] + nudge])
+        assert not _reduce(x, y)[2]
+        fit = fit_nnls(x, y)
+        assert fit.iterations > 0
+        assert steps["lstsq"] > 0 and steps["solve"] == 0
+        assert fit.training_rmse == pytest.approx(
+            oracle_nnls(x, y).training_rmse, rel=1e-9, abs=1e-12
+        )
 
 
 def test_oracle_failure_unreachable_via_zero_vector():

@@ -3,7 +3,8 @@
 ``perfbench/trace_run.py`` wraps chartflow functions by module attribute
 and reads a few counts off their results; a rename or a changed return type
 would silently empty a per-layer metric. This runs a traced ``synth`` and a
-traced ``evaluate`` on a small spec and checks the metrics they give.
+traced ``evaluate`` (OLS, then NNLS) on a small spec and checks the
+metrics they give.
 """
 
 import json
@@ -69,3 +70,10 @@ def test_traced_layers_are_all_measured(tmp_path):
     for name in ("chart_store.parse_s", "synth.fingerprint_s",
                  "preprocess.listeners_s", "design.build_s"):
         assert metrics[name]["value"] > 0, name
+
+    nnls_spans = _traced(tmp_path / "nnls.json", "evaluate", "--corpus-path",
+                         tmp_path / "corpus.csv", "--solver", "nnls",
+                         "--output-dir", tmp_path / "out_nnls")
+    nnls = layer_metrics(synth_spans, nnls_spans, 0.0, 0.0)
+    assert nnls["solver.fits"]["value"] == 2 * len(SPEC["cities"])
+    assert nnls["solver.nnls_iterations"]["value"] > 0
