@@ -10,6 +10,15 @@ the sorted label tuples ``weeks``, ``cities`` and ``artists``, plus the
 listener counts. Every way of building a corpus (parsing, records, tag
 filtering, the synthetic generator) goes through the one validating
 constructor :meth:`ChartSeries.from_columns`.
+
+Parsing reads the file's bytes. Plain input (the exact header, no quote,
+carriage return or NUL byte, lines of three commas and a count of 1-16
+ASCII digits; see :func:`_plain_columns`) is coded with numpy, one block of
+whole lines at a time. Any other input, quoted RFC 4180 fields among it,
+goes whole to a row loop over ``csv.reader``. The loop reports every
+syntax, decode and csv error, and both paths hand their columns and line
+numbers to the same validator, so an error's class, message and line do
+not depend on the path.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import re
 from dataclasses import dataclass, field
 from datetime import date
@@ -272,13 +282,44 @@ def parse_chart_csv(path: str | Path, region_label: str = "") -> ChartSeries:
 
     Zero-listener rows are dropped; negative counts, malformed rows, and
     duplicate (week, city, artist) keys raise with the offending line number,
-    as do counts above ``MAX_LISTENERS`` and bytes that are not UTF-8.
+    as do counts above ``MAX_LISTENERS``, bytes that are not UTF-8 and
+    fields longer than ``csv.field_size_limit()``.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        try:
-            return _parse_chart_rows(csv.reader(handle), region_label)
-        except UnicodeDecodeError:
-            raise _decode_error(path) from None
+    with open(path, "rb") as handle:
+        if not handle.seekable():  # a pipe: the row loop may need a rewind
+            return _parse_chart_binary(io.BytesIO(handle.read()), region_label)
+        return _parse_chart_binary(handle, region_label)
+
+
+def parse_chart_csv_text(text: str, region_label: str = "") -> ChartSeries:
+    """Parse chart CSV content from a string, as a file of its UTF-8 bytes.
+
+    A lone surrogate is encoded as is, so it reads as bytes that are not
+    UTF-8.
+    """
+    data = text.encode("utf-8", "surrogatepass")
+    return _parse_chart_binary(io.BytesIO(data), region_label)
+
+
+def _parse_chart_binary(handle, region_label: str) -> ChartSeries:
+    """Parse the chart CSV in a seekable binary ``handle``.
+
+    Plain input (see :func:`_plain_columns`) is coded from its bytes with
+    numpy; anything else is read again from the start by the row loop,
+    which handles quoted fields and reports every syntax and decode error.
+    """
+    try:
+        *columns, lines = _plain_columns(handle)
+        return ChartSeries.from_columns(*columns, region_label, lines=lines)
+    except _NotPlain:
+        handle.seek(0)
+    text = io.TextIOWrapper(handle, encoding="utf-8", newline="")
+    try:
+        return _parse_chart_rows(_csv_rows(text), region_label)
+    except UnicodeDecodeError:
+        raw = text.detach()
+        raw.seek(0)
+        raise _undecodable(raw.read()) from None
 
 
 def _decode_error(path: str | Path) -> ParseError:
@@ -287,7 +328,11 @@ def _decode_error(path: str | Path) -> ParseError:
     The text reader decodes in chunks and reports an offset into a chunk,
     so the file is read again as bytes to find the line.
     """
-    raw = Path(path).read_bytes()
+    return _undecodable(Path(path).read_bytes())
+
+
+def _undecodable(raw: bytes) -> ParseError:
+    """Name the line of the first byte sequence in ``raw`` that is not UTF-8."""
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -298,9 +343,226 @@ def _decode_error(path: str | Path) -> ParseError:
     return ParseError("input is not UTF-8")
 
 
-def parse_chart_csv_text(text: str, region_label: str = "") -> ChartSeries:
-    """Parse chart CSV content from a string (same contract as the file API)."""
-    return _parse_chart_rows(csv.reader(io.StringIO(text)), region_label)
+def _csv_rows(handle) -> Iterator[list[str]]:
+    """``csv.reader`` rows of ``handle``; a csv error becomes a ParseError.
+
+    The error names the physical line the reader had reached, for example
+    the line of a field longer than ``csv.field_size_limit()``.
+    """
+    reader = csv.reader(handle)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+
+
+class _NotPlain(Exception):
+    """The input is not plain; the row loop parses it instead."""
+
+
+# The byte path reads whole lines about this many bytes at a time, which
+# bounds its temporaries.
+_BLOCK_BYTES = 1 << 20
+_HEADER_LINE = (",".join(CHART_HEADER) + "\n").encode()
+# A plain count is 1-16 ASCII digits: below 2**63, so exact in int64.
+_MAX_DIGITS = 16
+_COMMA, _NEWLINE = ord(","), ord("\n")
+
+
+def _plain_columns(handle) -> tuple:
+    """(weeks, cities, artists, week, city, artist, counts, lines) columns.
+
+    The byte path. Input is plain when it starts with the exact header
+    line, holds no ``"``, carriage return or NUL byte, is UTF-8, and every
+    line after the header is blank or has exactly three commas, a count of
+    1-16 ASCII digits, an ISO date as its week and no field longer than
+    ``csv.field_size_limit()`` (a missing final newline is allowed). On
+    plain input ``csv.reader`` yields the bytes between the commas as the
+    fields and one row per physical line, so these columns and line numbers
+    are the ones the row loop would collect. Other input raises
+    :class:`_NotPlain`, after at most a partial read.
+    """
+    limit = csv.field_size_limit()
+    week_of_text: dict[str, int] = {}
+    labels: tuple[dict, dict, dict] = ({}, {}, {})
+    parts = []
+    lineno = 2
+    # A plain line is at most four fields, three commas and a newline.
+    blocks = _line_blocks(handle, longest=4 * limit + 4)
+    first = next(blocks, b"")
+    if not first.startswith(_HEADER_LINE):
+        raise _NotPlain
+    for block in itertools.chain([first[len(_HEADER_LINE):]], blocks):
+        if b'"' in block or b"\r" in block or b"\0" in block:
+            raise _NotPlain
+        lineno, part = _code_block(block, lineno, limit, week_of_text, labels)
+        parts.append(part)
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    return (*(tuple(d) for d in labels), *columns)
+
+
+def _line_blocks(handle, longest: int) -> Iterator[bytes]:
+    """The bytes of ``handle`` in blocks of whole lines, each ending in a newline.
+
+    A final line without a newline gets one; a line longer than ``longest``
+    bytes raises :class:`_NotPlain`.
+    """
+    rest = b""
+    while block := handle.read(_BLOCK_BYTES):
+        block = rest + block
+        cut = block.rfind(b"\n") + 1
+        rest = block[cut:]
+        if len(rest) > longest:
+            raise _NotPlain
+        if cut:
+            yield block[:cut]
+    if rest:
+        yield rest + b"\n"
+
+
+def _code_block(block: bytes, lineno: int, limit: int, week_of_text: dict,
+                labels: tuple[dict, dict, dict]) -> tuple[int, tuple]:
+    """Code one block of whole lines, starting at line ``lineno``.
+
+    Returns the next block's first line number and this block's (week,
+    city, artist, count, line) columns. ``week_of_text`` and ``labels``
+    (weeks by date, cities, artists) gain the block's new labels, each
+    coded in order of first appearance.
+    """
+    buf = np.frombuffer(block, dtype=np.uint8)
+    sep = np.flatnonzero((buf == _COMMA) | (buf == _NEWLINE))
+    newline = buf[sep] == _NEWLINE
+    next_line = lineno + int(np.count_nonzero(newline))
+    # A blank line is a newline right after another (the block's first byte
+    # follows the newline ending the previous block or the header).
+    blank = newline & (buf[sep - 1] == _NEWLINE)
+    has_blank = blank.any()
+    if has_blank:
+        lines_before = np.cumsum(newline)[~blank]
+        sep, newline = sep[~blank], newline[~blank]
+    if len(sep) % 4 or not (newline.reshape(-1, 4) == _ROW_SEPARATORS).all():
+        raise _NotPlain
+    if not len(sep):
+        return next_line, _EMPTY_PART
+    ends = sep.reshape(-1, 4)
+    if has_blank:
+        lines = lines_before[3::4] + (lineno - 1)
+    else:
+        lines = np.arange(lineno, lineno + len(ends))
+    # A row starts one byte after the previous row's newline for each line
+    # from that one to this (blank lines are one newline byte each).
+    starts = np.empty_like(ends)
+    starts[:, 0] = np.concatenate(([-1], ends[:-1, 3])) + np.diff(
+        lines, prepend=lineno - 1
+    )
+    starts[:, 1:] = ends[:, :3] + 1
+    widths = ends - starts
+    if widths.max() > limit:
+        raise _NotPlain
+    counts = _digits(buf, starts[:, 3], ends[:, 3], widths[:, 3])
+    codes = []
+    for column, store in enumerate(labels):
+        fields, inverse = _distinct(block, buf, starts[:, column],
+                                    widths[:, column])
+        try:
+            texts = [field.decode("utf-8") for field in fields]
+        except UnicodeDecodeError:
+            raise _NotPlain from None
+        if column == 0:
+            code = _week_codes(texts, week_of_text, store)
+        else:
+            code = [store.setdefault(text, len(store)) for text in texts]
+        codes.append(np.array(code, dtype=np.int32)[inverse])
+    return next_line, (*codes, counts, lines)
+
+
+# Each row's separators: three commas, then a newline.
+_ROW_SEPARATORS = np.array([False, False, False, True])
+_EMPTY_PART = (*(np.empty(0, np.int32) for _ in range(3)),
+               np.empty(0, np.int64), np.empty(0, np.int64))
+
+
+def _digits(buf, starts, ends, widths) -> np.ndarray:
+    """Each count field's value, by Horner's rule over its digit bytes.
+
+    Raises :class:`_NotPlain` when some field is empty, longer than
+    ``_MAX_DIGITS`` or holds a byte other than an ASCII digit.
+    """
+    width = int(widths.max())
+    if widths.min() < 1 or width > _MAX_DIGITS:
+        raise _NotPlain
+    counts = np.zeros(len(ends), dtype=np.int64)
+    # Step k reads the k-th byte of a window of ``width`` bytes ending at
+    # each field's end; bytes before the field read as a leading zero.
+    for k in range(-width, 0):
+        pos = ends + k
+        digit = buf[np.maximum(pos, 0)] - ord("0")
+        digit[pos < starts] = 0
+        if digit.max() > 9:
+            raise _NotPlain
+        counts *= 10
+        counts += digit
+    return counts
+
+
+def _distinct(block: bytes, buf, starts, widths) -> tuple[list, np.ndarray]:
+    """The distinct byte strings among the fields at ``starts`` (of
+    ``widths`` bytes) in the block and, per field, its position among them.
+
+    Each field becomes a fixed-width key padded with NUL bytes, which no
+    plain field holds, so equal keys mean equal fields: one uint64 for
+    fields of at most 8 bytes, an ``S{width}`` string otherwise. Runs of
+    equal keys (a week, a city within a week) are collapsed before the
+    sort. When the widest field would make the keys much larger than the
+    block, the keys are Python bytes instead.
+    """
+    width = int(widths.max())
+    if width <= 8:
+        keys = _windows(buf, "<u8")[starts] & _LOW_BYTES[widths]
+    elif width * len(starts) <= 4 * len(buf):
+        keys = _windows(buf, f"S{width}")[starts]
+        if widths.min() < width:
+            padding = np.arange(width) >= widths[:, None]
+            keys.view(np.uint8).reshape(-1, width)[padding] = 0
+    else:
+        keys = np.array([block[s:s + w] for s, w in zip(starts.tolist(),
+                                                        widths.tolist())],
+                        dtype=object)
+    head = np.empty(len(keys), dtype=bool)
+    head[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    distinct, inverse = np.unique(keys[head], return_inverse=True)
+    if width <= 8:
+        distinct = distinct.view("S8")
+    return distinct.tolist(), inverse[np.cumsum(head) - 1]
+
+
+# Mask keeping the first w bytes of a little-endian uint64, for w = 0..8.
+_LOW_BYTES = np.array([(1 << 8 * w) - 1 for w in range(9)], dtype="<u8")
+
+
+def _windows(buf: np.ndarray, dtype: str) -> np.ndarray:
+    """Item i is the ``dtype``-sized window of ``buf`` starting at byte i;
+    windows reaching past the end read NUL bytes."""
+    size = np.dtype(dtype).itemsize
+    padded = np.concatenate((buf, np.zeros(size, dtype=np.uint8)))
+    return np.ndarray((len(buf),), dtype=dtype, buffer=padded, strides=(1,))
+
+
+def _week_codes(texts: list[str], week_of_text: dict[str, int],
+                weeks: dict[date, int]) -> list[int]:
+    """Week codes of distinct week texts, keyed by date as the loop keys them."""
+    codes = []
+    for text in texts:
+        code = week_of_text.get(text)
+        if code is None:
+            try:
+                day = date.fromisoformat(text)
+            except ValueError:
+                raise _NotPlain from None
+            code = week_of_text[text] = weeks.setdefault(day, len(weeks))
+        codes.append(code)
+    return codes
 
 
 def _parse_chart_rows(reader, region_label: str = "") -> ChartSeries:
@@ -356,7 +618,7 @@ def _parse_chart_rows(reader, region_label: str = "") -> ChartSeries:
             a_col.append(artists.setdefault(artist, len(artists)))
             counts.append(int(raw_count))
             lines.append(lineno)
-    except (ParseError, csv.Error, UnicodeDecodeError) as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         error = exc
     series = ChartSeries.from_columns(
         tuple(weeks), tuple(cities), tuple(artists), w_col, c_col, a_col,
@@ -425,7 +687,7 @@ def load_tags(path: str | Path) -> dict[str, set[str]]:
     """Read a tag CSV (header ``artist,tag``) into tag -> artist set."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         try:
-            return _parse_tag_rows(csv.reader(handle))
+            return _parse_tag_rows(_csv_rows(handle))
         except UnicodeDecodeError:
             raise _decode_error(path) from None
 

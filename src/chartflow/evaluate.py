@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chart_store import _decode_error
+from .chart_store import _csv_rows, _decode_error
 from .design import (
     ALL_HISTORY,
     OWN_HISTORY,
@@ -363,7 +363,7 @@ def read_labels_csv(path: str | Path) -> dict[str, str]:
     """Read a ``city,role`` CSV; roles must be leader or follower."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         try:
-            return _parse_label_rows(csv.reader(handle))
+            return _parse_label_rows(_csv_rows(handle))
         except UnicodeDecodeError:
             raise _decode_error(path) from None
 

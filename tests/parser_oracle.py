@@ -21,7 +21,18 @@ _COUNT = re.compile(r"-?[0-9]+")
 
 
 def oracle_parse(reader):
-    """(sha256 of the canonical CSV, weeks, cities, artists) of a corpus."""
+    """(sha256 of the canonical CSV, weeks, cities, artists) of a corpus.
+
+    A csv error (a field longer than ``csv.field_size_limit()``) is a
+    ParseError naming the physical line the reader had reached.
+    """
+    try:
+        return _oracle_parse(reader)
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+
+
+def _oracle_parse(reader):
     header = next(reader, None)
     if header is None or tuple(header) != CHART_HEADER:
         raise ParseError(

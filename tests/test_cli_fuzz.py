@@ -131,3 +131,27 @@ def test_main_survives_mutated_inputs(workdir, mutated):
                             parse_constant=_reject_constant)
         cities = [row["city"] for row in report["rows"]]
         assert len(cities) == len(set(cities))
+
+
+@pytest.mark.parametrize("name", ["corpus.csv", "tags.csv", "labels.csv"])
+def test_oversized_field_exits_2(workdir, tmp_path, name):
+    """A field past ``csv.field_size_limit()`` is a parse error, not a crash."""
+    files = {"corpus.csv": (workdir / "corpus.csv").read_bytes(), **BASE_FILES}
+    files[name] += b"x" * 200_000 + b",leader,1,2\n"
+    for file_name, data in files.items():
+        (tmp_path / file_name).write_bytes(data)
+    argv = [
+        "evaluate",
+        "--config", tmp_path / "config.cfg",
+        "--corpus-path", tmp_path / "corpus.csv",
+        "--tags-path", tmp_path / "tags.csv",
+        "--labels-path", tmp_path / "labels.csv",
+        "--output-dir", tmp_path / "out",
+    ]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        code = main([str(a) for a in argv])
+    lines = files[name].count(b"\n")
+    assert code == 2
+    assert f"line {lines}: field larger than field limit" in stderr.getvalue()
