@@ -40,7 +40,7 @@ spec = PlantSpec(
     seed=11,
 )
 series = generate_planted(spec)
-print(f"generated {len(series.records)} records, digest {fingerprint(series)[:16]}…")
+print(f"generated {len(series)} records, digest {fingerprint(series)[:16]}…")
 
 # The CSV round trip is lossless; the digest is order-independent.
 with tempfile.TemporaryDirectory() as tmp:

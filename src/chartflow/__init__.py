@@ -12,11 +12,9 @@ from .chart_store import (
     ChartRecord,
     ChartSeries,
     build_artist_index,
-    chart_csv_text,
     filter_by_tag,
     load_tags,
     parse_chart_csv,
-    parse_chart_csv_text,
     write_chart_csv,
 )
 from .design import (
@@ -25,7 +23,6 @@ from .design import (
     ColMeta,
     LabeledDesign,
     LagConfig,
-    RowMeta,
     SplitDesign,
     build_design,
     default_boundary,
@@ -47,9 +44,8 @@ from .evaluate import (
     rmse,
 )
 from .preprocess import (
-    ListenersMatrix,
-    NormalizedMatrix,
     VelocitySeries,
+    WeekMatrix,
     build_velocities,
     compute_velocities,
     normalize_rows,
@@ -74,19 +70,16 @@ __all__ = [
     "Influence",
     "LabeledDesign",
     "LagConfig",
-    "ListenersMatrix",
-    "NormalizedMatrix",
     "PlantSpec",
     "RegionReport",
-    "RowMeta",
     "SplitDesign",
     "VelocitySeries",
+    "WeekMatrix",
     "baseline_rmse",
     "build_artist_index",
     "build_design",
     "build_report",
     "build_velocities",
-    "chart_csv_text",
     "compute_velocities",
     "default_boundary",
     "evaluate_city",
@@ -99,7 +92,6 @@ __all__ = [
     "load_tags",
     "normalize_rows",
     "parse_chart_csv",
-    "parse_chart_csv_text",
     "percent_of_baseline",
     "predict",
     "read_labels_csv",

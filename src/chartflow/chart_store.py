@@ -7,9 +7,9 @@ allowed and handled downstream.
 
 The corpus is stored as integer-coded columns: one code per row into each of
 the sorted label tuples ``weeks``, ``cities`` and ``artists``, plus the
-listener counts. Every way of building a corpus (parsing, records, tag
-filtering, the synthetic generator) goes through the one validating
-constructor :meth:`ChartSeries.from_columns`.
+listener counts. Every way of building a corpus (parsing, tag filtering,
+the synthetic generator) goes through the one validating constructor
+:meth:`ChartSeries.from_columns`.
 
 Parsing reads the file's bytes. Plain input (the exact header, no quote,
 carriage return or NUL byte, lines of three commas and a count of 1-16
@@ -70,7 +70,7 @@ class ChartSeries:
     artists[artist_idx[i]], listeners[i])``. Rows are sorted by (week, city,
     artist); the label tuples are sorted and hold only labels some row uses.
     The code columns are int32 and ``listeners`` is int64. Build corpora with
-    :meth:`from_columns` or :meth:`from_records`, which validate.
+    :meth:`from_columns`, which validates.
     """
 
     weeks: tuple[date, ...]
@@ -95,15 +95,13 @@ class ChartSeries:
         region_label: str = "",
         *,
         lines=None,
-        allow_zero: bool = True,
     ) -> "ChartSeries":
         """Validate coded rows in any order and store them canonically.
 
         The label sequences must be distinct; the codes index into them.
         ``lines`` gives each row's line number for error messages. Zero
         counts are dropped after validation (they still count as keys for
-        the duplicate check) unless ``allow_zero`` is false, which rejects
-        them. See :func:`_validate` for the checks.
+        the duplicate check). See :func:`_validate` for the checks.
         """
         for labels in (weeks, cities, artists):
             if len(set(labels)) != len(labels):
@@ -118,33 +116,13 @@ class ChartSeries:
         if not len(w) == len(c) == len(a) == len(counts):
             raise ValueError("columns must have equal lengths")
         order = np.lexsort((a, c, w))
-        _validate(weeks, cities, artists, w, c, a, counts, order, lines,
-                  allow_zero)
+        _validate(weeks, cities, artists, w, c, a, counts, order, lines)
         counts = counts.astype(np.int64)
         keep = order[counts[order] != 0]
         weeks, w = _drop_unused(weeks, w[keep])
         cities, c = _drop_unused(cities, c[keep])
         artists, a = _drop_unused(artists, a[keep])
         return cls(weeks, cities, artists, w, c, a, counts[keep], region_label)
-
-    @classmethod
-    def from_records(
-        cls, records: Iterable[ChartRecord], region_label: str = ""
-    ) -> "ChartSeries":
-        """Build a corpus from records; every count must be positive."""
-        weeks: dict[date, int] = {}
-        cities: dict[str, int] = {}
-        artists: dict[str, int] = {}
-        columns: tuple[list, list, list, list] = ([], [], [], [])
-        for rec in records:
-            columns[0].append(weeks.setdefault(rec.week_start, len(weeks)))
-            columns[1].append(cities.setdefault(rec.city, len(cities)))
-            columns[2].append(artists.setdefault(rec.artist, len(artists)))
-            columns[3].append(rec.listeners)
-        return cls.from_columns(
-            tuple(weeks), tuple(cities), tuple(artists), *columns,
-            region_label, allow_zero=False,
-        )
 
     @cached_property
     def records(self) -> tuple[ChartRecord, ...]:
@@ -209,20 +187,19 @@ def _drop_unused(labels: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
     return tuple(x for x, u in zip(labels, used) if u), renumber[codes]
 
 
-def _validate(weeks, cities, artists, w, c, a, counts, order, lines,
-              allow_zero) -> None:
+def _validate(weeks, cities, artists, w, c, a, counts, order, lines) -> None:
     """Raise for the first invalid row, in input order.
 
-    A row is invalid when its count is negative (or zero, unless
-    ``allow_zero``), when it exceeds ``MAX_LISTENERS``, when its week falls
-    on another weekday than the first row's, or when an earlier row holds
-    the same (week, city, artist) key. The first invalid row raises the
-    first of those checks it fails, exactly as checking row by row would.
-    ``order`` sorts the rows by key, equal keys in input order.
+    A row is invalid when its count is negative or exceeds
+    ``MAX_LISTENERS``, when its week falls on another weekday than the
+    first row's, or when an earlier row holds the same (week, city, artist)
+    key. The first invalid row raises the first of those checks it fails,
+    exactly as checking row by row would. ``order`` sorts the rows by key,
+    equal keys in input order.
     """
     if len(counts) == 0:
         return
-    low = counts < (0 if allow_zero else 1)
+    low = counts < 0
     high = counts > MAX_LISTENERS
     weekday = np.array([d.toordinal() % 7 for d in weeks])[w]
     off_anchor = weekday != weekday[0]
@@ -239,9 +216,8 @@ def _validate(weeks, cities, artists, w, c, a, counts, order, lines,
     line = None if lines is None else int(lines[i])
     where = "" if line is not None else f" for {key}"
     if low[i]:
-        kind = "negative" if counts[i] < 0 else "non-positive"
         raise ChartValueError(
-            f"{kind} listener count {counts[i]}{where}", line=line
+            f"negative listener count {counts[i]}{where}", line=line
         )
     if high[i]:
         raise ChartValueError(
@@ -291,16 +267,6 @@ def parse_chart_csv(path: str | Path, region_label: str = "") -> ChartSeries:
         return _parse_chart_binary(handle, region_label)
 
 
-def parse_chart_csv_text(text: str, region_label: str = "") -> ChartSeries:
-    """Parse chart CSV content from a string, as a file of its UTF-8 bytes.
-
-    A lone surrogate is encoded as is, so it reads as bytes that are not
-    UTF-8.
-    """
-    data = text.encode("utf-8", "surrogatepass")
-    return _parse_chart_binary(io.BytesIO(data), region_label)
-
-
 def _parse_chart_binary(handle, region_label: str) -> ChartSeries:
     """Parse the chart CSV in a seekable binary ``handle``.
 
@@ -319,28 +285,51 @@ def _parse_chart_binary(handle, region_label: str) -> ChartSeries:
     except UnicodeDecodeError:
         raw = text.detach()
         raw.seek(0)
-        raise _undecodable(raw.read()) from None
+        _utf8(raw.read())  # raises, naming the line of the bad byte
+        raise
 
 
-def _decode_error(path: str | Path) -> ParseError:
-    """Name the line of the first byte sequence in ``path`` that is not UTF-8.
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of the file at ``path``, newlines untranslated.
 
-    The text reader decodes in chunks and reports an offset into a chunk,
-    so the file is read again as bytes to find the line.
+    Bytes that are not UTF-8 raise a ParseError naming their line.
     """
-    return _undecodable(Path(path).read_bytes())
+    return _utf8(Path(path).read_bytes())
 
 
-def _undecodable(raw: bytes) -> ParseError:
-    """Name the line of the first byte sequence in ``raw`` that is not UTF-8."""
+def read_csv_pairs(
+    path: str | Path, header: tuple[str, str]
+) -> Iterator[tuple[int, str, str]]:
+    """``(row number, first, second)`` per row of a two-column CSV file.
+
+    The file must start with ``header`` (row 1). Lines end as in a file
+    opened with ``newline=""``. Blank rows are skipped; a row of another
+    width raises a ParseError.
+    """
+    rows = _csv_rows(io.StringIO(read_text(path), newline=""))
+    found = next(rows, None)
+    if found is None or tuple(found) != header:
+        raise ParseError(
+            f"expected header {','.join(header)!r}, got {found!r}", line=1
+        )
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ParseError(f"expected 2 fields, got {len(row)}", line=lineno)
+        yield lineno, row[0], row[1]
+
+
+def _utf8(raw: bytes) -> str:
+    """``raw`` as UTF-8 text; the first byte sequence that is not UTF-8
+    raises a ParseError naming its line."""
     try:
-        raw.decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        return ParseError(
+        raise ParseError(
             f"byte 0x{raw[exc.start]:02x} is not UTF-8",
             line=raw.count(b"\n", 0, exc.start) + 1,
-        )
-    return ParseError("input is not UTF-8")
+        ) from None
 
 
 def _csv_rows(handle) -> Iterator[list[str]]:
@@ -663,11 +652,6 @@ def chart_csv_chunks(series: ChartSeries) -> Iterator[str]:
         )
 
 
-def chart_csv_text(series: ChartSeries) -> str:
-    """Canonical CSV serialization (sorted records, RFC 4180 quoting)."""
-    return "".join(chart_csv_chunks(series))
-
-
 def write_chart_csv(series: ChartSeries, path: str | Path) -> str:
     """Write the canonical CSV; returns the hex SHA-256 of the bytes written.
 
@@ -685,26 +669,8 @@ def write_chart_csv(series: ChartSeries, path: str | Path) -> str:
 
 def load_tags(path: str | Path) -> dict[str, set[str]]:
     """Read a tag CSV (header ``artist,tag``) into tag -> artist set."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        try:
-            return _parse_tag_rows(_csv_rows(handle))
-        except UnicodeDecodeError:
-            raise _decode_error(path) from None
-
-
-def _parse_tag_rows(reader) -> dict[str, set[str]]:
-    header = next(reader, None)
-    if header is None or tuple(header) != TAG_HEADER:
-        raise ParseError(
-            f"expected header {','.join(TAG_HEADER)!r}, got {header!r}", line=1
-        )
     tags: dict[str, set[str]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(f"expected 2 fields, got {len(row)}", line=lineno)
-        artist, tag = row
+    for _, artist, tag in read_csv_pairs(path, TAG_HEADER):
         tags.setdefault(tag, set()).add(artist)
     return tags
 

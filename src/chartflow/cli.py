@@ -28,11 +28,10 @@ from pathlib import Path
 
 from .chart_store import (
     ChartSeries,
-    _decode_error,
-    build_artist_index,
     filter_by_tag,
     load_tags,
     parse_chart_csv,
+    read_text,
     write_chart_csv,
 )
 from .design import (
@@ -52,15 +51,7 @@ from .evaluate import (
     report_json_text,
     report_table_text,
 )
-from .preprocess import (
-    VelocitySeries,
-    build_velocities,
-    compute_velocities,
-    normalize_rows,
-    restrict_artists,
-    to_listeners_matrices,
-    week_gaps,
-)
+from .preprocess import VelocitySeries, build_velocities, week_gaps
 from .synth import PlantSpec, fingerprint, generate_planted, sidecar_json_text
 
 ENV_PREFIX = "CHARTFLOW_"
@@ -119,12 +110,8 @@ class CliInputError(ChartFlowError):
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Parse a flat ``key = value`` config document."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise _decode_error(path) from None
     values: dict[str, str] = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(read_text(path).splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -205,23 +192,15 @@ def _tagged_artists(config: RunConfig) -> set[str] | None:
 
 def _velocities_for(config: RunConfig, series: ChartSeries) -> VelocitySeries:
     tagged = _tagged_artists(config)
-    if tagged is None:
-        return build_velocities(series)
-    if tagged.isdisjoint(series.artists):
+    if tagged is not None and tagged.isdisjoint(series.artists):
         raise CliInputError(f"tag {config.tag!r} names no artist in the corpus")
-    if config.filter_stage == "pre":
+    if tagged is not None and config.filter_stage == "pre":
         return build_velocities(filter_by_tag(series, tagged))
-    index = build_artist_index(series)
-    normalized = [
-        normalize_rows(m) for m in to_listeners_matrices(series, index)
-    ]
-    sliced, kept = restrict_artists(normalized, index, tagged)
-    return compute_velocities(sliced, series.cities, kept)
+    return build_velocities(series, tagged)
 
 
 def cmd_validate(config: RunConfig) -> int:
     series = _load_corpus(config)
-    index = build_artist_index(series)
     print(f"region: {series.region_label}")
     print(f"records: {len(series)}")
     if series.weeks:
@@ -229,7 +208,7 @@ def cmd_validate(config: RunConfig) -> int:
     else:
         print("weeks: 0")
     print(f"cities: {len(series.cities)}")
-    print(f"artists: {index.size}")
+    print(f"artists: {len(series.artists)}")
     gaps = week_gaps(series.weeks)
     print(f"gaps: {len(gaps)}")
     for before, after, days in gaps:

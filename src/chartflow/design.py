@@ -50,11 +50,6 @@ class ColMeta(NamedTuple):
     lag: int
 
 
-class RowMeta(NamedTuple):
-    artist: str
-    week: date
-
-
 @dataclass(frozen=True)
 class LagConfig:
     """How many past weeks feed the predictor, and whose history counts."""
@@ -108,14 +103,6 @@ class LabeledDesign:
     @property
     def n_rows(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def row_meta(self) -> tuple[RowMeta, ...]:
-        """(artist, week) label of every row, built on each access."""
-        return tuple(
-            RowMeta(self.artists[a], self.weeks[w])
-            for w, a in zip(self.week_idx.tolist(), self.artist_idx.tolist())
-        )
 
 
 @dataclass(frozen=True)

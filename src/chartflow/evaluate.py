@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chart_store import _csv_rows, _decode_error
+from .chart_store import read_csv_pairs
 from .design import (
     ALL_HISTORY,
     OWN_HISTORY,
@@ -361,27 +361,8 @@ def report_json_text(report: RegionReport, metadata: Mapping[str, object]) -> st
 
 def read_labels_csv(path: str | Path) -> dict[str, str]:
     """Read a ``city,role`` CSV; roles must be leader or follower."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        try:
-            return _parse_label_rows(_csv_rows(handle))
-        except UnicodeDecodeError:
-            raise _decode_error(path) from None
-
-
-def _parse_label_rows(reader) -> dict[str, str]:
-    header = next(reader, None)
-    if header is None or tuple(header) != LABEL_HEADER:
-        raise ParseError(
-            f"expected header {','.join(LABEL_HEADER)!r}, got {header!r}",
-            line=1,
-        )
     labels: dict[str, str] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(f"expected 2 fields, got {len(row)}", line=lineno)
-        city, role = row
+    for lineno, city, role in read_csv_pairs(path, LABEL_HEADER):
         if role not in LABEL_ROLES:
             raise ParseError(f"unknown role {role!r}", line=lineno)
         labels[city] = role

@@ -59,16 +59,8 @@ class CsrMatrix:
 
 
 @dataclass(frozen=True)
-class ListenersMatrix:
-    """Raw listener counts for one week (rows: cities, columns: artists)."""
-
-    week_start: date
-    entries: CsrMatrix
-
-
-@dataclass(frozen=True)
-class NormalizedMatrix:
-    """One week's counts with every non-empty city row scaled to unit norm."""
+class WeekMatrix:
+    """One week's city x artist matrix: listener counts, or unit rows."""
 
     week_start: date
     entries: CsrMatrix
@@ -103,7 +95,7 @@ class VelocitySeries:
 
 def to_listeners_matrices(
     series: ChartSeries, index: ArtistIndex
-) -> list[ListenersMatrix]:
+) -> list[WeekMatrix]:
     """One sparse counts matrix per distinct week of the corpus.
 
     ``index`` must list the corpus's artists in their sorted order, as
@@ -116,7 +108,7 @@ def to_listeners_matrices(
     cols = column[series.artist_idx]
     data = series.listeners.astype(np.float64)
     city_start = np.arange(shape[0] + 1)
-    matrices: list[ListenersMatrix] = []
+    matrices: list[WeekMatrix] = []
     for week, rows in series.week_slices():
         # A week's rows are sorted by city, then artist.
         indptr = np.searchsorted(series.city_idx[rows], city_start)
@@ -129,11 +121,11 @@ def to_listeners_matrices(
                 stacklevel=2,
             )
         mat = CsrMatrix(indptr, cols[rows], data[rows], shape)
-        matrices.append(ListenersMatrix(week, mat))
+        matrices.append(WeekMatrix(week, mat))
     return matrices
 
 
-def normalize_rows(matrix: ListenersMatrix) -> NormalizedMatrix:
+def normalize_rows(matrix: WeekMatrix) -> WeekMatrix:
     """Scale every non-empty row to unit Euclidean norm.
 
     Each row's sum of squares is one ``np.add.reduceat`` segment, the
@@ -149,11 +141,11 @@ def normalize_rows(matrix: ListenersMatrix) -> NormalizedMatrix:
         )
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     data *= np.repeat(inv, np.diff(m.indptr))
-    return NormalizedMatrix(matrix.week_start, replace(m, data=data))
+    return WeekMatrix(matrix.week_start, replace(m, data=data))
 
 
 def compute_velocities(
-    normalized: Sequence[NormalizedMatrix],
+    normalized: Sequence[WeekMatrix],
     cities: Sequence[str],
     artists: Sequence[str],
 ) -> VelocitySeries:
@@ -224,21 +216,27 @@ def compute_velocities(
 
 
 def build_velocities(
-    series: ChartSeries, index: ArtistIndex | None = None
+    series: ChartSeries, artists: set[str] | None = None
 ) -> VelocitySeries:
-    """Convenience pipeline: corpus -> counts -> unit rows -> velocities."""
-    if index is None:
-        index = build_artist_index(series)
+    """The pipeline: corpus -> counts -> unit rows -> velocities.
+
+    ``artists``, when given, keeps only those artists' columns after the
+    rows are normalized (see :func:`restrict_artists`).
+    """
+    index = build_artist_index(series)
     listeners = to_listeners_matrices(series, index)
     normalized = [normalize_rows(m) for m in listeners]
-    return compute_velocities(normalized, series.cities, index.artists)
+    kept = index.artists
+    if artists is not None:
+        normalized, kept = restrict_artists(normalized, index, artists)
+    return compute_velocities(normalized, series.cities, kept)
 
 
 def restrict_artists(
-    normalized: Sequence[NormalizedMatrix],
+    normalized: Sequence[WeekMatrix],
     index: ArtistIndex,
     artist_subset: set[str],
-) -> tuple[list[NormalizedMatrix], tuple[str, ...]]:
+) -> tuple[list[WeekMatrix], tuple[str, ...]]:
     """Column-slice normalized matrices to an artist subset.
 
     Used for post-normalization genre filtering: row norms are taken over the
@@ -259,7 +257,7 @@ def restrict_artists(
         )
 
     return [
-        NormalizedMatrix(m.week_start, sliced(m.entries)) for m in normalized
+        WeekMatrix(m.week_start, sliced(m.entries)) for m in normalized
     ], kept_artists
 
 

@@ -19,7 +19,9 @@ so a spec generates the identical corpus on every run.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -27,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .chart_store import ChartSeries, _decode_error, chart_csv_chunks
+from .chart_store import ChartSeries, chart_csv_chunks, read_text
 from .errors import PlantSpecError
 
 ROLES = ("leader", "follower", "unlabeled")
@@ -116,6 +118,10 @@ class PlantSpec:
             raise PlantSpecError(f"walk_sigma must be > 0, got {self.walk_sigma}")
         if self.city_size <= 0:
             raise PlantSpecError(f"city_size must be > 0, got {self.city_size}")
+        for name in ("noise_sigma", "walk_sigma", "city_size"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise PlantSpecError(f"{name} must be finite, got {value}")
         _toposort(names, self.influence)  # raises on cycles
 
     def city_names(self) -> tuple[str, ...]:
@@ -195,15 +201,15 @@ class PlantSpec:
                 ),
                 seed=int(raw["seed"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise PlantSpecError(f"malformed spec: {exc}") from exc
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PlantSpec":
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except UnicodeDecodeError:
-            raise _decode_error(path) from None
+            # Newlines translate as in a text-mode read: a JSON error's
+            # line, column and offset count them.
+            raw = json.loads(io.StringIO(read_text(path), newline=None).read())
         except json.JSONDecodeError as exc:
             raise PlantSpecError(f"spec file is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):

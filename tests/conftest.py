@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from chartflow import (
-    ChartRecord,
     ChartSeries,
     Influence,
     PlantSpec,
@@ -24,13 +23,29 @@ def week(k: int) -> date:
     return W0 + timedelta(days=7 * k)
 
 
+def series_from_rows(rows, region_label=""):
+    """Build a ChartSeries from (week_start, city, artist, listeners) tuples.
+
+    Labels are coded in order of first appearance and the columns go to
+    ``ChartSeries.from_columns``, which sorts and validates them.
+    """
+    labels: tuple[dict, dict, dict] = ({}, {}, {})
+    columns: tuple[list, list, list, list] = ([], [], [], [])
+    for *keys, listeners in rows:
+        for label, key, column in zip(labels, keys, columns):
+            column.append(label.setdefault(key, len(label)))
+        columns[3].append(listeners)
+    return ChartSeries.from_columns(
+        *(tuple(label) for label in labels), *columns, region_label
+    )
+
+
 def make_series(rows, region_label="test"):
     """Build a ChartSeries from (week_offset, city, artist, listeners) tuples."""
-    records = [
-        ChartRecord(week(k), city, artist, listeners)
-        for k, city, artist, listeners in rows
-    ]
-    return ChartSeries.from_records(records, region_label)
+    return series_from_rows(
+        [(week(k), city, artist, n) for k, city, artist, n in rows],
+        region_label,
+    )
 
 
 def row_norms(matrix) -> np.ndarray:

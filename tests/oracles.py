@@ -21,11 +21,7 @@ from scipy import sparse
 from chartflow.chart_store import ArtistIndex, ChartSeries
 from chartflow.design import ACTIVE_TARGET, LabeledDesign, LagConfig
 from chartflow.errors import ChartFlowError, DimensionError, SingularMatrixError
-from chartflow.preprocess import (
-    ListenersMatrix,
-    NormalizedMatrix,
-    VelocitySeries,
-)
+from chartflow.preprocess import VelocitySeries, WeekMatrix
 from chartflow.solver import Coefficients, _training_rmse, _validated
 
 
@@ -201,7 +197,7 @@ def build_design_by_columns(
 
 def oracle_listeners_matrices(
     series: ChartSeries, index: ArtistIndex
-) -> list[ListenersMatrix]:
+) -> list[WeekMatrix]:
     """One ``scipy.sparse`` CSR counts matrix per week, built from COO."""
     shape = (len(series.cities), index.size)
     column = np.array(
@@ -210,7 +206,7 @@ def oracle_listeners_matrices(
     cols = column[series.artist_idx]
     data = series.listeners.astype(np.float64)
     return [
-        ListenersMatrix(
+        WeekMatrix(
             week,
             sparse.csr_matrix(
                 (data[rows], (series.city_idx[rows], cols[rows])),
@@ -222,13 +218,13 @@ def oracle_listeners_matrices(
     ]
 
 
-def oracle_normalize_rows(matrix: ListenersMatrix) -> NormalizedMatrix:
+def oracle_normalize_rows(matrix: WeekMatrix) -> WeekMatrix:
     """Unit rows through ``scipy.sparse`` arithmetic."""
     m = matrix.entries.astype(np.float64).tocsr(copy=True)
     norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     m.data *= np.repeat(inv, np.diff(m.indptr))
-    return NormalizedMatrix(matrix.week_start, m)
+    return WeekMatrix(matrix.week_start, m)
 
 
 def oracle_compute_velocities(normalized, cities, artists) -> VelocitySeries:
@@ -270,7 +266,7 @@ def oracle_restrict_artists(normalized, index: ArtistIndex, artist_subset):
     """Column-slice ``scipy.sparse`` unit rows to an artist subset."""
     keep = [i for i, a in enumerate(index.artists) if a in artist_subset]
     sliced = [
-        NormalizedMatrix(m.week_start, m.entries[:, keep].tocsr())
+        WeekMatrix(m.week_start, m.entries[:, keep].tocsr())
         for m in normalized
     ]
     return sliced, tuple(index.artists[i] for i in keep)

@@ -13,6 +13,7 @@ import hashlib
 import io
 import re
 from datetime import date
+from pathlib import Path
 
 from chartflow.chart_store import CHART_HEADER, MAX_LISTENERS, ChartRecord
 from chartflow.errors import ChartValueError, DuplicateKeyError, ParseError
@@ -30,6 +31,27 @@ def oracle_parse(reader):
         return _oracle_parse(reader)
     except csv.Error as exc:
         raise ParseError(str(exc), line=reader.line_num) from None
+
+
+def oracle_parse_file(path):
+    """``oracle_parse`` of the file at ``path``, read as text (``newline=""``).
+
+    Bytes that are not UTF-8, once the reader reaches them, are a ParseError
+    naming the line of the first one.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        try:
+            return oracle_parse(csv.reader(handle))
+        except UnicodeDecodeError:
+            raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"byte 0x{raw[exc.start]:02x} is not UTF-8",
+            line=raw.count(b"\n", 0, exc.start) + 1,
+        ) from None
+    raise AssertionError("the text reader failed on UTF-8 input")
 
 
 def _oracle_parse(reader):

@@ -19,11 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chartflow import chart_store, parse_chart_csv
-from chartflow.chart_store import CHART_HEADER, MAX_LISTENERS, _decode_error
+from chartflow.chart_store import CHART_HEADER, MAX_LISTENERS
 from chartflow.errors import ChartValueError, DuplicateKeyError, ParseError
 from chartflow.synth import fingerprint
 
-from parser_oracle import oracle_parse
+from parser_oracle import oracle_parse_file
 
 HEADER = (",".join(CHART_HEADER) + "\n").encode()
 
@@ -40,14 +40,6 @@ def _columnar(path):
     return fingerprint(series), series.weeks, series.cities, series.artists
 
 
-def _oracle(path):
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        try:
-            return oracle_parse(csv.reader(handle))
-        except UnicodeDecodeError:
-            raise _decode_error(path) from None
-
-
 def _check(path, data: bytes, plain: bool, block_bytes: int | None = None):
     """Parse ``data`` both ways; return the outcome after checking the path."""
     path.write_bytes(data)
@@ -58,7 +50,7 @@ def _check(path, data: bytes, plain: bool, block_bytes: int | None = None):
     with spy as loop, blocks:
         outcome = _outcome(_columnar, path)
     assert loop.called != plain
-    assert outcome == _outcome(_oracle, path)
+    assert outcome == _outcome(oracle_parse_file, path)
     return outcome
 
 
@@ -206,4 +198,4 @@ def test_pipe(tmp_path, name):
         os.close(read)
     path = tmp_path / "corpus.csv"
     path.write_bytes(data)
-    assert outcome == _outcome(_oracle, path)
+    assert outcome == _outcome(oracle_parse_file, path)

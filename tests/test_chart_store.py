@@ -1,6 +1,8 @@
 """Corpus ingestion: parsing, indexing, filtering, round trips."""
 
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,28 +10,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chartflow import (
-    ChartRecord,
     ChartSeries,
     build_artist_index,
-    chart_csv_text,
     filter_by_tag,
     load_tags,
     parse_chart_csv,
-    parse_chart_csv_text,
     write_chart_csv,
 )
-from chartflow.chart_store import MAX_LISTENERS
+from chartflow.chart_store import MAX_LISTENERS, chart_csv_chunks
 from chartflow.errors import (
-    ChartFlowError,
     ChartValueError,
     DuplicateKeyError,
     IndexingError,
     ParseError,
 )
 
-from conftest import make_series, week
+from conftest import make_series, series_from_rows, week
 
 HEADER = "week_start,city,artist,listeners\n"
+
+
+def parse_text(text, region_label=""):
+    """``parse_chart_csv`` of a file holding the UTF-8 bytes of ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return parse_chart_csv(path, region_label)
+
+
+def csv_text(series):
+    """The canonical CSV of ``series``, as one string."""
+    return "".join(chart_csv_chunks(series))
 
 
 class TestParse:
@@ -38,13 +49,13 @@ class TestParse:
             "2007-01-07,montreal,arcade fire,320\n"
             "2007-01-07,toronto,arcade fire,210\n"
         )
-        series = parse_chart_csv_text(text)
+        series = parse_text(text)
         assert len(series.records) == 2
         assert series.weeks == (date(2007, 1, 7),)
         assert series.cities == ("montreal", "toronto")
 
     def test_header_only(self):
-        series = parse_chart_csv_text(HEADER)
+        series = parse_text(HEADER)
         assert series.records == ()
         assert series.weeks == ()
         assert series.cities == ()
@@ -52,15 +63,15 @@ class TestParse:
     def test_negative_listeners(self):
         text = HEADER + "2007-01-07,montreal,x,-3\n"
         with pytest.raises(ChartValueError) as err:
-            parse_chart_csv_text(text)
+            parse_text(text)
         assert err.value.line == 2
 
     def test_listener_bound(self):
         at_bound = HEADER + f"2007-01-07,montreal,x,{MAX_LISTENERS}\n"
-        assert parse_chart_csv_text(at_bound).records[0].listeners == 2**53
+        assert parse_text(at_bound).records[0].listeners == 2**53
         text = HEADER + f"2007-01-07,montreal,x,{MAX_LISTENERS + 1}\n"
         with pytest.raises(ChartValueError) as err:
-            parse_chart_csv_text(text)
+            parse_text(text)
         assert err.value.line == 2
 
     def test_non_utf8_byte_names_line(self, tmp_path):
@@ -76,7 +87,7 @@ class TestParse:
         text = HEADER + (
             "2007-01-07,montreal,x,0\n2007-01-07,montreal,y,5\n"
         )
-        series = parse_chart_csv_text(text)
+        series = parse_text(text)
         assert [r.artist for r in series.records] == ["y"]
 
     def test_duplicate_key(self):
@@ -84,12 +95,12 @@ class TestParse:
             "2007-01-07,montreal,x,1\n2007-01-07,montreal,x,2\n"
         )
         with pytest.raises(DuplicateKeyError) as err:
-            parse_chart_csv_text(text)
+            parse_text(text)
         assert err.value.line == 3
 
     def test_bad_date(self):
         with pytest.raises(ParseError) as err:
-            parse_chart_csv_text(HEADER + "not-a-date,a,b,1\n")
+            parse_text(HEADER + "not-a-date,a,b,1\n")
         assert err.value.line == 2
 
     def test_bad_count(self):
@@ -98,20 +109,20 @@ class TestParse:
                     "1.0", "", "-", "0x10"):
             text = HEADER + "2007-01-07,a,a,1\n" + f'2007-01-07,a,b,"{raw}"\n'
             with pytest.raises(ParseError, match="bad listener count") as err:
-                parse_chart_csv_text(text)
+                parse_text(text)
             assert err.value.line == 3, raw
         with pytest.raises(ChartValueError, match="negative") as err:
-            parse_chart_csv_text(HEADER + "2007-01-07,a,b,-5\n")
+            parse_text(HEADER + "2007-01-07,a,b,-5\n")
         assert err.value.line == 2
 
     def test_wrong_field_count(self):
         with pytest.raises(ParseError) as err:
-            parse_chart_csv_text(HEADER + "2007-01-07,a,b\n")
+            parse_text(HEADER + "2007-01-07,a,b\n")
         assert err.value.line == 2
 
     def test_bad_header(self):
         with pytest.raises(ParseError) as err:
-            parse_chart_csv_text("week,city,artist,count\n")
+            parse_text("week,city,artist,count\n")
         assert err.value.line == 1
 
     def test_weekday_anchor(self):
@@ -120,7 +131,7 @@ class TestParse:
             "2007-01-07,a,x,1\n2007-01-08,a,y,1\n"
         )
         with pytest.raises(ParseError) as err:
-            parse_chart_csv_text(text)
+            parse_text(text)
         assert err.value.line == 3
 
     def test_file_roundtrip(self, tmp_path):
@@ -138,20 +149,20 @@ class TestParse:
             "2007-01-07,a,x,1\n2007-01-07,a,x,2\n2007-01-07,a,y,lots\n"
         )
         with pytest.raises(DuplicateKeyError) as err:
-            parse_chart_csv_text(text)
+            parse_text(text)
         assert err.value.line == 3
 
     def test_weeks_keyed_by_date(self):
         # Both spellings are ISO 8601 for the same day: one week, one key.
         text = HEADER + "2007-01-07,a,x,1\n20070107,a,y,2\n"
-        series = parse_chart_csv_text(text)
+        series = parse_text(text)
         assert series.weeks == (date(2007, 1, 7),)
         with pytest.raises(DuplicateKeyError):
-            parse_chart_csv_text(HEADER + "2007-01-07,a,x,1\n20070107,a,x,2\n")
+            parse_text(HEADER + "2007-01-07,a,x,1\n20070107,a,x,2\n")
 
     def test_zero_row_labels_dropped(self):
         text = HEADER + "2007-01-14,b,x,0\n2007-01-07,a,y,5\n"
-        series = parse_chart_csv_text(text)
+        series = parse_text(text)
         assert series.weeks == (date(2007, 1, 7),)
         assert series.cities == ("a",) and series.artists == ("y",)
 
@@ -183,6 +194,18 @@ class TestFromColumns:
                 [0, 0, 0], [0, 0, 0], [0, 0, 1], [1, 2, -1], lines=[5, 6, 7],
             )
         assert err.value.line == 6
+
+    def test_rejects_above_bound(self):
+        with pytest.raises(ChartValueError):
+            ChartSeries.from_columns(
+                (week(0),), ("c",), ("a",), [0], [0], [0], [MAX_LISTENERS + 1]
+            )
+
+    def test_rejects_duplicates(self):
+        with pytest.raises(DuplicateKeyError):
+            ChartSeries.from_columns(
+                (week(0),), ("c",), ("a",), [0, 0], [0, 0], [0, 0], [1, 2]
+            )
 
     def test_rejects_repeated_labels(self):
         with pytest.raises(ValueError):
@@ -245,25 +268,6 @@ class TestFilterByTag:
         assert out.weeks == (week(0),) and out.cities == ("c",)
 
 
-class TestFromRecords:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ChartFlowError):
-            ChartSeries.from_records([ChartRecord(week(0), "c", "a", 0)])
-
-    def test_rejects_above_bound(self):
-        record = ChartRecord(week(0), "c", "a", MAX_LISTENERS + 1)
-        with pytest.raises(ChartValueError):
-            ChartSeries.from_records([record])
-
-    def test_rejects_duplicates(self):
-        records = [
-            ChartRecord(week(0), "c", "a", 1),
-            ChartRecord(week(0), "c", "a", 2),
-        ]
-        with pytest.raises(DuplicateKeyError):
-            ChartSeries.from_records(records)
-
-
 def test_load_tags(tmp_path):
     path = tmp_path / "tags.csv"
     path.write_text("artist,tag\nx,indie\ny,indie\nx,rock\n", encoding="utf-8")
@@ -304,17 +308,17 @@ def corpora(draw):
             max_size=n,
         )
     )
-    records = [
-        ChartRecord(week(k), city, artist, count)
+    rows = [
+        (week(k), city, artist, count)
         for (k, city, artist), count in entries.items()
     ]
-    return ChartSeries.from_records(records, "prop")
+    return series_from_rows(rows, "prop")
 
 
 @given(corpora())
 @settings(max_examples=60, deadline=None)
 def test_csv_roundtrip_property(series):
-    again = parse_chart_csv_text(chart_csv_text(series), region_label="prop")
+    again = parse_text(csv_text(series), region_label="prop")
     assert again == series
 
 

@@ -32,6 +32,14 @@ from conftest import SMALL_PLANT, make_series, week
 from oracles import build_design_by_columns
 
 
+def row_labels(design):
+    """The (artist, week) label of every design row."""
+    return [
+        (design.artists[a], design.weeks[w])
+        for w, a in zip(design.week_idx.tolist(), design.artist_idx.tolist())
+    ]
+
+
 def single_city_fixture():
     """10 consecutive weeks, 5 artists always charted, easy to enumerate."""
     counts = np.array(
@@ -72,8 +80,7 @@ class TestSingleCityFixture:
 
         assert design.x.shape == (5, 8)
         assert design.col_meta == tuple(ColMeta("m", lag) for lag in range(1, 9))
-        assert [m.artist for m in design.row_meta] == artists
-        assert all(m.week == week(9) for m in design.row_meta)
+        assert row_labels(design) == [(a, week(9)) for a in artists]
         assert design.y == pytest.approx(vel[8], abs=1e-15)
         for lag in range(1, 9):
             assert design.x[:, lag - 1] == pytest.approx(
@@ -106,7 +113,7 @@ class TestColumnCounts:
         assert alls.x.shape[1] == 160
         assert len(alls.col_meta) == 160
         assert own.x.shape[1] == 8
-        assert own.row_meta == alls.row_meta
+        assert row_labels(own) == row_labels(alls)
 
 
 class TestNestedColumns:
@@ -163,10 +170,10 @@ class TestEligibilityAndFill:
         config = LagConfig(8, ALL_HISTORY, ("m", "n"))
         target_rule = build_design(velocities, "m", config, active_rule="target")
         union_rule = build_design(velocities, "m", config, active_rule="union")
-        assert sorted({m.artist for m in target_rule.row_meta}) == ["x", "y"]
-        assert sorted({m.artist for m in union_rule.row_meta}) == ["x", "y", "z"]
+        assert sorted({a for a, _ in row_labels(target_rule)}) == ["x", "y"]
+        assert sorted({a for a, _ in row_labels(union_rule)}) == ["x", "y", "z"]
         # z never charts in m, so its response is exactly no-change.
-        z_rows = [i for i, m in enumerate(union_rule.row_meta) if m.artist == "z"]
+        z_rows = [i for i, (a, _) in enumerate(row_labels(union_rule)) if a == "z"]
         assert np.all(union_rule.y[z_rows] == 0.0)
 
     def test_no_leakage_lags_positive(self, small_velocities):
@@ -222,7 +229,7 @@ class TestDeterminismAndEquivariance:
         b = build_design(small_velocities, "echo", config)
         assert a.x.tobytes() == b.x.tobytes()
         assert a.y.tobytes() == b.y.tobytes()
-        assert a.row_meta == b.row_meta and a.col_meta == b.col_meta
+        assert row_labels(a) == row_labels(b) and a.col_meta == b.col_meta
 
     def test_city_permutation(self, small_velocities):
         cities = small_velocities.cities
@@ -287,10 +294,10 @@ class TestTemporalSplit:
         boundary = default_boundary(small_velocities.weeks)
         split = temporal_split(design, boundary)
         assert split.train.n_rows + split.test.n_rows == design.n_rows
-        assert all(m.week < boundary for m in split.train.row_meta)
-        assert all(m.week >= boundary for m in split.test.row_meta)
-        rejoined = split.train.row_meta + split.test.row_meta
-        assert rejoined == design.row_meta  # order preserved within parts
+        assert all(w < boundary for _, w in row_labels(split.train))
+        assert all(w >= boundary for _, w in row_labels(split.test))
+        rejoined = row_labels(split.train) + row_labels(split.test)
+        assert rejoined == row_labels(design)  # order preserved within parts
         assert split.train.col_meta == split.test.col_meta == design.col_meta
         stacked = np.vstack([split.train.x, split.test.x])
         assert np.array_equal(stacked, design.x)

@@ -84,6 +84,43 @@ DUMP_DESIGN_SHA256 = {
 }
 
 
+# The OLS reports of ``--tag indie`` by ``--filter-stage``, where ``indie``
+# tags every other artist of the small-plant corpus (a0000, a0002, ...).
+TAGGED_REPORT_CSV = {
+    "pre": (
+        "city,self_pct,all_pct,difference,role,status\n"
+        "echo,105.8,76.3,29.5,follower,ok\n"
+        "other,99.7,101.1,-1.4,unlabeled,ok\n"
+        "lead,102.8,102.9,-0.1,leader,ok\n"
+    ),
+    "post": (
+        "city,self_pct,all_pct,difference,role,status\n"
+        "echo,106.0,82.3,23.7,follower,ok\n"
+        "other,100.6,101.1,-0.5,unlabeled,ok\n"
+        "lead,100.2,101.2,-1.0,leader,ok\n"
+    ),
+}
+
+TAGGED_REPORT_PERCENTS = {
+    "pre": {
+        "echo": (105.76884489480149, 76.27656180219297, 29.492283092608517),
+        "other": (99.70458611357492, 101.05846661309384, -1.3538804995189224),
+        "lead": (102.78203720172978, 102.88442064565459, -0.1023834439248077),
+        "avg_all": (102.75182273670207, 93.40648302031381, 9.345339716388262),
+        "avg_leaders": -0.1023834439248077,
+        "avg_followers": 29.492283092608517,
+    },
+    "post": {
+        "echo": (105.97848888140095, 82.27734126110387, 23.70114762029708),
+        "other": (100.5881851937814, 101.08657397414304, -0.4983887803616369),
+        "lead": (100.16090503713326, 101.18112387794709, -1.0202188408138255),
+        "avg_all": (102.24252637077187, 94.84834637106466, 7.394179999707205),
+        "avg_leaders": -1.0202188408138255,
+        "avg_followers": 23.70114762029708,
+    },
+}
+
+
 def test_small_plant_digest(small_series):
     assert fingerprint(small_series) == SMALL_PLANT_SHA256
 
@@ -124,18 +161,22 @@ def test_report_csv_bytes(evaluated):
     assert (out / "report.csv").read_bytes() == REPORT_CSV[solver].encode()
 
 
-def test_report_json_percents(evaluated):
-    solver, out = evaluated
+def _assert_percents(out, expected):
+    """``report.json`` in ``out`` holds the ``expected`` percents to 1e-9."""
     payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
     pct_keys = ("self_history_pct", "all_history_pct", "difference")
     got = {row["city"]: tuple(row[k] for k in pct_keys) for row in payload["rows"]}
     got["avg_all"] = tuple(payload["avg_all"][k] for k in pct_keys)
     got["avg_leaders"] = payload["avg_leaders"]
     got["avg_followers"] = payload["avg_followers"]
-    expected = REPORT_PERCENTS[solver]
     assert got.keys() == expected.keys()
     for key, value in expected.items():
         assert got[key] == pytest.approx(value, rel=0, abs=1e-9), key
+
+
+def test_report_json_percents(evaluated):
+    solver, out = evaluated
+    _assert_percents(out, REPORT_PERCENTS[solver])
 
 
 def test_report_json_fields(evaluated):
@@ -175,3 +216,37 @@ def test_dump_design_bytes(extra, small_inputs, tmp_path):
             "--city", "echo", "--out", str(out), *extra]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_DESIGN_SHA256[extra]
+
+
+@pytest.fixture(scope="module", params=["pre", "post"])
+def tagged(request, small_inputs, small_series):
+    stage = request.param
+    out = small_inputs / f"tagged-{stage}"
+    out.mkdir()
+    tags = out / "tags.csv"
+    indie = small_series.artists[::2]
+    tags.write_text(
+        "artist,tag\n" + "".join(f"{a},indie\n" for a in indie),
+        encoding="utf-8",
+    )
+    argv = [
+        "evaluate",
+        "--corpus-path", small_inputs / "corpus.csv",
+        "--labels-path", small_inputs / "labels.csv",
+        "--tags-path", tags,
+        "--tag", "indie",
+        "--filter-stage", stage,
+        "--output-dir", out,
+    ]
+    assert main([str(a) for a in argv]) == 0
+    return stage, out
+
+
+def test_tagged_report_csv_bytes(tagged):
+    stage, out = tagged
+    assert (out / "report.csv").read_bytes() == TAGGED_REPORT_CSV[stage].encode()
+
+
+def test_tagged_report_json_percents(tagged):
+    stage, out = tagged
+    _assert_percents(out, TAGGED_REPORT_PERCENTS[stage])

@@ -7,7 +7,6 @@ the same error class on the same line, or agree on the digest and on the
 week, city and artist labels.
 """
 
-import csv
 import tempfile
 from datetime import date, timedelta
 from pathlib import Path
@@ -15,15 +14,10 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chartflow.chart_store import (
-    CHART_HEADER,
-    MAX_LISTENERS,
-    _decode_error,
-    parse_chart_csv,
-)
+from chartflow.chart_store import CHART_HEADER, MAX_LISTENERS, parse_chart_csv
 from chartflow.synth import fingerprint
 
-from parser_oracle import oracle_parse
+from parser_oracle import oracle_parse_file
 
 W0 = date(2007, 1, 7)
 # Three weeks on one weekday and one a day later.
@@ -96,18 +90,10 @@ def _columnar(path):
     return fingerprint(series), series.weeks, series.cities, series.artists
 
 
-def _oracle(path):
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        try:
-            return oracle_parse(csv.reader(handle))
-        except UnicodeDecodeError:
-            raise _decode_error(path) from None
-
-
 @given(mutated_corpora())
 @settings(max_examples=250, deadline=None)
 def test_parser_matches_oracle(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.csv"
         path.write_bytes(data)
-        assert _outcome(_columnar, path) == _outcome(_oracle, path)
+        assert _outcome(_columnar, path) == _outcome(oracle_parse_file, path)

@@ -12,7 +12,7 @@ from chartflow import (
     to_listeners_matrices,
 )
 from chartflow.errors import IndexingError, InsufficientDataError
-from chartflow.preprocess import ListenersMatrix
+from chartflow.preprocess import WeekMatrix
 
 from conftest import make_series, row_norms, week
 from oracles import (
@@ -74,7 +74,7 @@ class TestNormalizeRows:
     def test_idempotent(self):
         _, _, _, normalized = pipeline([(0, "c", "a", 3), (0, "c", "b", 4)])
         again = normalize_rows(
-            ListenersMatrix(normalized[0].week_start, normalized[0].entries)
+            WeekMatrix(normalized[0].week_start, normalized[0].entries)
         )
         diff = again.entries.toarray() - normalized[0].entries.toarray()
         assert np.abs(diff).max() < 1e-12

@@ -3,22 +3,23 @@
 import hashlib
 import json
 from collections import Counter
+from dataclasses import astuple
 from datetime import timedelta
 
 import pytest
 
 from chartflow import (
-    ChartSeries,
     Influence,
     PlantSpec,
     fingerprint,
     generate_planted,
     write_chart_csv,
 )
+from chartflow.cli import main
 from chartflow.errors import PlantSpecError
 from chartflow.synth import sidecar_json_text
 
-from conftest import NULL_SPEC, REFERENCE_SPEC, SMALL_PLANT
+from conftest import NULL_SPEC, REFERENCE_SPEC, SMALL_PLANT, series_from_rows
 from test_golden import REFERENCE_SPEC_SHA256, SMALL_PLANT_SHA256
 
 # Hash of the bare header line; the digest of an empty corpus.
@@ -92,41 +93,33 @@ class TestPlantedStructure:
 
     def test_canonical_ordering(self):
         series = generate_planted(SMALL_PLANT)
-        assert series == ChartSeries.from_records(
-            series.records, series.region_label
-        )
+        rows = [astuple(r) for r in series.records]
+        assert series == series_from_rows(rows, series.region_label)
 
 
 class TestFingerprint:
     def test_order_independent(self):
         series = generate_planted(SMALL_PLANT)
-        shuffled = ChartSeries.from_records(
-            tuple(reversed(series.records)), series.region_label
-        )
+        rows = [astuple(r) for r in reversed(series.records)]
+        shuffled = series_from_rows(rows, series.region_label)
         assert fingerprint(shuffled) == fingerprint(series)
 
     def test_sensitive_to_one_count(self):
         series = generate_planted(SMALL_PLANT)
-        records = list(series.records)
-        bumped = records[0].__class__(
-            records[0].week_start,
-            records[0].city,
-            records[0].artist,
-            records[0].listeners + 1,
-        )
-        altered = ChartSeries.from_records(
-            [bumped, *records[1:]], series.region_label
-        )
+        rows = [astuple(r) for r in series.records]
+        week_start, city, artist, listeners = rows[0]
+        rows[0] = (week_start, city, artist, listeners + 1)
+        altered = series_from_rows(rows, series.region_label)
         assert fingerprint(altered) != fingerprint(series)
 
     def test_empty_digest(self):
-        assert fingerprint(ChartSeries.from_records([])) == EMPTY_DIGEST
+        assert fingerprint(series_from_rows([])) == EMPTY_DIGEST
 
     def test_write_returns_digest_of_bytes_written(self, tmp_path):
         cases = [
             (generate_planted(SMALL_PLANT), SMALL_PLANT_SHA256),
             (generate_planted(REFERENCE_SPEC), REFERENCE_SPEC_SHA256),
-            (ChartSeries.from_records([]), EMPTY_DIGEST),
+            (series_from_rows([]), EMPTY_DIGEST),
         ]
         for series, golden in cases:
             path = tmp_path / "corpus.csv"
@@ -229,6 +222,29 @@ class TestSpecSerialization:
         path.write_text("{nope", encoding="utf-8")
         with pytest.raises(PlantSpecError):
             PlantSpec.from_json_file(path)
+
+    @pytest.mark.parametrize(
+        "key, literal",
+        [(key, "1e400") for key in ("weeks", "artists", "chart_size", "seed",
+                                    "lag", "noise_sigma", "walk_sigma",
+                                    "city_size")]
+        + [(key, "NaN") for key in ("noise_sigma", "walk_sigma", "city_size")],
+    )
+    def test_non_finite_number_exits_2(self, key, literal, tmp_path, capsys):
+        # JSON reads 1e400 as infinity; int() of it overflows.
+        raw = SMALL_PLANT.to_dict()
+        if key == "lag":
+            raw["influence"][0]["lag"] = "N"
+        else:
+            raw[key] = "N"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(raw).replace('"N"', literal), encoding="utf-8")
+        with pytest.raises(PlantSpecError):
+            PlantSpec.from_json_file(path)
+        assert main(["synth", str(path), "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "corpus.csv").exists()
 
     def test_sidecar_contains_digest(self):
         text = sidecar_json_text(SMALL_PLANT, "abc123")
