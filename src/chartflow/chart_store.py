@@ -12,13 +12,13 @@ the synthetic generator) goes through the one validating constructor
 :meth:`ChartSeries.from_columns`.
 
 Parsing reads the file's bytes. Plain input (the exact header, no quote,
-carriage return or NUL byte, lines of three commas and a count of 1-16
-ASCII digits; see :func:`_plain_columns`) is coded with numpy, one block of
-whole lines at a time. Any other input, quoted RFC 4180 fields among it,
-goes whole to a row loop over ``csv.reader``. The loop reports every
-syntax, decode and csv error, and both paths hand their columns and line
-numbers to the same validator, so an error's class, message and line do
-not depend on the path.
+carriage return or NUL byte, no blank line, lines of three commas and a
+count of 1-16 ASCII digits; see :func:`_plain_columns`) is coded with numpy,
+one block of whole lines at a time, and kept when it validates. Any other
+input, quoted RFC 4180 fields among it, and plain input that fails
+validation, goes whole to a row loop over ``csv.reader``. The loop is the
+only code that reports a parse error: every syntax, decode, csv and value
+error names the physical line its row starts on.
 """
 
 from __future__ import annotations
@@ -32,16 +32,11 @@ from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    ChartValueError,
-    DuplicateKeyError,
-    IndexingError,
-    ParseError,
-)
+from .errors import ChartValueError, DuplicateKeyError, ParseError
 
 CHART_HEADER = ("week_start", "city", "artist", "listeners")
 # Largest listener count accepted: every integer up to 2**53 is exact as a
@@ -232,25 +227,13 @@ def _validate(weeks, cities, artists, w, c, a, counts, order, lines) -> None:
 
 @dataclass(frozen=True)
 class ArtistIndex:
-    """Bijection between artist identifiers and dense column ordinals."""
+    """A corpus's artists in column order: column ``j`` is ``artists[j]``."""
 
     artists: tuple[str, ...]
-    artist_to_column: Mapping[str, int] = field(repr=False)
-
-    @classmethod
-    def from_artists(cls, artists: Iterable[str]) -> "ArtistIndex":
-        ordered = tuple(sorted(set(artists)))
-        return cls(ordered, {a: i for i, a in enumerate(ordered)})
 
     @property
     def size(self) -> int:
         return len(self.artists)
-
-    def column_of(self, artist: str) -> int:
-        try:
-            return self.artist_to_column[artist]
-        except KeyError:
-            raise IndexingError(f"artist {artist!r} not in index") from None
 
 
 def parse_chart_csv(path: str | Path, region_label: str = "") -> ChartSeries:
@@ -271,17 +254,17 @@ def _parse_chart_binary(handle, region_label: str) -> ChartSeries:
     """Parse the chart CSV in a seekable binary ``handle``.
 
     Plain input (see :func:`_plain_columns`) is coded from its bytes with
-    numpy; anything else is read again from the start by the row loop,
-    which handles quoted fields and reports every syntax and decode error.
+    numpy. Anything else, and plain input that fails validation, is read
+    again from the start by the row loop, which handles quoted fields and
+    reports every error with its line.
     """
     try:
-        *columns, lines = _plain_columns(handle)
-        return ChartSeries.from_columns(*columns, region_label, lines=lines)
-    except _NotPlain:
+        return ChartSeries.from_columns(*_plain_columns(handle), region_label)
+    except (_NotPlain, ParseError):
         handle.seek(0)
     text = io.TextIOWrapper(handle, encoding="utf-8", newline="")
     try:
-        return _parse_chart_rows(_csv_rows(text), region_label)
+        return _parse_chart_rows(_csv_rows(text, CHART_HEADER), region_label)
     except UnicodeDecodeError:
         raw = text.detach()
         raw.seek(0)
@@ -300,24 +283,17 @@ def read_text(path: str | Path) -> str:
 def read_csv_pairs(
     path: str | Path, header: tuple[str, str]
 ) -> Iterator[tuple[int, str, str]]:
-    """``(row number, first, second)`` per row of a two-column CSV file.
+    """``(line, first, second)`` per row of a two-column CSV file.
 
-    The file must start with ``header`` (row 1). Lines end as in a file
-    opened with ``newline=""``. Blank rows are skipped; a row of another
+    See :func:`_csv_rows` for the header, the blank rows and ``line``.
+    Lines end as in a file opened with ``newline=""``. A row of another
     width raises a ParseError.
     """
-    rows = _csv_rows(io.StringIO(read_text(path), newline=""))
-    found = next(rows, None)
-    if found is None or tuple(found) != header:
-        raise ParseError(
-            f"expected header {','.join(header)!r}, got {found!r}", line=1
-        )
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
+    text = io.StringIO(read_text(path), newline="")
+    for line, row in _csv_rows(text, header):
         if len(row) != 2:
-            raise ParseError(f"expected 2 fields, got {len(row)}", line=lineno)
-        yield lineno, row[0], row[1]
+            raise ParseError(f"expected 2 fields, got {len(row)}", line=line)
+        yield line, row[0], row[1]
 
 
 def _utf8(raw: bytes) -> str:
@@ -332,15 +308,27 @@ def _utf8(raw: bytes) -> str:
         ) from None
 
 
-def _csv_rows(handle) -> Iterator[list[str]]:
-    """``csv.reader`` rows of ``handle``; a csv error becomes a ParseError.
+def _csv_rows(handle, header: tuple[str, ...]) -> Iterator[tuple[int, list]]:
+    """``(line, row)`` for each non-blank ``csv.reader`` row after ``header``.
 
-    The error names the physical line the reader had reached, for example
-    the line of a field longer than ``csv.field_size_limit()``.
+    ``line`` is the physical line the row starts on; a quoted field may
+    carry the row over more lines. A first row other than ``header`` raises
+    a ParseError for line 1. A csv error becomes a ParseError naming the
+    physical line the reader had reached, for example the line of a field
+    longer than ``csv.field_size_limit()``.
     """
     reader = csv.reader(handle)
     try:
-        yield from reader
+        found = next(reader, None)
+        if found is None or tuple(found) != header:
+            raise ParseError(
+                f"expected header {','.join(header)!r}, got {found!r}", line=1
+            )
+        line = reader.line_num + 1
+        for row in reader:
+            if row:
+                yield line, row
+            line = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(str(exc), line=reader.line_num) from None
 
@@ -359,23 +347,22 @@ _COMMA, _NEWLINE = ord(","), ord("\n")
 
 
 def _plain_columns(handle) -> tuple:
-    """(weeks, cities, artists, week, city, artist, counts, lines) columns.
+    """(weeks, cities, artists, week, city, artist, counts) columns.
 
-    The byte path. Input is plain when it starts with the exact header
-    line, holds no ``"``, carriage return or NUL byte, is UTF-8, and every
-    line after the header is blank or has exactly three commas, a count of
-    1-16 ASCII digits, an ISO date as its week and no field longer than
-    ``csv.field_size_limit()`` (a missing final newline is allowed). On
-    plain input ``csv.reader`` yields the bytes between the commas as the
-    fields and one row per physical line, so these columns and line numbers
-    are the ones the row loop would collect. Other input raises
-    :class:`_NotPlain`, after at most a partial read.
+    The byte path; it only accepts input and reports no error. Input is
+    plain when it starts with the exact header line, holds no ``"``,
+    carriage return or NUL byte, is UTF-8, and every line after the header
+    has exactly three commas, a count of 1-16 ASCII digits, an ISO date as
+    its week and no field longer than ``csv.field_size_limit()`` (a missing
+    final newline is allowed; a blank line is not). On plain input
+    ``csv.reader`` yields the bytes between the commas as the fields, one
+    row per line, so these are the columns the row loop would collect.
+    Other input raises :class:`_NotPlain`, after at most a partial read.
     """
     limit = csv.field_size_limit()
     week_of_text: dict[str, int] = {}
     labels: tuple[dict, dict, dict] = ({}, {}, {})
     parts = []
-    lineno = 2
     # A plain line is at most four fields, three commas and a newline.
     blocks = _line_blocks(handle, longest=4 * limit + 4)
     first = next(blocks, b"")
@@ -384,8 +371,7 @@ def _plain_columns(handle) -> tuple:
     for block in itertools.chain([first[len(_HEADER_LINE):]], blocks):
         if b'"' in block or b"\r" in block or b"\0" in block:
             raise _NotPlain
-        lineno, part = _code_block(block, lineno, limit, week_of_text, labels)
-        parts.append(part)
+        parts.append(_code_block(block, limit, week_of_text, labels))
     columns = [np.concatenate(column) for column in zip(*parts)]
     return (*(tuple(d) for d in labels), *columns)
 
@@ -409,41 +395,26 @@ def _line_blocks(handle, longest: int) -> Iterator[bytes]:
         yield rest + b"\n"
 
 
-def _code_block(block: bytes, lineno: int, limit: int, week_of_text: dict,
-                labels: tuple[dict, dict, dict]) -> tuple[int, tuple]:
-    """Code one block of whole lines, starting at line ``lineno``.
+def _code_block(block: bytes, limit: int, week_of_text: dict,
+                labels: tuple[dict, dict, dict]) -> tuple:
+    """Code one block of whole lines into (week, city, artist, count) columns.
 
-    Returns the next block's first line number and this block's (week,
-    city, artist, count, line) columns. ``week_of_text`` and ``labels``
-    (weeks by date, cities, artists) gain the block's new labels, each
-    coded in order of first appearance.
+    ``week_of_text`` and ``labels`` (weeks by date, cities, artists) gain
+    the block's new labels, each coded in order of first appearance. A
+    blank line (a lone newline) breaks the three-commas-then-newline
+    pattern, so it raises :class:`_NotPlain` like any other irregular line.
     """
     buf = np.frombuffer(block, dtype=np.uint8)
     sep = np.flatnonzero((buf == _COMMA) | (buf == _NEWLINE))
     newline = buf[sep] == _NEWLINE
-    next_line = lineno + int(np.count_nonzero(newline))
-    # A blank line is a newline right after another (the block's first byte
-    # follows the newline ending the previous block or the header).
-    blank = newline & (buf[sep - 1] == _NEWLINE)
-    has_blank = blank.any()
-    if has_blank:
-        lines_before = np.cumsum(newline)[~blank]
-        sep, newline = sep[~blank], newline[~blank]
     if len(sep) % 4 or not (newline.reshape(-1, 4) == _ROW_SEPARATORS).all():
         raise _NotPlain
     if not len(sep):
-        return next_line, _EMPTY_PART
+        return _EMPTY_PART
+    # Each field starts one byte after the separator before it.
     ends = sep.reshape(-1, 4)
-    if has_blank:
-        lines = lines_before[3::4] + (lineno - 1)
-    else:
-        lines = np.arange(lineno, lineno + len(ends))
-    # A row starts one byte after the previous row's newline for each line
-    # from that one to this (blank lines are one newline byte each).
     starts = np.empty_like(ends)
-    starts[:, 0] = np.concatenate(([-1], ends[:-1, 3])) + np.diff(
-        lines, prepend=lineno - 1
-    )
+    starts[:, 0] = np.concatenate(([-1], ends[:-1, 3])) + 1
     starts[:, 1:] = ends[:, :3] + 1
     widths = ends - starts
     if widths.max() > limit:
@@ -462,13 +433,13 @@ def _code_block(block: bytes, lineno: int, limit: int, week_of_text: dict,
         else:
             code = [store.setdefault(text, len(store)) for text in texts]
         codes.append(np.array(code, dtype=np.int32)[inverse])
-    return next_line, (*codes, counts, lines)
+    return (*codes, counts)
 
 
 # Each row's separators: three commas, then a newline.
 _ROW_SEPARATORS = np.array([False, False, False, True])
 _EMPTY_PART = (*(np.empty(0, np.int32) for _ in range(3)),
-               np.empty(0, np.int64), np.empty(0, np.int64))
+               np.empty(0, np.int64))
 
 
 def _digits(buf, starts, ends, widths) -> np.ndarray:
@@ -554,19 +525,14 @@ def _week_codes(texts: list[str], week_of_text: dict[str, int],
     return codes
 
 
-def _parse_chart_rows(reader, region_label: str = "") -> ChartSeries:
-    """Code each row's fields; :meth:`ChartSeries.from_columns` validates.
+def _parse_chart_rows(rows, region_label: str = "") -> ChartSeries:
+    """Code each ``(line, row)``; :meth:`ChartSeries.from_columns` validates.
 
     The loop checks what one field decides (field count, date syntax, count
     syntax) and stops at the first row failing it, or where the reader
     fails. The rows before it are validated first, so an earlier line's
     error still wins.
     """
-    header = next(reader, None)
-    if header is None or tuple(header) != CHART_HEADER:
-        raise ParseError(
-            f"expected header {','.join(CHART_HEADER)!r}, got {header!r}", line=1
-        )
     week_of_text: dict[str, int] = {}
     weeks: dict[date, int] = {}
     cities: dict[str, int] = {}
@@ -578,9 +544,7 @@ def _parse_chart_rows(reader, region_label: str = "") -> ChartSeries:
     lines: list[int] = []
     error: Exception | None = None
     try:
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for lineno, row in rows:
             try:
                 raw_week, city, artist, raw_count = row
             except ValueError:
@@ -676,8 +640,8 @@ def load_tags(path: str | Path) -> dict[str, set[str]]:
 
 
 def build_artist_index(series: ChartSeries) -> ArtistIndex:
-    """Index the distinct artists of a corpus in lexicographic order."""
-    return ArtistIndex.from_artists(series.artists)
+    """The corpus's artists, sorted and distinct, as its column index."""
+    return ArtistIndex(series.artists)
 
 
 def filter_by_tag(series: ChartSeries, tagged_artists: set[str]) -> ChartSeries:

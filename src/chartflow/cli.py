@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 input error, 3 every city failed to evaluate.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -109,9 +110,13 @@ class CliInputError(ChartFlowError):
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a flat ``key = value`` config document."""
+    """Parse a flat ``key = value`` config document.
+
+    Lines end at ``\n``, ``\r\n`` or ``\r``, as in a text-mode read.
+    """
     values: dict[str, str] = {}
-    for lineno, raw_line in enumerate(read_text(path).splitlines(), start=1):
+    lines = io.StringIO(read_text(path), newline=None)
+    for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue

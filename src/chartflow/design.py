@@ -69,16 +69,17 @@ class LagConfig:
             if city in self.cities_included[:i]:
                 raise ValueError(f"cities_included names {city!r} more than once")
 
+    def cities(self, target_city: str) -> tuple[str, ...]:
+        """The cities whose lags are columns, in configured order."""
+        return (
+            (target_city,) if self.scope == OWN_HISTORY else self.cities_included
+        )
+
     def columns(self, target_city: str) -> tuple[ColMeta, ...]:
         """Column labels: configured city order, lags ascending within city."""
-        cities = (
-            (target_city,)
-            if self.scope == OWN_HISTORY
-            else self.cities_included
-        )
         return tuple(
             ColMeta(city, lag)
-            for city in cities
+            for city in self.cities(target_city)
             for lag in range(1, self.lag_count + 1)
         )
 
@@ -147,7 +148,7 @@ def build_design(
     ascending week order, artists ascending within a week.
 
     ``cube`` is ``(densify(velocities, rows), rows)`` for city rows, in any
-    order, that hold every city of ``config.columns(target_city)``; callers
+    order, that hold every city of ``config.cities(target_city)``; callers
     building several designs pass one cube to all of them. Without it the
     design densifies the rows it needs itself.
     """
@@ -156,8 +157,8 @@ def build_design(
     cities = velocities.cities
     if target_city not in cities:
         raise UnknownCityError(f"city {target_city!r} not in corpus")
-    col_meta = config.columns(target_city)
-    missing = sorted({c for c, _ in col_meta} - set(cities))
+    included = config.cities(target_city)
+    missing = sorted(set(included) - set(cities))
     if missing:
         raise UnknownCityError(f"cities not in corpus: {missing}")
     if not velocities.artists:
@@ -167,6 +168,7 @@ def build_design(
             f"{velocities.n_weeks} velocity weeks cannot support "
             f"{config.lag_count} lags"
         )
+    col_meta = config.columns(target_city)
 
     city_row = {c: i for i, c in enumerate(cities)}
     target_row = city_row[target_city]
@@ -176,7 +178,7 @@ def build_design(
 
     # Weeks where the target city's velocity and all its lagged velocities
     # exist at exact 7-day spacing, with the artists each one samples.
-    included_rows = [city_row[c] for c in dict.fromkeys(c for c, _ in col_meta)]
+    included_rows = [city_row[c] for c in included]
     eligible: list[tuple[int, list[int], np.ndarray]] = []
     for i, week in enumerate(velocities.weeks):
         if not defined[i, target_row]:

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .chart_store import ArtistIndex, ChartSeries, build_artist_index
-from .errors import InsufficientDataError
+from .errors import IndexingError, InsufficientDataError
 
 # Weekly charts list at most this many artists per city; more non-zeros in a
 # row means the corpus was not produced by chart truncation.
@@ -98,14 +98,14 @@ def to_listeners_matrices(
 ) -> list[WeekMatrix]:
     """One sparse counts matrix per distinct week of the corpus.
 
-    ``index`` must list the corpus's artists in their sorted order, as
-    ``build_artist_index`` does, possibly among others.
+    ``index`` must be the corpus's own (``build_artist_index(series)``):
+    its artists are the columns, so the corpus's artist codes are the
+    column codes. Any other index raises an IndexingError.
     """
+    if index.artists != series.artists:
+        raise IndexingError("artist index does not match the corpus artists")
     shape = (len(series.cities), index.size)
-    column = np.array(
-        [index.column_of(a) for a in series.artists], dtype=np.int32
-    )
-    cols = column[series.artist_idx]
+    cols = series.artist_idx
     data = series.listeners.astype(np.float64)
     city_start = np.arange(shape[0] + 1)
     matrices: list[WeekMatrix] = []

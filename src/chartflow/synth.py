@@ -22,7 +22,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -108,6 +108,12 @@ class PlantSpec:
                 f"weeks must exceed {min_weeks} for this influence set, "
                 f"got {self.weeks}"
             )
+        try:
+            self.start_week + timedelta(days=7 * (self.weeks - 1))
+        except OverflowError:
+            raise PlantSpecError(
+                f"{self.weeks} weeks from {self.start_week} run past {date.max}"
+            ) from None
         if self.artists < 1:
             raise PlantSpecError(f"artists must be >= 1, got {self.artists}")
         if self.chart_size < 1:
@@ -159,48 +165,20 @@ class PlantSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PlantSpec":
-        known = {
-            "cities",
-            "influence",
-            "weeks",
-            "artists",
-            "chart_size",
-            "noise_sigma",
-            "walk_sigma",
-            "city_size",
-            "start_week",
-            "seed",
-        }
-        unknown = set(raw) - known
+        """The spec of a JSON object; absent keys take the field defaults."""
+        unknown = set(raw) - set(_SPEC_PARSERS)
         if unknown:
             raise PlantSpecError(f"unknown spec keys: {sorted(unknown)}")
-        missing = {"cities", "weeks", "artists", "noise_sigma", "seed"} - set(raw)
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+        missing = required - set(raw)
         if missing:
             raise PlantSpecError(f"missing spec keys: {sorted(missing)}")
         try:
-            cities = tuple(
-                (c["name"], c.get("role", "unlabeled")) for c in raw["cities"]
-            )
-            influence = tuple(
-                Influence(
-                    e["leader"], e["follower"], int(e["lag"]), float(e["strength"])
-                )
-                for e in raw.get("influence", [])
-            )
-            return cls(
-                cities=cities,
-                influence=influence,
-                weeks=int(raw["weeks"]),
-                artists=int(raw["artists"]),
-                chart_size=int(raw.get("chart_size", 500)),
-                noise_sigma=float(raw["noise_sigma"]),
-                walk_sigma=float(raw.get("walk_sigma", DEFAULT_WALK_SIGMA)),
-                city_size=float(raw.get("city_size", 250.0)),
-                start_week=date.fromisoformat(
-                    raw.get("start_week", "2007-01-07")
-                ),
-                seed=int(raw["seed"]),
-            )
+            return cls(**{
+                key: parse(raw[key])
+                for key, parse in _SPEC_PARSERS.items()
+                if key in raw
+            })
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise PlantSpecError(f"malformed spec: {exc}") from exc
 
@@ -215,6 +193,27 @@ class PlantSpec:
         if not isinstance(raw, dict):
             raise PlantSpecError("spec file must hold a JSON object")
         return cls.from_dict(raw)
+
+
+# Each spec key's parser from JSON values, in conversion order: the first
+# key that fails names the error.
+_SPEC_PARSERS = {
+    "cities": lambda cities: tuple(
+        (c["name"], c.get("role", "unlabeled")) for c in cities
+    ),
+    "influence": lambda edges: tuple(
+        Influence(e["leader"], e["follower"], int(e["lag"]), float(e["strength"]))
+        for e in edges
+    ),
+    "weeks": int,
+    "artists": int,
+    "chart_size": int,
+    "noise_sigma": float,
+    "walk_sigma": float,
+    "city_size": float,
+    "start_week": date.fromisoformat,
+    "seed": int,
+}
 
 
 def _toposort(names: list[str], influence: tuple[Influence, ...]) -> list[str]:

@@ -200,9 +200,8 @@ def oracle_listeners_matrices(
 ) -> list[WeekMatrix]:
     """One ``scipy.sparse`` CSR counts matrix per week, built from COO."""
     shape = (len(series.cities), index.size)
-    column = np.array(
-        [index.column_of(a) for a in series.artists], dtype=np.int32
-    )
+    column_of = {a: i for i, a in enumerate(index.artists)}
+    column = np.array([column_of[a] for a in series.artists], dtype=np.int32)
     cols = column[series.artist_idx]
     data = series.listeners.astype(np.float64)
     return [

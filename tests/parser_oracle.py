@@ -2,8 +2,9 @@
 
 This is the record-based parser the columnar one replaced, with the strict
 count syntax applied: every check runs on each row in turn, so the first
-offending row raises. It returns what a parse decides (the canonical digest
-and the label tuples) rather than a ``ChartSeries``.
+offending row raises, naming the physical line the row starts on. It
+returns what a parse decides (the canonical digest and the label tuples)
+rather than a ``ChartSeries``.
 """
 
 from __future__ import annotations
@@ -63,7 +64,9 @@ def _oracle_parse(reader):
     records: list[ChartRecord] = []
     seen: set[tuple[date, str, str]] = set()
     anchor: int | None = None
-    for lineno, row in enumerate(reader, start=2):
+    start = reader.line_num + 1
+    for row in reader:
+        lineno, start = start, reader.line_num + 1
         if not row:
             continue
         if len(row) != 4:

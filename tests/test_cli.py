@@ -101,6 +101,32 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "line 2" in err and "0xe9" in err
 
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--corpus-path", 'week_start,city,artist,listeners\n'
+             '2007-01-07,"a\nb",x,1\n2007-01-07,a,x,zz\n',
+             "bad listener count 'zz'"),
+            ("--tags-path", 'artist,tag\n"a\nb",y\nlonely\n',
+             "expected 2 fields, got 1"),
+            ("--labels-path", 'city,role\n"a\nb",leader\nx,boss\n',
+             "unknown role 'boss'"),
+        ],
+        ids=["corpus", "tags", "labels"],
+    )
+    def test_error_after_quoted_newline_names_physical_line(
+        self, flag, text, message, corpus_path, tmp_path, capsys
+    ):
+        # Line 2 holds a quoted field that runs on over line 3.
+        path = tmp_path / "two-line-field.csv"
+        path.write_text(text, encoding="utf-8")
+        argv = ["evaluate", "--corpus-path", corpus_path,
+                "--output-dir", tmp_path / "o", flag, path]
+        if flag == "--tags-path":
+            argv += ["--tag", "y"]
+        assert run(argv) == 2
+        assert f"line 4: {message}" in capsys.readouterr().err
+
     def test_non_utf8_spec_names_line(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_bytes(b'{\n  "cities": [{"name": "\xff"}]\n}\n')
@@ -460,6 +486,22 @@ class TestConfigResolution:
         config = tmp_path / "run.cfg"
         config.write_text("lag_count 8\n")
         with pytest.raises(ChartFlowError):
+            parse_config_file(config)
+
+    def test_form_feed_does_not_end_a_line(self, tmp_path):
+        config = tmp_path / "ff.cfg"
+        config.write_text("lag_count = 3\fsolver = nnls\n")
+        assert parse_config_file(config) == {"lag_count": "3\fsolver = nnls"}
+        config.write_text("lag_count = 3\fbogus\n")
+        with pytest.raises(CliInputError, match="bad value for 'lag_count'"):
+            resolve_config(argparse.Namespace(config=str(config)))
+
+    def test_cr_line_endings(self, tmp_path):
+        config = tmp_path / "cr.cfg"
+        config.write_bytes(b"lag_count = 3\rsolver = nnls\r")
+        assert parse_config_file(config) == {"lag_count": "3", "solver": "nnls"}
+        config.write_bytes(b"lag_count = 3\r\rbogus\r")
+        with pytest.raises(CliInputError, match=r"cr\.cfg:3: expected"):
             parse_config_file(config)
 
     def test_bad_value_type(self, tmp_path):

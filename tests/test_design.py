@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -266,6 +267,23 @@ class TestErrors:
         velocities = build_velocities(make_series(rows))
         with pytest.raises(InsufficientDataError):
             build_design(velocities, "m", LagConfig(8, OWN_HISTORY))
+
+    def test_huge_lag_count_fails_before_labelling_columns(
+        self, small_velocities
+    ):
+        config = LagConfig(10**5, ALL_HISTORY, small_velocities.cities)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InsufficientDataError):
+                build_design(small_velocities, "echo", config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        # An unknown city still wins over the lag count.
+        config = LagConfig(10**5, ALL_HISTORY, ("echo", "atlantis"))
+        with pytest.raises(UnknownCityError):
+            build_design(small_velocities, "echo", config)
 
     def test_bad_active_rule(self, small_velocities):
         with pytest.raises(ValueError):

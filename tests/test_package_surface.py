@@ -1,9 +1,11 @@
-"""No module of the package imports a private name from a sibling module.
+"""Each job of the package has one home and one way in.
 
-A helper another module needs is public in the module that owns it, so
-each job (reading a small text file, splitting a two-column CSV, ...) has
-one home and one way in. Every ``src/chartflow/*.py`` is parsed with
-``ast``; a relative ``from .<module> import _<name>`` fails the test.
+A helper another module needs is public in the module that owns it, so no
+module imports a private name from a sibling. Every ``src/chartflow/*.py``
+is parsed with ``ast``: a relative ``from .<module> import _<name>`` fails,
+as does a ``csv.reader`` call anywhere but ``chart_store._csv_rows`` (the
+one reader that numbers rows by physical line) and any ``splitlines`` call
+(it also breaks lines at form feeds and other separators).
 """
 
 import ast
@@ -34,3 +36,41 @@ def test_no_private_sibling_imports():
         if (names := private_sibling_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def attribute_calls(source: str) -> list[tuple[str, str]]:
+    """``(function, call)`` per call of an attribute, such as
+    ``("_csv_rows", "csv.reader")``: the innermost enclosing function (or
+    ``<module>``) and the called expression's text."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            found.append((scope, ast.unparse(node.func)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def package_calls() -> list[tuple[str, str, str]]:
+    """``(module, function, call)`` for every attribute call of the package."""
+    return [
+        (path.stem, scope, call)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope, call in attribute_calls(path.read_text(encoding="utf-8"))
+    ]
+
+
+def test_one_csv_reader():
+    sites = {(m, f) for m, f, call in package_calls() if call == "csv.reader"}
+    assert sites == {("chart_store", "_csv_rows")}
+
+
+def test_no_splitlines():
+    found = [site for site in package_calls()
+             if site[2].endswith(".splitlines")]
+    assert found == []

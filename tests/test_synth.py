@@ -3,8 +3,8 @@
 import hashlib
 import json
 from collections import Counter
-from dataclasses import astuple
-from datetime import timedelta
+from dataclasses import astuple, replace
+from datetime import date, timedelta
 
 import pytest
 
@@ -212,6 +212,16 @@ class TestSpecSerialization:
         with pytest.raises(PlantSpecError):
             PlantSpec.from_dict(raw)
 
+    def test_absent_keys_take_field_defaults(self):
+        required = ("cities", "weeks", "artists", "noise_sigma", "seed")
+        raw = {key: SMALL_PLANT.to_dict()[key] for key in required}
+        assert PlantSpec.from_dict(raw) == replace(SMALL_PLANT, influence=())
+
+    def test_first_malformed_key_names_the_error(self):
+        raw = {**SMALL_PLANT.to_dict(), "weeks": "many", "seed": "lucky"}
+        with pytest.raises(PlantSpecError, match="'many'"):
+            PlantSpec.from_dict(raw)
+
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(SMALL_PLANT.to_dict()), encoding="utf-8")
@@ -240,6 +250,19 @@ class TestSpecSerialization:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(raw).replace('"N"', literal), encoding="utf-8")
         with pytest.raises(PlantSpecError):
+            PlantSpec.from_json_file(path)
+        assert main(["synth", str(path), "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "corpus.csv").exists()
+
+    def test_weeks_past_last_date_exit_2(self, tmp_path, capsys):
+        last_start = date.max - timedelta(weeks=39)
+        assert replace(SMALL_PLANT, weeks=40, start_week=last_start)
+        raw = {**SMALL_PLANT.to_dict(), "start_week": "9999-12-01", "weeks": 40}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(PlantSpecError, match="run past 9999-12-31"):
             PlantSpec.from_json_file(path)
         assert main(["synth", str(path), "--output-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
