@@ -5,7 +5,9 @@ blank line, lines of three commas and a 1-16 digit count) is coded from its
 bytes and kept when it validates; any other input, and plain input that
 fails validation, goes to the row loop. Each case checks which of the two
 produced the outcome, with a spy on the loop, and that the outcome (digest
-and labels, or error class and line) equals the oracle's. Block sizes far
+and labels, or error class and line) equals the oracle's. Input that the
+byte path starts to code and then hands on (``REROUTED``) runs at every
+block size, so the rewind is tried from each point it can happen. Block sizes far
 below the default make lines straddle block boundaries.
 """
 
@@ -82,13 +84,19 @@ PLAIN = {
                             + ",2", *(f"2007-01-07,b,x{i},3" for i in range(9))),
 }
 
-LOOP = {
+# Input the byte path starts to code and then hands to the row loop: a
+# blank line stops the block coder, and columns that fail validation are
+# read again so that the loop reports the error with its line.
+REROUTED = {
     "above bound": _rows("2007-01-07,a,w,3",
                          f"2007-01-07,a,x,{MAX_LISTENERS + 1}"),
     "two spellings, one key": _rows("2007-01-07,a,x,1", "20070107,a,x,2"),
     "blank lines": HEADER + b"\n\n2007-01-07,a,x,1\n\n\n2007-01-07,a,y,2\n\n",
     "duplicate after blank": _rows("2007-01-07,a,x,1", "", "2007-01-07,a,x,2"),
     "weekday anchor": _rows("2007-01-07,a,x,1", "2007-01-08,a,y,1"),
+}
+
+LOOP = {
     "quoted city over two lines": _rows('2007-01-07,"a\nb",x,1',
                                         "2007-01-07,a,x,zz"),
     "quoted field": _rows('2007-01-07,"a,b",x,1'),
@@ -116,9 +124,15 @@ LOOP = {
 
 
 @pytest.mark.parametrize("block_bytes", [None, 5, 64])
-@pytest.mark.parametrize("name", sorted(PLAIN))
+@pytest.mark.parametrize("name", sorted({**PLAIN, **REROUTED}))
 def test_plain_inputs_take_byte_path(tmp_path, name, block_bytes):
-    _check(tmp_path / "corpus.csv", PLAIN[name], True, block_bytes)
+    """The byte path codes the input; it keeps the outcome only when plain."""
+    coder = mock.patch.object(chart_store, "_code_block",
+                              wraps=chart_store._code_block)
+    with coder as coded:
+        _check(tmp_path / "corpus.csv", {**PLAIN, **REROUTED}[name],
+               name in PLAIN, block_bytes)
+    assert coded.called
 
 
 @pytest.mark.parametrize("name", sorted(LOOP))
@@ -131,10 +145,10 @@ def test_outcomes_pinned(tmp_path):
     path = tmp_path / "corpus.csv"
     ok = _check(path, PLAIN["two spellings"], True)
     assert ok[0] == "ok" and ok[2] == (date(2007, 1, 7), date(2007, 1, 14))
-    assert _check(path, LOOP["above bound"], False)[1:] == (
+    assert _check(path, REROUTED["above bound"], False)[1:] == (
         ChartValueError, 3
     )
-    assert _check(path, LOOP["duplicate after blank"], False)[1:] == (
+    assert _check(path, REROUTED["duplicate after blank"], False)[1:] == (
         DuplicateKeyError, 4
     )
     assert _check(path, LOOP["quoted city over two lines"], False)[1:] == (
