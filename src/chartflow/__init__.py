@@ -13,6 +13,7 @@ from .chart_store import (
     ChartSeries,
     build_artist_index,
     filter_by_tag,
+    fingerprint,
     load_tags,
     parse_chart_csv,
     write_chart_csv,
@@ -53,7 +54,7 @@ from .preprocess import (
     to_listeners_matrices,
 )
 from .solver import Coefficients, fit_nnls, fit_ols, predict
-from .synth import Influence, PlantSpec, fingerprint, generate_planted
+from .synth import Influence, PlantSpec, generate_planted
 
 __version__ = "0.1.0"
 

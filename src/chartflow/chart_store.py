@@ -19,6 +19,14 @@ input, quoted RFC 4180 fields among it, and plain input that fails
 validation, goes whole to a row loop over ``csv.reader``. The loop is the
 only code that reports a parse error: every syntax, decode, csv and value
 error names the physical line its row starts on.
+
+This module also owns the canonical CSV, the one rendering of a corpus:
+:func:`chart_csv_chunks` renders it, :func:`write_chart_csv` writes it and
+:func:`fingerprint` is its SHA-256, the corpus digest. Rows already in
+canonical order are not sorted again, and plain input whose bytes are the
+canonical CSV (every file ``write_chart_csv`` writes, unless a label needs
+quoting) keeps the hash of the bytes read as its digest, so
+``fingerprint`` renders nothing.
 """
 
 from __future__ import annotations
@@ -65,7 +73,9 @@ class ChartSeries:
     artists[artist_idx[i]], listeners[i])``. Rows are sorted by (week, city,
     artist); the label tuples are sorted and hold only labels some row uses.
     The code columns are int32 and ``listeners`` is int64. Build corpora with
-    :meth:`from_columns`, which validates.
+    :meth:`from_columns`, which validates. ``digest`` is the hex SHA-256 of
+    the canonical CSV when the corpus was parsed from exactly those bytes,
+    else None; read it through :func:`fingerprint`.
     """
 
     weeks: tuple[date, ...]
@@ -76,6 +86,7 @@ class ChartSeries:
     artist_idx: np.ndarray = field(repr=False)
     listeners: np.ndarray = field(repr=False)
     region_label: str = ""
+    digest: str | None = field(default=None, repr=False)
 
     @classmethod
     def from_columns(
@@ -90,13 +101,19 @@ class ChartSeries:
         region_label: str = "",
         *,
         lines=None,
+        digest: str | None = None,
     ) -> "ChartSeries":
         """Validate coded rows in any order and store them canonically.
 
         The label sequences must be distinct; the codes index into them.
         ``lines`` gives each row's line number for error messages. Zero
         counts are dropped after validation (they still count as keys for
-        the duplicate check). See :func:`_validate` for the checks.
+        the duplicate check). See :func:`_validate` for the checks. Rows
+        already in canonical order are not sorted again.
+        ``digest`` is the SHA-256 of the bytes the columns were parsed from,
+        when they spell each row as the canonical CSV would. It is kept only
+        when the rows are in canonical order and none is dropped: then those
+        bytes are the canonical CSV.
         """
         for labels in (weeks, cities, artists):
             if len(set(labels)) != len(labels):
@@ -110,14 +127,20 @@ class ChartSeries:
         a = artist_rank[np.asarray(artist_idx, dtype=np.intp)]
         if not len(w) == len(c) == len(a) == len(counts):
             raise ValueError("columns must have equal lengths")
-        order = np.lexsort((a, c, w))
+        order = None if _increasing(w, c, a) else np.lexsort((a, c, w))
         _validate(weeks, cities, artists, w, c, a, counts, order, lines)
         counts = counts.astype(np.int64)
-        keep = order[counts[order] != 0]
+        nonzero = counts != 0
+        if order is None and nonzero.all():
+            keep = slice(None)
+        else:
+            keep = nonzero if order is None else order[nonzero[order]]
+            digest = None
         weeks, w = _drop_unused(weeks, w[keep])
         cities, c = _drop_unused(cities, c[keep])
         artists, a = _drop_unused(artists, a[keep])
-        return cls(weeks, cities, artists, w, c, a, counts[keep], region_label)
+        return cls(weeks, cities, artists, w, c, a, counts[keep], region_label,
+                   digest)
 
     @cached_property
     def records(self) -> tuple[ChartRecord, ...]:
@@ -173,6 +196,16 @@ def _sort_labels(labels: Sequence) -> tuple[tuple, np.ndarray]:
     return tuple(labels[i] for i in order), rank
 
 
+def _increasing(w, c, a) -> bool:
+    """Whether the (week, city, artist) code key strictly increases row by row.
+
+    Compared column by column: a combined integer key could overflow.
+    """
+    dw, dc, da = np.diff(w), np.diff(c), np.diff(a)
+    steps_up = (dw > 0) | (dw == 0) & ((dc > 0) | (dc == 0) & (da > 0))
+    return bool(steps_up.all())
+
+
 def _drop_unused(labels: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
     """Drop labels no code refers to, keeping order, and renumber the codes."""
     used = np.bincount(codes, minlength=len(labels)) > 0
@@ -190,7 +223,8 @@ def _validate(weeks, cities, artists, w, c, a, counts, order, lines) -> None:
     first row's, or when an earlier row holds the same (week, city, artist)
     key. The first invalid row raises the first of those checks it fails,
     exactly as checking row by row would. ``order`` sorts the rows by key,
-    equal keys in input order.
+    equal keys in input order; it is None when the rows strictly increase
+    by key, so no key repeats.
     """
     if len(counts) == 0:
         return
@@ -199,10 +233,11 @@ def _validate(weeks, cities, artists, w, c, a, counts, order, lines) -> None:
     weekday = np.array([d.toordinal() % 7 for d in weeks])[w]
     off_anchor = weekday != weekday[0]
     repeat = np.zeros(len(counts), dtype=bool)
-    ws, cs, as_ = w[order], c[order], a[order]
-    repeat[order[1:]] = (
-        (ws[1:] == ws[:-1]) & (cs[1:] == cs[:-1]) & (as_[1:] == as_[:-1])
-    )
+    if order is not None:
+        ws, cs, as_ = w[order], c[order], a[order]
+        repeat[order[1:]] = (
+            (ws[1:] == ws[:-1]) & (cs[1:] == cs[:-1]) & (as_[1:] == as_[:-1])
+        )
     bad = low | high | off_anchor | repeat
     if not bad.any():
         return
@@ -254,12 +289,14 @@ def _parse_chart_binary(handle, region_label: str) -> ChartSeries:
     """Parse the chart CSV in a seekable binary ``handle``.
 
     Plain input (see :func:`_plain_columns`) is coded from its bytes with
-    numpy. Anything else, and plain input that fails validation, is read
-    again from the start by the row loop, which handles quoted fields and
-    reports every error with its line.
+    numpy; when those bytes are the canonical CSV, their SHA-256 becomes
+    the series' digest. Anything else, and plain input that fails
+    validation, is read again from the start by the row loop, which handles
+    quoted fields and reports every error with its line.
     """
     try:
-        return ChartSeries.from_columns(*_plain_columns(handle), region_label)
+        *columns, digest = _plain_columns(handle)
+        return ChartSeries.from_columns(*columns, region_label, digest=digest)
     except (_NotPlain, ParseError):
         handle.seek(0)
     text = io.TextIOWrapper(handle, encoding="utf-8", newline="")
@@ -298,13 +335,18 @@ def read_csv_pairs(
 
 def _utf8(raw: bytes) -> str:
     """``raw`` as UTF-8 text; the first byte sequence that is not UTF-8
-    raises a ParseError naming its line."""
+    raises a ParseError naming its line.
+
+    Lines end at ``\r\n``, ``\r`` or ``\n``, as ``csv.reader`` counts them.
+    """
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
+        start = exc.start
+        line_ends = (raw.count(b"\n", 0, start) + raw.count(b"\r", 0, start)
+                     - raw.count(b"\r\n", 0, start))
         raise ParseError(
-            f"byte 0x{raw[exc.start]:02x} is not UTF-8",
-            line=raw.count(b"\n", 0, exc.start) + 1,
+            f"byte 0x{raw[start]:02x} is not UTF-8", line=line_ends + 1
         ) from None
 
 
@@ -347,7 +389,7 @@ _COMMA, _NEWLINE = ord(","), ord("\n")
 
 
 def _plain_columns(handle) -> tuple:
-    """(weeks, cities, artists, week, city, artist, counts) columns.
+    """(weeks, cities, artists, week, city, artist, counts, digest) columns.
 
     The byte path; it only accepts input and reports no error. Input is
     plain when it starts with the exact header line, holds no ``"``,
@@ -358,47 +400,71 @@ def _plain_columns(handle) -> tuple:
     ``csv.reader`` yields the bytes between the commas as the fields, one
     row per line, so these are the columns the row loop would collect.
     Other input raises :class:`_NotPlain`, after at most a partial read.
+
+    ``digest`` is the hex SHA-256 of the bytes read when they spell every
+    row as :func:`chart_csv_chunks` would: they end in a newline, no count
+    starts with ``0``, each week is its ``isoformat()`` and each label its
+    ``csv.writer`` rendering. Otherwise it is None.
     """
     limit = csv.field_size_limit()
     week_of_text: dict[str, int] = {}
     labels: tuple[dict, dict, dict] = ({}, {}, {})
     parts = []
+    reads = hashlib.sha256()
     # A plain line is at most four fields, three commas and a newline.
-    blocks = _line_blocks(handle, longest=4 * limit + 4)
-    first = next(blocks, b"")
+    blocks = _line_blocks(handle, 4 * limit + 4, reads)
+    first, ended = next(blocks, (b"", True))
     if not first.startswith(_HEADER_LINE):
         raise _NotPlain
-    for block in itertools.chain([first[len(_HEADER_LINE):]], blocks):
+    canonical = True
+    for block, ended in itertools.chain(
+        [(first[len(_HEADER_LINE):], ended)], blocks
+    ):
         if b'"' in block or b"\r" in block or b"\0" in block:
             raise _NotPlain
-        parts.append(_code_block(block, limit, week_of_text, labels))
+        part, padded = _code_block(block, limit, week_of_text, labels)
+        parts.append(part)
+        canonical = canonical and ended and not padded
     columns = [np.concatenate(column) for column in zip(*parts)]
-    return (*(tuple(d) for d in labels), *columns)
+    weeks, cities, artists = (tuple(d) for d in labels)
+    canonical = (
+        canonical
+        and all(weeks[w].isoformat() == text
+                for text, w in week_of_text.items())
+        and _csv_fields(cities) == list(cities)
+        and _csv_fields(artists) == list(artists)
+    )
+    digest = reads.hexdigest() if canonical else None
+    return weeks, cities, artists, *columns, digest
 
 
-def _line_blocks(handle, longest: int) -> Iterator[bytes]:
-    """The bytes of ``handle`` in blocks of whole lines, each ending in a newline.
+def _line_blocks(handle, longest: int, reads) -> Iterator[tuple[bytes, bool]]:
+    """``(block, ended)``: the bytes of ``handle`` in blocks of whole lines.
 
-    A final line without a newline gets one; a line longer than ``longest``
-    bytes raises :class:`_NotPlain`.
+    Each block ends in a newline. A final line without one gets one, and
+    only its block has ``ended`` False. Every read is fed to the hash
+    ``reads`` as it comes. A line longer than ``longest`` bytes raises
+    :class:`_NotPlain`.
     """
     rest = b""
     while block := handle.read(_BLOCK_BYTES):
+        reads.update(block)
         block = rest + block
         cut = block.rfind(b"\n") + 1
         rest = block[cut:]
         if len(rest) > longest:
             raise _NotPlain
         if cut:
-            yield block[:cut]
+            yield block[:cut], True
     if rest:
-        yield rest + b"\n"
+        yield rest + b"\n", False
 
 
 def _code_block(block: bytes, limit: int, week_of_text: dict,
-                labels: tuple[dict, dict, dict]) -> tuple:
+                labels: tuple[dict, dict, dict]) -> tuple[tuple, bool]:
     """Code one block of whole lines into (week, city, artist, count) columns.
 
+    Returns the columns and whether some count starts with ``0``.
     ``week_of_text`` and ``labels`` (weeks by date, cities, artists) gain
     the block's new labels, each coded in order of first appearance. A
     blank line (a lone newline) breaks the three-commas-then-newline
@@ -410,7 +476,7 @@ def _code_block(block: bytes, limit: int, week_of_text: dict,
     if len(sep) % 4 or not (newline.reshape(-1, 4) == _ROW_SEPARATORS).all():
         raise _NotPlain
     if not len(sep):
-        return _EMPTY_PART
+        return _EMPTY_PART, False
     # Each field starts one byte after the separator before it.
     ends = sep.reshape(-1, 4)
     starts = np.empty_like(ends)
@@ -420,6 +486,7 @@ def _code_block(block: bytes, limit: int, week_of_text: dict,
     if widths.max() > limit:
         raise _NotPlain
     counts = _digits(buf, starts[:, 3], ends[:, 3], widths[:, 3])
+    padded = bool((buf[starts[:, 3]] == ord("0")).any())
     codes = []
     for column, store in enumerate(labels):
         fields, inverse = _distinct(block, buf, starts[:, column],
@@ -433,7 +500,7 @@ def _code_block(block: bytes, limit: int, week_of_text: dict,
         else:
             code = [store.setdefault(text, len(store)) for text in texts]
         codes.append(np.array(code, dtype=np.int32)[inverse])
-    return (*codes, counts)
+    return (*codes, counts), padded
 
 
 # Each row's separators: three commas, then a newline.
@@ -616,11 +683,28 @@ def chart_csv_chunks(series: ChartSeries) -> Iterator[str]:
         )
 
 
+def fingerprint(series: ChartSeries) -> str:
+    """Order-independent content hash of a corpus (hex SHA-256).
+
+    The SHA-256 of the canonical CSV that :func:`write_chart_csv` writes,
+    so any two corpora with the same records share the digest regardless of
+    construction order. The empty corpus digest is the hash of the bare
+    header line. A corpus parsed from exactly those bytes carries the hash
+    of the bytes it read; any other is rendered again, chunk by chunk.
+    """
+    if series.digest is not None:
+        return series.digest
+    digest = hashlib.sha256()
+    for chunk in chart_csv_chunks(series):
+        digest.update(chunk.encode("utf-8"))
+    return digest.hexdigest()
+
+
 def write_chart_csv(series: ChartSeries, path: str | Path) -> str:
     """Write the canonical CSV; returns the hex SHA-256 of the bytes written.
 
-    The digest equals ``synth.fingerprint(series)``: both hash the same
-    encoded chunks, here in the one pass that writes them.
+    The digest equals ``fingerprint(series)``: both hash the same encoded
+    chunks, here in the one pass that writes them.
     """
     digest = hashlib.sha256()
     with open(path, "wb") as handle:

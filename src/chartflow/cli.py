@@ -30,6 +30,7 @@ from pathlib import Path
 from .chart_store import (
     ChartSeries,
     filter_by_tag,
+    fingerprint,
     load_tags,
     parse_chart_csv,
     read_text,
@@ -40,6 +41,7 @@ from .design import (
     OWN_HISTORY,
     LagConfig,
     build_design,
+    check_lag_count,
     default_boundary,
     design_csv_text,
 )
@@ -53,7 +55,7 @@ from .evaluate import (
     report_table_text,
 )
 from .preprocess import VelocitySeries, build_velocities, week_gaps
-from .synth import PlantSpec, fingerprint, generate_planted, sidecar_json_text
+from .synth import PlantSpec, generate_planted, sidecar_json_text
 
 ENV_PREFIX = "CHARTFLOW_"
 
@@ -236,6 +238,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         raise CliInputError(f"cities not in corpus: {unknown}")
     if velocities.n_weeks == 0:
         raise CliInputError("corpus has no velocity weeks")
+    check_lag_count(velocities, config.lag_count)
     boundary = config.boundary or default_boundary(velocities.weeks)
     if not velocities.weeks[0] < boundary <= velocities.weeks[-1]:
         raise CliInputError(

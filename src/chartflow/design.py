@@ -131,6 +131,16 @@ def densify(velocities: VelocitySeries, rows: Sequence[int]) -> np.ndarray:
     return out
 
 
+def check_lag_count(velocities: VelocitySeries, lag_count: int) -> None:
+    """Raise InsufficientDataError when the series has too few velocity
+    weeks for any sample to have ``lag_count`` lags."""
+    if lag_count >= velocities.n_weeks:
+        raise InsufficientDataError(
+            f"{velocities.n_weeks} velocity weeks cannot support "
+            f"{lag_count} lags"
+        )
+
+
 def build_design(
     velocities: VelocitySeries,
     target_city: str,
@@ -163,11 +173,7 @@ def build_design(
         raise UnknownCityError(f"cities not in corpus: {missing}")
     if not velocities.artists:
         raise InsufficientDataError("velocity series has no artists")
-    if config.lag_count >= velocities.n_weeks:
-        raise InsufficientDataError(
-            f"{velocities.n_weeks} velocity weeks cannot support "
-            f"{config.lag_count} lags"
-        )
+    check_lag_count(velocities, config.lag_count)
     col_meta = config.columns(target_city)
 
     city_row = {c: i for i, c in enumerate(cities)}

@@ -18,7 +18,6 @@ so a spec generates the identical corpus on every run.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import math
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .chart_store import ChartSeries, chart_csv_chunks, read_text
+from .chart_store import ChartSeries, read_text
 from .errors import PlantSpecError
 
 ROLES = ("leader", "follower", "unlabeled")
@@ -342,19 +341,6 @@ def generate_planted(spec: PlantSpec) -> ChartSeries:
         np.stack(chart_counts, axis=1).ravel(),
         region_label="synthetic",
     )
-
-
-def fingerprint(series: ChartSeries) -> str:
-    """Order-independent content hash of a corpus (hex SHA-256).
-
-    Hashes the canonical sorted CSV serialization, so any two corpora with
-    the same records share the digest regardless of construction order. The
-    empty corpus digest is the hash of the bare header line.
-    """
-    digest = hashlib.sha256()
-    for chunk in chart_csv_chunks(series):
-        digest.update(chunk.encode("utf-8"))
-    return digest.hexdigest()
 
 
 def sidecar_json_text(spec: PlantSpec, digest: str) -> str:

@@ -38,7 +38,8 @@ def oracle_parse_file(path):
     """``oracle_parse`` of the file at ``path``, read as text (``newline=""``).
 
     Bytes that are not UTF-8, once the reader reaches them, are a ParseError
-    naming the line of the first one.
+    naming the line of the first one; lines end at ``\r\n``, ``\r`` or
+    ``\n``, as the reader counts them.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         try:
@@ -48,9 +49,10 @@ def oracle_parse_file(path):
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:
+        before = raw[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         raise ParseError(
             f"byte 0x{raw[exc.start]:02x} is not UTF-8",
-            line=raw.count(b"\n", 0, exc.start) + 1,
+            line=before.count(b"\n") + 1,
         ) from None
     raise AssertionError("the text reader failed on UTF-8 input")
 

@@ -9,9 +9,15 @@ and labels, or error class and line) equals the oracle's. Input that the
 byte path starts to code and then hands on (``REROUTED``) runs at every
 block size, so the rewind is tried from each point it can happen. Block sizes far
 below the default make lines straddle block boundaries.
+
+Canonical input, the bytes ``write_chart_csv`` writes, carries the hash of
+the bytes read as its digest, and ``fingerprint`` renders nothing. Each
+``NEAR_CANONICAL`` case breaks one condition of that and must be rendered
+again; every digest equals the oracle's.
 """
 
 import csv
+import hashlib
 import os
 from datetime import date, timedelta
 from pathlib import Path
@@ -21,11 +27,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chartflow import chart_store, parse_chart_csv
-from chartflow.chart_store import CHART_HEADER, MAX_LISTENERS
+from chartflow import (chart_store, fingerprint, generate_planted,
+                       parse_chart_csv, write_chart_csv)
+from chartflow.chart_store import CHART_HEADER, MAX_LISTENERS, ChartSeries
 from chartflow.errors import ChartValueError, DuplicateKeyError, ParseError
-from chartflow.synth import fingerprint
 
+from conftest import SMALL_PLANT, make_series
 from parser_oracle import oracle_parse_file
 
 HEADER = (",".join(CHART_HEADER) + "\n").encode()
@@ -138,6 +145,93 @@ def test_plain_inputs_take_byte_path(tmp_path, name, block_bytes):
 @pytest.mark.parametrize("name", sorted(LOOP))
 def test_other_inputs_take_row_loop(tmp_path, name):
     _check(tmp_path / "corpus.csv", LOOP[name], False)
+
+
+# Corpora whose canonical CSV, as ``write_chart_csv`` writes it, is plain.
+CANONICAL = {
+    "small plant": lambda: generate_planted(SMALL_PLANT),
+    "non-ASCII": lambda: make_series([
+        (0, "Montréal", "Björk", 4), (0, "東京", "シュガー", 5),
+        (0, "new york", "Sigur Rós", 6), (1, "Montréal", "シュガー", 7),
+        (1, "東京", "Björk", 10), (2, "new york", "Björk", 1000),
+    ]),
+    "header only": lambda: make_series([]),
+}
+
+_BASE = ("2007-01-07,a,x,1", "2007-01-07,a,y,20", "2007-01-07,b,x,3",
+         "2007-01-14,a,x,4")
+# Each case breaks one condition of canonical bytes: the final newline, a
+# count without leading zero, ISO week text, canonical row order. The zero
+# count also starts with ``0``, and each plain label is its csv.writer
+# rendering, so the two tests below break those conditions alone.
+NEAR_CANONICAL = {
+    "no final newline": _rows(*_BASE)[:-1],
+    "leading zero": _rows(*_BASE).replace(b",20\n", b",020\n"),
+    "compact week": _rows(*_BASE).replace(b"2007-01-14", b"20070114"),
+    "rows out of order": _rows(_BASE[1], _BASE[0], *_BASE[2:]),
+    "zero count": _rows(*_BASE[:2], "2007-01-07,a,z,0", *_BASE[2:]),
+}
+
+
+def _check_digest(path, data: bytes, canonical: bool, block_bytes):
+    """``_check`` the byte path, spying on the render ``fingerprint`` falls
+    back to: it must run exactly when the input is not canonical."""
+    render = mock.patch.object(chart_store, "chart_csv_chunks",
+                               wraps=chart_store.chart_csv_chunks)
+    with render as rendered:
+        outcome = _check(path, data, True, block_bytes)
+    assert outcome[0] == "ok"
+    assert rendered.called != canonical
+
+
+@pytest.mark.parametrize("block_bytes", [None, 5, 64])
+@pytest.mark.parametrize("name", sorted(CANONICAL))
+def test_canonical_input_is_hashed_not_rendered(tmp_path, name, block_bytes):
+    path = tmp_path / "corpus.csv"
+    digest = write_chart_csv(CANONICAL[name](), path)
+    _check_digest(path, path.read_bytes(), True, block_bytes)
+    assert parse_chart_csv(path).digest == digest
+
+
+def test_base_case_is_canonical(tmp_path):
+    _check_digest(tmp_path / "corpus.csv", _rows(*_BASE), True, None)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 5, 64])
+@pytest.mark.parametrize("name", sorted(NEAR_CANONICAL))
+def test_near_canonical_input_is_rendered(tmp_path, name, block_bytes):
+    _check_digest(tmp_path / "corpus.csv", NEAR_CANONICAL[name], False,
+                  block_bytes)
+
+
+@pytest.mark.parametrize("codes, counts, kept", [
+    ([0, 1, 2], [1, 2, 3], True),
+    ([0, 2, 1], [1, 2, 3], False),  # rows out of order
+    ([0, 1, 2], [1, 0, 3], False),  # a zero-count row is dropped
+])
+def test_from_columns_keeps_digest_only_for_canonical_rows(codes, counts,
+                                                          kept):
+    """A zero count always starts with ``0``, so no file breaks the
+    zero-count condition alone; ``from_columns`` checks it all the same."""
+    series = ChartSeries.from_columns(
+        (date(2007, 1, 7),), ("a",), ("x", "y", "z"), [0, 0, 0], [0, 0, 0],
+        codes, counts, digest="d",
+    )
+    assert (series.digest == "d") == kept
+
+
+def test_label_rendering_is_checked(tmp_path):
+    """No plain label is quoted by this csv.writer, so no file breaks the
+    label check alone; a renderer that quotes every label must."""
+    path = tmp_path / "corpus.csv"
+    path.write_bytes(_rows(*_BASE))
+    quoted = mock.patch.object(chart_store, "_csv_fields",
+                               lambda labels: [f'"{x}"' for x in labels])
+    with quoted:
+        series = parse_chart_csv(path)
+        rendered = "".join(chart_store.chart_csv_chunks(series)).encode()
+        assert series.digest is None
+        assert fingerprint(series) == hashlib.sha256(rendered).hexdigest()
 
 
 def test_outcomes_pinned(tmp_path):

@@ -92,6 +92,23 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "not UTF-8" in err and "line 2" in err
 
+    @pytest.mark.parametrize("flag", ["--corpus-path", "--labels-path"])
+    def test_non_utf8_after_carriage_returns_names_line(
+        self, flag, corpus_path, tmp_path, capsys
+    ):
+        # Lines end at a lone carriage return, as csv.reader counts them.
+        path = tmp_path / "cr.csv"
+        path.write_bytes({
+            "--corpus-path": b"week_start,city,artist,listeners\r"
+                             b"2007-01-07,a,x,1\r2007-01-07,a,\xff,2\r",
+            "--labels-path": b"city,role\rlead,leader\r\xff,follower\r",
+        }[flag])
+        argv = ["evaluate", "--corpus-path", corpus_path,
+                "--output-dir", tmp_path / "o", flag, path]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "line 3: byte 0xff is not UTF-8" in err
+
     def test_non_utf8_config_names_line(self, corpus_path, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_bytes(b"lag_count = 4\n# caf\xe9\n")
@@ -243,6 +260,18 @@ class TestEvaluate:
             ]
         )
         assert code == 2
+
+    def test_impossible_lag_count_exits_2(self, corpus_path, tmp_path, capsys):
+        # evaluate rejects it before any city runs, as dump-design does.
+        out_dir = tmp_path / "out"
+        flags = ["--corpus-path", corpus_path, "--output-dir", out_dir,
+                 "--lag-count", 99999]
+        assert run(["evaluate", *flags]) == 2
+        err = capsys.readouterr().err
+        assert run(["dump-design", *flags, "--city", "lead"]) == 2
+        assert capsys.readouterr().err == err
+        assert "cannot support 99999 lags" in err
+        assert not out_dir.exists()
 
     def test_all_cities_failing_exits_3(self, tmp_path):
         # 10 chart weeks leave every eligible sample past the boundary, so
@@ -408,8 +437,7 @@ class TestSynth:
         run(["synth", spec_path, "--output-dir", out])
         sidecar = json.loads((out / "corpus.meta.json").read_text())
         # The sidecar digest equals the digest of the emitted corpus file.
-        from chartflow import parse_chart_csv
-        from chartflow.synth import fingerprint
+        from chartflow import fingerprint, parse_chart_csv
 
         series = parse_chart_csv(out / "corpus.csv")
         assert sidecar["fingerprint"] == fingerprint(series)

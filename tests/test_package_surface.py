@@ -4,8 +4,10 @@ A helper another module needs is public in the module that owns it, so no
 module imports a private name from a sibling. Every ``src/chartflow/*.py``
 is parsed with ``ast``: a relative ``from .<module> import _<name>`` fails,
 as does a ``csv.reader`` call anywhere but ``chart_store._csv_rows`` (the
-one reader that numbers rows by physical line) and any ``splitlines`` call
-(it also breaks lines at form feeds and other separators).
+one reader that numbers rows by physical line), a ``hashlib.sha256`` call
+outside ``chart_store`` (the one module that owns the canonical CSV and its
+digest) and any ``splitlines`` call (it also breaks lines at form feeds and
+other separators).
 """
 
 import ast
@@ -68,6 +70,11 @@ def package_calls() -> list[tuple[str, str, str]]:
 def test_one_csv_reader():
     sites = {(m, f) for m, f, call in package_calls() if call == "csv.reader"}
     assert sites == {("chart_store", "_csv_rows")}
+
+
+def test_one_digest_module():
+    modules = {m for m, _, call in package_calls() if call == "hashlib.sha256"}
+    assert modules == {"chart_store"}
 
 
 def test_no_splitlines():

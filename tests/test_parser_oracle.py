@@ -14,8 +14,8 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chartflow import fingerprint
 from chartflow.chart_store import CHART_HEADER, MAX_LISTENERS, parse_chart_csv
-from chartflow.synth import fingerprint
 
 from parser_oracle import oracle_parse_file
 
