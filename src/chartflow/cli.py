@@ -161,6 +161,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise CliInputError(f"lag_count must be >= 1, got {config.lag_count}")
     if not (math.isfinite(config.ridge) and config.ridge >= 0):
         raise CliInputError(f"ridge must be finite and >= 0, got {config.ridge}")
+    if config.solver == "nnls" and config.ridge > 0:
+        raise CliInputError(f"ridge applies to ols only, got {config.ridge} with nnls")
     if config.cities_included == ():
         raise CliInputError("cities_included must name at least one city")
     if config.cities_included is not None:

@@ -17,12 +17,13 @@ chosen city rows of every velocity week into one (week, artist, city)
 array, so the values one sample row needs, all included cities at one lag
 week, lie side by side. ``evaluate_region`` densifies the included cities
 once and passes that cube to every ``build_design`` call; called alone,
-``build_design`` densifies the cities it needs. Each eligible week's block
-of rows is then filled with one ``take`` from the flat cube, at offsets
-``artist * cities + lag week * week stride + city position``, straight into
-the preallocated design; no index array spans more than one week. Rows
-come out in ascending week order, so ``temporal_split`` cuts the design
-into two row slices, views that share the design's memory.
+``build_design`` densifies the cities it needs. One lag table, the velocity
+week index ``7 * (l + 1)`` days before each week, decides which weeks are
+eligible. Each eligible week's block of rows is then read lag-major from
+the cube, (artist, lag, city), and written through a transposed view
+straight into the preallocated design. Rows come out in ascending week
+order, so ``temporal_split`` cuts the design into two row slices, views
+that share the design's memory.
 """
 
 from __future__ import annotations
@@ -110,7 +111,6 @@ class LabeledDesign:
 class SplitDesign:
     train: LabeledDesign
     test: LabeledDesign
-    boundary: date
 
 
 def densify(velocities: VelocitySeries, rows: Sequence[int]) -> np.ndarray:
@@ -147,7 +147,7 @@ def build_design(
     config: LagConfig,
     active_rule: str = ACTIVE_TARGET,
     *,
-    cube: tuple[np.ndarray, Sequence[int]] | None = None,
+    cube: np.ndarray | None = None,
 ) -> LabeledDesign:
     """Assemble the lagged design matrix and target vector for one city.
 
@@ -157,10 +157,11 @@ def build_design(
     chart across the sample week and the whole lag window. Rows come out in
     ascending week order, artists ascending within a week.
 
-    ``cube`` is ``(densify(velocities, rows), rows)`` for city rows, in any
-    order, that hold every city of ``config.cities(target_city)``; callers
-    building several designs pass one cube to all of them. Without it the
-    design densifies the rows it needs itself.
+    ``cube`` is ``densify(velocities, rows)`` for the rows of
+    ``config.cities(target_city)``, in that order, followed by the target
+    city's row when it is not among them; callers building several designs
+    pass one cube to all of them. A cube of any other shape raises
+    ValueError. Without it the design densifies those rows itself.
     """
     if active_rule not in (ACTIVE_TARGET, ACTIVE_UNION):
         raise ValueError(f"unknown active rule {active_rule!r}")
@@ -178,64 +179,59 @@ def build_design(
 
     city_row = {c: i for i, c in enumerate(cities)}
     target_row = city_row[target_city]
-    week_of = velocities.week_index()
-    n_artists = len(velocities.artists)
-    defined = velocities.defined
-
-    # Weeks where the target city's velocity and all its lagged velocities
-    # exist at exact 7-day spacing, with the artists each one samples.
     included_rows = [city_row[c] for c in included]
-    eligible: list[tuple[int, list[int], np.ndarray]] = []
-    for i, week in enumerate(velocities.weeks):
-        if not defined[i, target_row]:
-            continue
-        lag_idx = []
-        for lag in range(1, config.lag_count + 1):
-            j = week_of.get(week - timedelta(days=7 * lag))
-            if j is None or not defined[j, target_row]:
-                break
-            lag_idx.append(j)
-        if len(lag_idx) < config.lag_count:
-            continue
+    rows = list(dict.fromkeys([*included_rows, target_row]))
+    n_included, y_pos = len(included_rows), rows.index(target_row)
+    n_artists = len(velocities.artists)
+    shape = (velocities.n_weeks, n_artists, len(rows))
+    if cube is None:
+        cube = densify(velocities, rows)
+    elif cube.shape != shape:
+        raise ValueError(f"cube has shape {cube.shape}, expected {shape}")
+
+    # lags[i, l] is the velocity week 7 * (l + 1) days before week i, or -1.
+    # A week is eligible when the target city's velocity is defined there
+    # and at every lag week.
+    ordinals = np.array([w.toordinal() for w in velocities.weeks])
+    wanted = ordinals[:, None] - 7 * np.arange(1, config.lag_count + 1)
+    lags = np.searchsorted(ordinals, wanted)
+    lags[ordinals[lags] != wanted] = -1
+    defined = velocities.defined[:, target_row]
+    eligible_weeks = np.flatnonzero(
+        defined & (lags >= 0).all(1) & defined[lags].all(1)
+    )
+
+    eligible: list[tuple[int, np.ndarray]] = []
+    for i in eligible_weeks.tolist():
         if active_rule == ACTIVE_TARGET:
             support = velocities.support[i]
             start, end = support.indptr[target_row], support.indptr[target_row + 1]
             active = support.indices[start:end]
         else:
             mask = np.zeros(n_artists, dtype=bool)
-            for j in [i, *lag_idx]:
+            for j in [i, *lags[i].tolist()]:
                 support = velocities.support[j]
                 for r in included_rows:
                     mask[support.indices[support.indptr[r] : support.indptr[r + 1]]] = True
             active = np.flatnonzero(mask)
         if active.size:
-            eligible.append((i, lag_idx, active))
+            eligible.append((i, active))
 
-    if cube is None:
-        rows = list(dict.fromkeys([target_row, *included_rows]))
-        cube = (densify(velocities, rows), rows)
-    values, rows = cube
-    # Element w * week_stride + a * n_pos + p of ``flat`` is cube[w, a, p].
-    position = {r: p for p, r in enumerate(rows)}
-    flat = values.reshape(-1)
-    n_pos = np.intp(len(rows))
-    week_stride = n_artists * n_pos
-    col_lag = np.array([lag for _, lag in col_meta]) - 1
-    col_pos = np.array([position[city_row[c]] for c, _ in col_meta], dtype=np.intp)
-    target_pos = position[target_row]
-
-    n_rows = sum(active.size for _, _, active in eligible)
+    n_rows = sum(active.size for _, active in eligible)
     x = np.empty((n_rows, len(col_meta)))
     y = np.empty(n_rows)
     week_idx = np.empty(n_rows, dtype=np.int32)
     artist_idx = np.empty(n_rows, dtype=np.int32)
     start = 0
-    for i, lag_idx, active in eligible:
+    for i, active in eligible:
         stop = start + active.size
-        artist_offset = active * n_pos
-        week_offsets = np.asarray(lag_idx)[col_lag] * week_stride + col_pos
-        flat.take(artist_offset[:, None] + week_offsets, out=x[start:stop])
-        flat.take(artist_offset + (i * week_stride + target_pos), out=y[start:stop])
+        # Columns run city-major, so the rows' (artist, city, lag) view,
+        # transposed, takes the (artist, lag, city) block as read.
+        block = x[start:stop].reshape(active.size, n_included, config.lag_count)
+        block.transpose(0, 2, 1)[...] = cube[
+            lags[i][None, :], active[:, None], :n_included
+        ]
+        y[start:stop] = cube[i, active, y_pos]
         week_idx[start:stop] = i
         artist_idx[start:stop] = active
         start = stop
@@ -278,7 +274,6 @@ def temporal_split(design: LabeledDesign, boundary: date) -> SplitDesign:
     return SplitDesign(
         train=part(slice(None, cut)),
         test=part(slice(cut, None)),
-        boundary=boundary,
     )
 
 

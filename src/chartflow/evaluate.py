@@ -112,13 +112,14 @@ def evaluate_city(
     solver_variant: str = "ols",
     ridge: float = 0.0,
     active_rule: str = "target",
-    cube: tuple[np.ndarray, Sequence[int]] | None = None,
+    cube: np.ndarray | None = None,
 ) -> CityResult:
     """Fit and score both models for one city on the identical sample set.
 
     Only the all-history design is built. The own-history model is fitted on
     the target city's ``lag_count`` columns of it, so both models see the
-    same rows by construction. ``cube`` goes to ``build_design``.
+    same rows by construction. ``cube`` goes to ``build_design``: the
+    included cities densified in order. ``ridge`` > 0 needs the OLS solver.
     """
     if own_config.scope != OWN_HISTORY or all_config.scope != ALL_HISTORY:
         raise ValueError("expected an (own_history, all_history) config pair")
@@ -130,6 +131,8 @@ def evaluate_city(
         )
     if solver_variant not in ("ols", "nnls"):
         raise ValueError(f"unknown solver variant {solver_variant!r}")
+    if solver_variant == "nnls" and ridge > 0:
+        raise ValueError("ridge applies to the ols solver only, not nnls")
 
     design = build_design(
         velocities, target_city, all_config, active_rule, cube=cube
@@ -177,9 +180,9 @@ def evaluate_region(
 ) -> list[CityResult]:
     """Evaluate every included city; failures become status rows.
 
-    The included cities' velocities are densified once, into one cube that
-    every city's design is gathered from. A city missing from the corpus is
-    left out of the cube and fails its designs as ``build_design`` does.
+    The included cities' velocities are densified once, in their order,
+    into one cube that every city's design is gathered from. A city missing
+    from the corpus is left out of the cube and fails every design.
     """
     cities = tuple(
         cities_included if cities_included is not None else velocities.cities
@@ -190,7 +193,7 @@ def evaluate_region(
     )
     city_row = {c: i for i, c in enumerate(velocities.cities)}
     rows = [city_row[c] for c in cities if c in city_row]
-    cube = (densify(velocities, rows), rows)
+    cube = densify(velocities, rows)
 
     def one(city: str) -> CityResult:
         try:
@@ -360,10 +363,12 @@ def report_json_text(report: RegionReport, metadata: Mapping[str, object]) -> st
 
 
 def read_labels_csv(path: str | Path) -> dict[str, str]:
-    """Read a ``city,role`` CSV; roles must be leader or follower."""
+    """Read a ``city,role`` CSV: one leader or follower role per city."""
     labels: dict[str, str] = {}
     for lineno, city, role in read_csv_pairs(path, LABEL_HEADER):
         if role not in LABEL_ROLES:
             raise ParseError(f"unknown role {role!r}", line=lineno)
+        if city in labels:
+            raise ParseError(f"city {city!r} labelled twice", line=lineno)
         labels[city] = role
     return labels

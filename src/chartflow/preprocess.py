@@ -89,9 +89,6 @@ class VelocitySeries:
     def n_weeks(self) -> int:
         return len(self.weeks)
 
-    def week_index(self) -> dict[date, int]:
-        return {w: i for i, w in enumerate(self.weeks)}
-
 
 def to_listeners_matrices(
     series: ChartSeries, index: ArtistIndex

@@ -58,9 +58,6 @@ class Coefficients:
     iterations: int = 0
     rank_deficient: bool = False
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def _validated(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)

@@ -120,7 +120,7 @@ def build_design_by_columns(
     col_meta = config.columns(target_city)
     city_row = {c: i for i, c in enumerate(cities)}
     target_row = city_row[target_city]
-    week_of = velocities.week_index()
+    week_of = {w: i for i, w in enumerate(velocities.weeks)}
     n_artists = len(velocities.artists)
     defined = velocities.defined
 

@@ -311,6 +311,23 @@ class TestEvaluate:
         assert payload["avg_leaders"] is not None
         assert payload["avg_followers"] is not None
 
+    def test_city_labelled_twice_exits_2(self, corpus_path, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("city,role\nlead,leader\nlead,follower\n")
+        out_dir = tmp_path / "out"
+        code = run(
+            [
+                "evaluate",
+                "--corpus-path", corpus_path,
+                "--labels-path", labels,
+                "--output-dir", out_dir,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "'lead' labelled twice" in err
+        assert not (out_dir / "report.json").exists()
+
 
 class TestTagFilter:
     def test_full_tag_set_is_identity(self, corpus_path, tmp_path, small_series):
@@ -579,6 +596,29 @@ class TestConfigResolution:
         monkeypatch.setenv("CHARTFLOW_CITIES_INCLUDED", ",")
         assert run(base) == 2
         assert "cities_included" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_ridge_with_nnls_exits_2(
+        self, corpus_path, tmp_path, monkeypatch, capsys
+    ):
+        message = "ridge applies to ols only, got 1000.0 with nnls"
+        with pytest.raises(CliInputError, match=message):
+            resolve_config(argparse.Namespace(solver="nnls", ridge=1000.0))
+        assert resolve_config(argparse.Namespace(solver="nnls", ridge=0.0)).ridge == 0
+        base = ["evaluate", "--corpus-path", corpus_path,
+                "--output-dir", tmp_path / "o"]
+        config = tmp_path / "run.cfg"
+        config.write_text("solver = nnls\nridge = 1000\n")
+        layers = {
+            "flag": base + ["--solver", "nnls", "--ridge", "1000"],
+            "config file": base + ["--config", config],
+        }
+        for layer, argv in layers.items():
+            assert run(argv) == 2, layer
+            assert message in capsys.readouterr().err, layer
+        monkeypatch.setenv("CHARTFLOW_RIDGE", "1000")
+        assert run(base + ["--solver", "nnls"]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
 
     def test_config_file_via_main(self, corpus_path, tmp_path, capsys):

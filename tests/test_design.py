@@ -187,12 +187,30 @@ class TestEligibilityAndFill:
 
 
 class TestGatherMatchesColumnLoop:
-    """The per-week gather gives the old per-column assembly, bit for bit.
+    """The lag-major gather gives the per-column assembly, bit for bit.
 
-    It is checked with the cube ``build_design`` densifies itself (target
-    city first) and with shared cubes over every city in corpus order and in
-    reverse, as ``evaluate_region`` passes one.
+    It is checked with the cube ``build_design`` densifies itself and with a
+    cube passed in, densified for the rows of ``config.cities(city)`` in
+    order, as ``evaluate_region`` passes one.
     """
+
+    @staticmethod
+    def assert_bit_equal(velocities, cities, configs, active_rule):
+        city_row = {c: i for i, c in enumerate(velocities.cities)}
+        for config, city in itertools.product(configs, cities):
+            rows = [city_row[c] for c in config.cities(city)]
+            ref = build_design_by_columns(velocities, city, config, active_rule)
+            for cube in (None, densify(velocities, rows)):
+                got = build_design(
+                    velocities, city, config, active_rule, cube=cube
+                )
+                assert got.n_rows > 0
+                assert got.col_meta == ref.col_meta
+                for name in ("x", "y", "week_idx", "artist_idx"):
+                    a, b = getattr(got, name), getattr(ref, name)
+                    assert a.shape == b.shape and a.dtype == b.dtype, name
+                    assert a.tobytes() == b.tobytes(), (config, city, name)
+                assert np.all(np.diff(got.week_idx) >= 0)
 
     @pytest.mark.parametrize("chart_size", [SMALL_PLANT.chart_size, 12])
     @pytest.mark.parametrize("active_rule", ["target", "union"])
@@ -200,27 +218,55 @@ class TestGatherMatchesColumnLoop:
         spec = dataclasses.replace(SMALL_PLANT, chart_size=chart_size)
         velocities = build_velocities(generate_planted(spec))
         cities = velocities.cities
-        rows = list(range(len(cities)))
-        cubes = (
-            None,
-            (densify(velocities, rows), rows),
-            (densify(velocities, rows[::-1]), rows[::-1]),
-        )
         configs = (
             LagConfig(8, ALL_HISTORY, cities),
             LagConfig(3, ALL_HISTORY, tuple(reversed(cities))),
             LagConfig(8, OWN_HISTORY),
         )
-        for cube, config, city in itertools.product(cubes, configs, cities):
-            got = build_design(velocities, city, config, active_rule, cube=cube)
-            ref = build_design_by_columns(velocities, city, config, active_rule)
-            assert got.n_rows > 0
-            assert got.col_meta == ref.col_meta
-            for name in ("x", "y", "week_idx", "artist_idx"):
-                a, b = getattr(got, name), getattr(ref, name)
-                assert a.shape == b.shape and a.dtype == b.dtype, name
-                assert a.tobytes() == b.tobytes(), (config, city, name)
-            assert np.all(np.diff(got.week_idx) >= 0)
+        self.assert_bit_equal(velocities, cities, configs, active_rule)
+
+    @pytest.mark.parametrize("active_rule", ["target", "union"])
+    def test_bit_equal_across_gaps(self, active_rule):
+        # 30 weeks with a 21-day hole after week 11 (weeks 12 and 13 are
+        # missing), and city "n" absent from weeks 20-22: lag weeks go
+        # missing mid-series, and n's velocity is undefined around its
+        # absence.
+        rng = np.random.default_rng(11)
+        rows = []
+        for k in range(30):
+            if k in (12, 13):
+                continue
+            for city in ("m", "n", "o"):
+                if city == "n" and 20 <= k <= 22:
+                    continue
+                for artist in rng.choice(8, size=5, replace=False).tolist():
+                    rows.append((k, city, f"a{artist}", int(rng.integers(1, 50))))
+        velocities = build_velocities(make_series(rows))
+        assert any(
+            (b - a).days == 21
+            for a, b in zip(velocities.weeks, velocities.weeks[1:])
+        )
+        assert not velocities.defined[:, velocities.cities.index("n")].all()
+        cities = velocities.cities
+        configs = (
+            LagConfig(4, ALL_HISTORY, cities),
+            LagConfig(2, ALL_HISTORY, tuple(reversed(cities))),
+            LagConfig(4, OWN_HISTORY),
+        )
+        self.assert_bit_equal(velocities, cities, configs, active_rule)
+
+    def test_cube_of_wrong_shape(self, small_velocities):
+        cities = small_velocities.cities
+        config = LagConfig(4, ALL_HISTORY, cities)
+        rows = list(range(len(cities)))
+        for bad in (rows[:-1], rows + rows[:1]):
+            with pytest.raises(ValueError, match="cube has shape"):
+                build_design(
+                    small_velocities,
+                    "echo",
+                    config,
+                    cube=densify(small_velocities, bad),
+                )
 
 
 class TestDeterminismAndEquivariance:

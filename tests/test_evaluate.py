@@ -247,6 +247,19 @@ class TestEvaluateCity:
         assert a.all_history_pct == pytest.approx(b.all_history_pct, abs=1e-9)
         assert a.sample_counts == b.sample_counts
 
+    def test_ridge_rejected_under_nnls(self, small_velocities):
+        own = LagConfig(4, OWN_HISTORY)
+        alls = LagConfig(4, ALL_HISTORY, small_velocities.cities)
+        with pytest.raises(ValueError, match="ridge"):
+            evaluate_city(
+                small_velocities,
+                "echo",
+                own,
+                alls,
+                solver_variant="nnls",
+                ridge=1000.0,
+            )
+
     def test_nnls_variant_runs(self, small_velocities):
         own = LagConfig(4, OWN_HISTORY)
         alls = LagConfig(4, ALL_HISTORY, small_velocities.cities)
@@ -408,3 +421,11 @@ def test_read_labels_bad_role(tmp_path):
     with pytest.raises(ParseError) as err:
         read_labels_csv(path)
     assert err.value.line == 2
+
+
+def test_read_labels_city_labelled_twice(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("city,role\nc00,leader\nc00,follower\n")
+    with pytest.raises(ParseError, match="'c00' labelled twice") as err:
+        read_labels_csv(path)
+    assert err.value.line == 3

@@ -67,6 +67,11 @@ def test_traced_layers_are_all_measured(tmp_path):
     assert rows == 30 * 3 * 12
     assert metrics["chart_store.records"]["value"] == rows
     assert metrics["design.calls"]["value"] == len(SPEC["cities"])
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert metrics["design.rows"]["value"] == sum(
+        row["train_rows"] + row["test_rows"] for row in report["rows"]
+    )
+    assert metrics["design.dense_mb"]["value"] > 0
     for name in ("chart_store.parse_s", "synth.fingerprint_s",
                  "preprocess.listeners_s", "design.build_s"):
         assert metrics[name]["value"] > 0, name
