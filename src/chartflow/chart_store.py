@@ -114,6 +114,10 @@ class ChartSeries:
         when they spell each row as the canonical CSV would. It is kept only
         when the rows are in canonical order and none is dropped: then those
         bytes are the canonical CSV.
+        A code column given as a 1-D int32 array whose labels are already
+        sorted, with every code in range, may be kept as the corpus's
+        column, and so may an int64 ``listeners`` array: the caller must
+        not change them afterwards.
         """
         for labels in (weeks, cities, artists):
             if len(set(labels)) != len(labels):
@@ -122,14 +126,14 @@ class ChartSeries:
         weeks, week_rank = _sort_labels(weeks)
         cities, city_rank = _sort_labels(cities)
         artists, artist_rank = _sort_labels(artists)
-        w = week_rank[np.asarray(week_idx, dtype=np.intp)]
-        c = city_rank[np.asarray(city_idx, dtype=np.intp)]
-        a = artist_rank[np.asarray(artist_idx, dtype=np.intp)]
+        w = _ranked(week_rank, week_idx)
+        c = _ranked(city_rank, city_idx)
+        a = _ranked(artist_rank, artist_idx)
         if not len(w) == len(c) == len(a) == len(counts):
             raise ValueError("columns must have equal lengths")
         order = None if _increasing(w, c, a) else np.lexsort((a, c, w))
         _validate(weeks, cities, artists, w, c, a, counts, order, lines)
-        counts = counts.astype(np.int64)
+        counts = counts.astype(np.int64, copy=False)
         nonzero = counts != 0
         if order is None and nonzero.all():
             keep = slice(None)
@@ -194,6 +198,23 @@ def _sort_labels(labels: Sequence) -> tuple[tuple, np.ndarray]:
     rank = np.empty(len(labels), dtype=np.int32)
     rank[order] = np.arange(len(labels), dtype=np.int32)
     return tuple(labels[i] for i in order), rank
+
+
+def _ranked(rank: np.ndarray, codes) -> np.ndarray:
+    """The codes of sorted labels, given codes of labels in ``rank``'s order.
+
+    A 1-D int32 array of in-range codes for labels already sorted (``rank``
+    is the identity) is returned as is, not copied.
+    """
+    if (
+        isinstance(codes, np.ndarray)
+        and codes.dtype == np.int32
+        and codes.ndim == 1
+        and (rank == np.arange(len(rank))).all()
+        and (codes.size == 0 or 0 <= codes.min() and codes.max() < len(rank))
+    ):
+        return codes
+    return rank[np.asarray(codes, dtype=np.intp)]
 
 
 def _increasing(w, c, a) -> bool:

@@ -13,7 +13,8 @@ variables prefixed ``CHARTFLOW_`` (upper-cased key), and command-line flags
 (key with dashes, e.g. ``corpus_path`` -> ``--corpus-path``). Config files
 ignore blank lines and ``#`` comments.
 
-Exit codes: 0 success, 2 input error, 3 every city failed to evaluate.
+Exit codes: 0 success, 2 input error (an allocation too large for memory
+included), 3 every city failed to evaluate.
 """
 
 from __future__ import annotations
@@ -384,6 +385,10 @@ def main(argv: list[str] | None = None) -> int:
         raise AssertionError(f"unhandled command {args.command!r}")
     except (ChartFlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 2
 
 

@@ -201,6 +201,15 @@ def build_design(
         defined & (lags >= 0).all(1) & defined[lags].all(1)
     )
 
+    if active_rule == ACTIVE_UNION:
+        # listed[j, a]: some included city lists artist a at either end of
+        # velocity week j.
+        listed = np.zeros((velocities.n_weeks, n_artists), dtype=bool)
+        is_included = np.zeros(len(cities), dtype=bool)
+        is_included[included_rows] = True
+        for j, support in enumerate(velocities.support):
+            listed[j, support.indices[is_included[support.rows()]]] = True
+
     eligible: list[tuple[int, np.ndarray]] = []
     for i in eligible_weeks.tolist():
         if active_rule == ACTIVE_TARGET:
@@ -208,12 +217,7 @@ def build_design(
             start, end = support.indptr[target_row], support.indptr[target_row + 1]
             active = support.indices[start:end]
         else:
-            mask = np.zeros(n_artists, dtype=bool)
-            for j in [i, *lags[i].tolist()]:
-                support = velocities.support[j]
-                for r in included_rows:
-                    mask[support.indices[support.indptr[r] : support.indptr[r + 1]]] = True
-            active = np.flatnonzero(mask)
+            active = np.flatnonzero(listed[[i, *lags[i]]].any(0))
         if active.size:
             eligible.append((i, active))
 

@@ -14,6 +14,14 @@ its base popularity profile, so with ``strength = 1`` and zero noise a
 follower's chart is exactly its leader's chart shifted by ``lag`` weeks.
 All randomness comes from the keyed counter streams in :mod:`chartflow.rng`,
 so a spec generates the identical corpus on every run.
+
+Memory stays near the size of the output. Cities are walked leaders first,
+and each city's chart is written into preallocated ``(weeks, cities,
+chart)`` arrays as soon as its walk ends; only leaders keep what their
+followers read. The chart arrays, already int32 codes in canonical order,
+become the corpus's columns without a copy. A walk that overflows to NaN
+(an extreme ``walk_sigma`` or ``noise_sigma``) raises ``PlantSpecError``
+naming its city.
 """
 
 from __future__ import annotations
@@ -251,96 +259,128 @@ def _lookbacks(spec: PlantSpec, order: list[str]) -> dict[str, int]:
 
 def generate_planted(spec: PlantSpec) -> ChartSeries:
     """Generate the chart corpus described by ``spec``, deterministically."""
+    cities = tuple(sorted(spec.city_names()))
+    artist_idx, counts = _charts(spec, cities)
+    shape = artist_idx.shape
+    digits = max(4, len(str(spec.artists - 1)))
+    weeks = tuple(
+        spec.start_week + timedelta(days=7 * t) for t in range(spec.weeks)
+    )
+    # One cell per (week, city, chart slot); every column is already in the
+    # dtype and order ``from_columns`` keeps.
+    return ChartSeries.from_columns(
+        weeks,
+        cities,
+        tuple(f"a{idx:0{digits}d}" for idx in range(spec.artists)),
+        np.broadcast_to(
+            np.arange(shape[0], dtype=np.int32)[:, None, None], shape
+        ).ravel(),
+        np.broadcast_to(
+            np.arange(shape[1], dtype=np.int32)[None, :, None], shape
+        ).ravel(),
+        artist_idx.ravel(),
+        counts.ravel(),
+        region_label="synthetic",
+    )
+
+
+# Extreme sigmas overflow a walk to +-inf, which clips to a valid count;
+# inf - inf leaves NaN, which ``_charts`` reports by city.
+@np.errstate(over="ignore", invalid="ignore")
+def _charts(spec: PlantSpec, cities: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Every city's weekly charts as ``(weeks, cities, chart)`` arrays.
+
+    Returns the int32 artist codes, ascending within each chart, and their
+    int64 counts; ``cities`` (sorted) gives the city axis. Cities are walked
+    leaders first, and each city's chart is written as soon as its walk
+    ends. A leader keeps what its followers read: its base profile, its
+    innovations and the state row each follower starts from. Every other
+    walk is dropped once charted.
+    """
     names = list(spec.city_names())
     order = _toposort(names, spec.influence)
     need = _lookbacks(spec, order)
     city_pos = {name: i for i, name in enumerate(names)}
+    slot = {name: i for i, name in enumerate(cities)}
     incoming: dict[str, list[Influence]] = {n: [] for n in names}
+    outgoing: dict[str, list[Influence]] = {n: [] for n in names}
     for edge in spec.influence:
         incoming[edge.follower].append(edge)
+        outgoing[edge.leader].append(edge)
     for follower in incoming:
         incoming[follower].sort(key=lambda e: (e.leader, e.lag))
 
     n_artists = spec.artists
+    width = min(n_artists, spec.chart_size)
+    artist_idx = np.empty((spec.weeks, len(cities), width), dtype=np.int32)
+    counts = np.empty((spec.weeks, len(cities), width), dtype=np.int64)
     stationary = spec.walk_sigma / np.sqrt(1.0 - (1.0 - DAMPING) ** 2)
     keep = 1.0 - DAMPING
 
+    # A city's walk x[t] is its latent offset at week spec.start_week +
+    # 7(t - need[c]) days, for t in [0, need[c] + spec.weeks); steps[t] is
+    # its realized innovation. A leader's mu and inc feed its followers, and
+    # start[edge] is the leader's x row that the edge's follower starts from.
     mu: dict[str, np.ndarray] = {}
-    # state[c][t] is the latent offset at week spec.start_week + 7t days,
-    # for t in [-need[c], spec.weeks); inc[c] records realized innovations.
-    state: dict[str, np.ndarray] = {}
     inc: dict[str, np.ndarray] = {}
-    offset: dict[str, int] = {}
+    start: dict[Influence, np.ndarray] = {}
     for city in order:
         ci = city_pos[city]
         edges = incoming[city]
         span = need[city] + spec.weeks
-        offset[city] = need[city]
         own_sigma = spec.noise_sigma if edges else spec.walk_sigma
-        own = own_sigma * rng.normals(
+        steps = own_sigma * rng.normals(
             rng.derive_key(spec.seed, _TAG_ETA, ci), span * n_artists
         ).reshape(span, n_artists)
         x = np.empty((span, n_artists))
         if edges:
             total = sum(e.strength for e in edges)
-            mu[city] = sum(e.strength * mu[e.leader] for e in edges) / total
-            x[0] = own[0]
+            base = sum(e.strength * mu[e.leader] for e in edges) / total
+            x[0] = steps[0]
             for e in edges:
-                src = offset[e.leader] - need[city] - e.lag
-                x[0] += e.strength * state[e.leader][src]
+                x[0] += e.strength * start[e]
         else:
-            mu[city] = BASE_SPREAD * rng.normals(
+            base = BASE_SPREAD * rng.normals(
                 rng.derive_key(spec.seed, _TAG_MU, ci), n_artists
             )
             x[0] = stationary * rng.normals(
                 rng.derive_key(spec.seed, _TAG_INIT, ci), n_artists
             )
-        steps = own.copy()
         steps[0] = 0.0
         for e in edges:
-            src0 = offset[e.leader] - need[city] - e.lag
+            src0 = need[e.leader] - need[city] - e.lag
             steps[1:] += e.strength * inc[e.leader][src0 + 1 : src0 + span]
         for t in range(1, span):
             x[t] = keep * x[t - 1] + steps[t]
-        state[city] = x
-        inc[city] = steps
-
-    width = max(4, len(str(n_artists - 1)))
-    artist_names = tuple(f"a{idx:0{width}d}" for idx in range(n_artists))
-    sorted_names = sorted(names)
-    chart_idx: list[np.ndarray] = []
-    chart_counts: list[np.ndarray] = []
-    for city in sorted_names:
-        latent = mu[city] + state[city][offset[city] :]
+        if outgoing[city]:
+            mu[city], inc[city] = base, steps
+            for e in outgoing[city]:
+                start[e] = x[need[city] - need[e.follower] - e.lag].copy()
+        latent = base + x[need[city] :]
+        # Each temporary is dropped as soon as it is used, so no two walks'
+        # arrays are alive at once.
+        del steps, x
+        if np.isnan(latent).any():
+            raise PlantSpecError(
+                f"city {city!r}: latent walk overflows to NaN; "
+                "lower walk_sigma or noise_sigma"
+            )
         # Clipped so extreme specs cannot overflow the integer counts.
-        counts = np.rint(
+        city_counts = np.rint(
             np.clip(spec.city_size * np.exp(latent), 1.0, 1e15)
         ).astype(np.int64)
-        if n_artists > spec.chart_size:
+        del latent
+        if n_artists > width:
             # Top of the chart: count descending, artist index on ties.
-            top = np.argsort(-counts, axis=1, kind="stable")
-            sel = np.sort(top[:, : spec.chart_size], axis=1)
+            top = np.argsort(-city_counts, axis=1, kind="stable")
+            sel = np.sort(top[:, :width], axis=1)
+            del top
+            artist_idx[:, slot[city]] = sel
+            counts[:, slot[city]] = np.take_along_axis(city_counts, sel, axis=1)
         else:
-            sel = np.broadcast_to(np.arange(n_artists), counts.shape)
-        chart_idx.append(sel)
-        chart_counts.append(np.take_along_axis(counts, sel, axis=1))
-
-    # One cell per (week, city, chart slot).
-    artist_idx = np.stack(chart_idx, axis=1)
-    shape = artist_idx.shape
-    weeks = tuple(
-        spec.start_week + timedelta(days=7 * t) for t in range(spec.weeks)
-    )
-    return ChartSeries.from_columns(
-        weeks,
-        tuple(sorted_names),
-        artist_names,
-        np.broadcast_to(np.arange(shape[0])[:, None, None], shape).ravel(),
-        np.broadcast_to(np.arange(shape[1])[None, :, None], shape).ravel(),
-        artist_idx.ravel(),
-        np.stack(chart_counts, axis=1).ravel(),
-        region_label="synthetic",
-    )
+            artist_idx[:, slot[city]] = np.arange(n_artists)
+            counts[:, slot[city]] = city_counts
+    return artist_idx, counts
 
 
 def sidecar_json_text(spec: PlantSpec, digest: str) -> str:

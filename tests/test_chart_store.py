@@ -208,6 +208,39 @@ class TestFromColumns:
                 (week(0),), ("c", "c"), ("a",), [0], [0], [0], [1]
             )
 
+    def test_keeps_canonical_int32_columns(self):
+        codes = [np.array(col, dtype=np.int32)
+                 for col in ([0, 0, 1], [0, 1, 1], [1, 0, 0])]
+        listeners = np.array([3, 2, 1], dtype=np.int64)
+        series = ChartSeries.from_columns(
+            (week(0), week(1)), ("a", "b"), ("p", "q"), *codes, listeners
+        )
+        kept = (series.week_idx, series.city_idx, series.artist_idx,
+                series.listeners)
+        for column, given in zip(kept, [*codes, listeners]):
+            assert np.shares_memory(column, given)
+            assert np.array_equal(column, given)
+
+    def test_int32_codes_of_unsorted_labels_are_ranked(self):
+        cities = np.array([0, 1], dtype=np.int32)
+        series = ChartSeries.from_columns(
+            (week(0),), ("z", "a"), ("p",), np.zeros(2, np.int32), cities,
+            np.zeros(2, np.int32), [1, 2],
+        )
+        assert series.cities == ("a", "z")
+        assert series.city_idx.tolist() == [0, 1]
+        assert series.listeners.tolist() == [2, 1]
+        assert series.city_idx.dtype == np.int32
+        assert not np.shares_memory(series.city_idx, cities)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_out_of_range_codes_raise(self, dtype):
+        with pytest.raises(IndexError):
+            ChartSeries.from_columns(
+                (week(0),), ("c",), ("a", "b"), np.zeros(2, dtype),
+                np.zeros(2, dtype), np.array([0, 2], dtype), [1, 1],
+            )
+
     def test_equality_reads_columns(self):
         base = make_series([(0, "c", "a", 1), (0, "c", "b", 2)])
         assert base == make_series([(0, "c", "b", 2), (0, "c", "a", 1)])

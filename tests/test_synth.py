@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import astuple, replace
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +27,70 @@ from chartflow.synth import sidecar_json_text
 from conftest import NULL_SPEC, REFERENCE_SPEC, SMALL_PLANT, series_from_rows
 from test_golden import REFERENCE_SPEC_SHA256, SMALL_PLANT_SHA256
 
+ROOT = Path(__file__).resolve().parent.parent
+
 # Hash of the bare header line; the digest of an empty corpus.
 EMPTY_DIGEST = "81269196093390e00fbbc64ea76b3acba7deb5ffde7e84166516b7c7bee38cb7"
+
+
+def shape_spec(cities, influence=(), **overrides):
+    fields = dict(weeks=36, artists=40, chart_size=12, noise_sigma=0.05, seed=29)
+    fields.update(overrides)
+    return PlantSpec(cities=cities, influence=influence, **fields)
+
+
+# One spec per shape of influence graph and chart, with the corpus digest
+# recorded before charts were written city by city.
+SHAPES = {
+    "chain": (
+        shape_spec(
+            (("a", "leader"), ("b", "unlabeled"), ("c", "follower")),
+            (Influence("a", "b", 2, 0.7), Influence("b", "c", 3, 0.9)),
+        ),
+        "0cdb304108112f4f03490ddfaaa38749d59d19a10c183492be89cbcbefe67b3a",
+    ),
+    "two-leaders": (
+        shape_spec(
+            (("c", "follower"), ("a", "leader"), ("b", "leader")),
+            (Influence("a", "c", 1, 0.5), Influence("b", "c", 4, 0.8)),
+        ),
+        "ec6be1546176ef24b581f0d0af40ea41dfd6837c0867de96661d33e509c9f83a",
+    ),
+    "two-followers": (
+        shape_spec(
+            (("lead", "leader"), ("f2", "follower"), ("f1", "follower")),
+            (Influence("lead", "f1", 2, 0.8), Influence("lead", "f2", 5, 1.0)),
+        ),
+        "22699778937c9b564ac28924978a8b1e2598d78e240e0f3f97876bdf70e9c995",
+    ),
+    "full-chart": (
+        shape_spec(
+            (("x", "leader"), ("y", "follower")),
+            (Influence("x", "y", 2, 0.6),),
+            chart_size=40,
+        ),
+        "8c9f24e933d7ff3b9ab9d484990e1cb0480e15112ff9d3ceb19d725b2ba5e73b",
+    ),
+    "no-edges": (
+        shape_spec((("q", "unlabeled"), ("p", "unlabeled"))),
+        "175139b12d1c1656e0eb19e6c4c36df7056d1a39af5f7ab4e631b9052ca308f4",
+    ),
+}
+
+# Its walks overflow to +-inf, which clip to counts of 1 and 10**15.
+INF_WALK_SPEC = PlantSpec(
+    cities=(("solo", "unlabeled"), ("lead", "leader"), ("echo", "follower")),
+    influence=(Influence("lead", "echo", 2, 0.5),),
+    weeks=40,
+    artists=30,
+    chart_size=20,
+    noise_sigma=0.05,
+    walk_sigma=3e307,
+    seed=8,
+)
+INF_WALK_SHA256 = (
+    "2c7d420d2771aa2ef6533574aa99e6c01c4f5ae62840a9f9197646c95b69e55c"
+)
 
 
 class TestDeterminism:
@@ -45,6 +112,39 @@ class TestDeterminism:
         assert fingerprint(generate_planted(other)) != fingerprint(
             generate_planted(SMALL_PLANT)
         )
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_shape_digests(shape):
+    spec, digest = SHAPES[shape]
+    assert fingerprint(generate_planted(spec)) == digest
+
+
+def test_peak_memory_is_bounded_by_the_columns():
+    names = [f"c{i:02d}" for i in range(30)]
+    roles = {"c00": "leader", "c01": "follower"}
+    spec = PlantSpec(
+        cities=tuple((n, roles.get(n, "unlabeled")) for n in names),
+        influence=(Influence("c00", "c01", 2, 0.8),),
+        weeks=40,
+        artists=200,
+        chart_size=50,
+        noise_sigma=0.04,
+        seed=101,
+    )
+    tracemalloc.start()
+    try:
+        series = generate_planted(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(
+        column.nbytes
+        for column in (series.week_idx, series.city_idx, series.artist_idx,
+                       series.listeners)
+    )
+    assert len(series) == 40 * 30 * 50
+    assert peak <= 3 * columns, (peak, columns)
 
 
 class TestPlantedStructure:
@@ -278,3 +378,60 @@ class TestSpecSerialization:
     def test_labels(self):
         assert SMALL_PLANT.labels() == {"lead": "leader", "echo": "follower"}
         assert NULL_SPEC.labels() == {"alpha": "leader", "beta": "follower"}
+
+
+class TestOverflow:
+    def overflow_specs(self):
+        base = dict(
+            cities=(("a", "leader"), ("b", "follower")),
+            influence=(Influence("a", "b", 2, 0.5),),
+            weeks=40,
+            artists=30,
+            chart_size=20,
+            noise_sigma=0.05,
+            seed=3,
+        )
+        return {
+            "b": PlantSpec(**{**base, "noise_sigma": 1e308}),
+            "a": PlantSpec(**{**base, "walk_sigma": 1e308}),
+        }
+
+    def test_nan_walk_names_the_city(self):
+        for city, spec in self.overflow_specs().items():
+            with pytest.raises(PlantSpecError, match=f"city '{city}'"):
+                generate_planted(spec)
+
+    def test_nan_walk_exits_2_without_warnings(self, tmp_path):
+        for city, spec in self.overflow_specs().items():
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
+            # A fresh interpreter, so stderr shows what a user would see.
+            done = subprocess.run(
+                [sys.executable, "-m", "chartflow.cli", "synth", str(path),
+                 "--output-dir", str(tmp_path)],
+                capture_output=True, text=True,
+                env={**{k: v for k, v in os.environ.items()
+                        if not k.startswith("CHARTFLOW_")},
+                     "PYTHONPATH": str(ROOT / "src")},
+            )
+            assert done.returncode == 2, done.stderr
+            assert done.stderr.startswith(f"error: city '{city}'"), done.stderr
+            assert done.stderr.count("\n") == 1, done.stderr
+            assert "RuntimeWarning" not in done.stderr
+            assert not (tmp_path / "corpus.csv").exists()
+
+    def test_infinite_walk_keeps_its_bytes(self):
+        series = generate_planted(INF_WALK_SPEC)
+        assert fingerprint(series) == INF_WALK_SHA256
+        assert {1, 10**15} <= set(series.listeners.tolist())
+
+    def test_spec_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # The first allocation asks for hundreds of TiB, so it fails at once.
+        raw = {**SMALL_PLANT.to_dict(), "artists": 1_000_000_000_000}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["synth", str(path), "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: "), err
+        assert err.count("\n") == 1, err
+        assert not (tmp_path / "corpus.csv").exists()
