@@ -18,7 +18,10 @@ one block of whole lines at a time, and kept when it validates. Any other
 input, quoted RFC 4180 fields among it, and plain input that fails
 validation, goes whole to a row loop over ``csv.reader``. The loop is the
 only code that reports a parse error: every syntax, decode, csv and value
-error names the physical line its row starts on.
+error names the physical line its row starts on. The byte path holds the
+columns plus one block's scratch (blocks are 256 KiB): the blocks' parts are
+joined one column at a time, and the checks of ``from_columns`` run a fixed
+number of rows at a time, so no whole-column temporary is built.
 
 This module also owns the canonical CSV, the one rendering of a corpus:
 :func:`chart_csv_chunks` renders it, :func:`write_chart_csv` writes it and
@@ -204,32 +207,45 @@ def _ranked(rank: np.ndarray, codes) -> np.ndarray:
     """The codes of sorted labels, given codes of labels in ``rank``'s order.
 
     A 1-D int32 array of in-range codes for labels already sorted (``rank``
-    is the identity) is returned as is, not copied.
+    is the identity) is returned as is, not copied. A signed integer array
+    indexes ``rank`` as it is, which numpy does without an ``intp`` copy.
     """
+    if not (isinstance(codes, np.ndarray) and codes.dtype.kind == "i"):
+        return rank[np.asarray(codes, dtype=np.intp)]
     if (
-        isinstance(codes, np.ndarray)
-        and codes.dtype == np.int32
+        codes.dtype == np.int32
         and codes.ndim == 1
         and (rank == np.arange(len(rank))).all()
         and (codes.size == 0 or 0 <= codes.min() and codes.max() < len(rank))
     ):
         return codes
-    return rank[np.asarray(codes, dtype=np.intp)]
+    return rank[codes]
 
 
 def _increasing(w, c, a) -> bool:
     """Whether the (week, city, artist) code key strictly increases row by row.
 
-    Compared column by column: a combined integer key could overflow.
+    Compared column by column, ``_CHECK_ROWS`` rows at a time: a combined
+    integer key could overflow, and whole-column differences would double
+    the columns' memory.
     """
-    dw, dc, da = np.diff(w), np.diff(c), np.diff(a)
-    steps_up = (dw > 0) | (dw == 0) & ((dc > 0) | (dc == 0) & (da > 0))
-    return bool(steps_up.all())
+    for start in range(0, len(w), _CHECK_ROWS):
+        rows = slice(start, start + _CHECK_ROWS + 1)  # one row of overlap
+        dw, dc, da = np.diff(w[rows]), np.diff(c[rows]), np.diff(a[rows])
+        steps_up = (dw > 0) | (dw == 0) & ((dc > 0) | (dc == 0) & (da > 0))
+        if not steps_up.all():
+            return False
+    return True
+
+
+# Rows per step of the whole-column checks in ``from_columns``.
+_CHECK_ROWS = 1 << 14
 
 
 def _drop_unused(labels: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
     """Drop labels no code refers to, keeping order, and renumber the codes."""
-    used = np.bincount(codes, minlength=len(labels)) > 0
+    used = np.zeros(len(labels), dtype=bool)
+    used[codes] = True  # an int32 index is not copied, as bincount's is
     if used.all():
         return labels, codes
     renumber = (np.cumsum(used) - 1).astype(np.int32)
@@ -249,32 +265,31 @@ def _validate(weeks, cities, artists, w, c, a, counts, order, lines) -> None:
     """
     if len(counts) == 0:
         return
-    low = counts < 0
-    high = counts > MAX_LISTENERS
-    weekday = np.array([d.toordinal() % 7 for d in weeks])[w]
-    off_anchor = weekday != weekday[0]
-    repeat = np.zeros(len(counts), dtype=bool)
+    weekday = np.array([d.toordinal() % 7 for d in weeks])
+    off_anchor = weekday != weekday[w[0]]  # per week, not per row
+    bad = counts < 0
+    bad |= counts > MAX_LISTENERS
+    bad |= off_anchor[w]
     if order is not None:
         ws, cs, as_ = w[order], c[order], a[order]
-        repeat[order[1:]] = (
+        bad[order[1:]] |= (
             (ws[1:] == ws[:-1]) & (cs[1:] == cs[:-1]) & (as_[1:] == as_[:-1])
         )
-    bad = low | high | off_anchor | repeat
     if not bad.any():
         return
     i = int(np.argmax(bad))
     key = f"({weeks[w[i]]}, {cities[c[i]]}, {artists[a[i]]})"
     line = None if lines is None else int(lines[i])
     where = "" if line is not None else f" for {key}"
-    if low[i]:
+    if counts[i] < 0:
         raise ChartValueError(
             f"negative listener count {counts[i]}{where}", line=line
         )
-    if high[i]:
+    if counts[i] > MAX_LISTENERS:
         raise ChartValueError(
             f"listener count above {MAX_LISTENERS}{where}", line=line
         )
-    if off_anchor[i]:
+    if off_anchor[w[i]]:
         raise ParseError(
             f"week {weeks[w[i]]} breaks the corpus weekday anchor", line=line
         )
@@ -401,8 +416,8 @@ class _NotPlain(Exception):
 
 
 # The byte path reads whole lines about this many bytes at a time, which
-# bounds its temporaries.
-_BLOCK_BYTES = 1 << 20
+# bounds its temporaries: a few times this, beside the columns.
+_BLOCK_BYTES = 1 << 18
 _HEADER_LINE = (",".join(CHART_HEADER) + "\n").encode()
 # A plain count is 1-16 ASCII digits: below 2**63, so exact in int64.
 _MAX_DIGITS = 16
@@ -430,23 +445,26 @@ def _plain_columns(handle) -> tuple:
     limit = csv.field_size_limit()
     week_of_text: dict[str, int] = {}
     labels: tuple[dict, dict, dict] = ({}, {}, {})
-    parts = []
+    parts: tuple[list, ...] = ([], [], [], [])  # each column's block parts
     reads = hashlib.sha256()
     # A plain line is at most four fields, three commas and a newline.
     blocks = _line_blocks(handle, 4 * limit + 4, reads)
     first, ended = next(blocks, (b"", True))
     if not first.startswith(_HEADER_LINE):
         raise _NotPlain
+    # Only the chain keeps the first block's rows, and only until they are
+    # coded: a block-sized buffer held for the whole parse is not scratch.
+    blocks = itertools.chain([(first[len(_HEADER_LINE):], ended)], blocks)
+    del first
     canonical = True
-    for block, ended in itertools.chain(
-        [(first[len(_HEADER_LINE):], ended)], blocks
-    ):
+    for block, ended in blocks:
         if b'"' in block or b"\r" in block or b"\0" in block:
             raise _NotPlain
         part, padded = _code_block(block, limit, week_of_text, labels)
-        parts.append(part)
+        for column, piece in zip(parts, part):
+            column.append(piece)
         canonical = canonical and ended and not padded
-    columns = [np.concatenate(column) for column in zip(*parts)]
+    columns = [_joined(column) for column in parts]
     weeks, cities, artists = (tuple(d) for d in labels)
     canonical = (
         canonical
@@ -457,6 +475,14 @@ def _plain_columns(handle) -> tuple:
     )
     digest = reads.hexdigest() if canonical else None
     return weeks, cities, artists, *columns, digest
+
+
+def _joined(pieces: list) -> np.ndarray:
+    """The pieces as one array; ``pieces`` is emptied, so only one column
+    is ever held twice."""
+    column = np.concatenate(pieces)
+    pieces.clear()
+    return column
 
 
 def _line_blocks(handle, longest: int, reads) -> Iterator[tuple[bytes, bool]]:
@@ -487,12 +513,19 @@ def _code_block(block: bytes, limit: int, week_of_text: dict,
 
     Returns the columns and whether some count starts with ``0``.
     ``week_of_text`` and ``labels`` (weeks by date, cities, artists) gain
-    the block's new labels, each coded in order of first appearance. A
+    the block's new labels, coded after earlier blocks' labels in
+    ascending order; so a label set first seen whole in one block, as a
+    canonical file's cities usually are, needs no ranking later. A
     blank line (a lone newline) breaks the three-commas-then-newline
     pattern, so it raises :class:`_NotPlain` like any other irregular line.
     """
     buf = np.frombuffer(block, dtype=np.uint8)
-    sep = np.flatnonzero((buf == _COMMA) | (buf == _NEWLINE))
+    is_sep = buf == _COMMA
+    is_sep |= buf == _NEWLINE
+    # Byte offsets as int32 unless the block is too long for them.
+    sep = np.flatnonzero(is_sep).astype(
+        np.int32 if len(buf) <= np.iinfo(np.int32).max else np.intp)
+    del is_sep
     newline = buf[sep] == _NEWLINE
     if len(sep) % 4 or not (newline.reshape(-1, 4) == _ROW_SEPARATORS).all():
         raise _NotPlain
@@ -501,7 +534,8 @@ def _code_block(block: bytes, limit: int, week_of_text: dict,
     # Each field starts one byte after the separator before it.
     ends = sep.reshape(-1, 4)
     starts = np.empty_like(ends)
-    starts[:, 0] = np.concatenate(([-1], ends[:-1, 3])) + 1
+    starts[0, 0] = 0
+    starts[1:, 0] = ends[:-1, 3] + 1
     starts[:, 1:] = ends[:, :3] + 1
     widths = ends - starts
     if widths.max() > limit:
@@ -558,15 +592,17 @@ def _distinct(block: bytes, buf, starts, widths) -> tuple[list, np.ndarray]:
     ``widths`` bytes) in the block and, per field, its position among them.
 
     Each field becomes a fixed-width key padded with NUL bytes, which no
-    plain field holds, so equal keys mean equal fields: one uint64 for
-    fields of at most 8 bytes, an ``S{width}`` string otherwise. Runs of
+    plain field holds, so equal keys mean equal fields and keys order as
+    the fields' bytes do: one big-endian uint64 for fields of at most 8
+    bytes, an ``S{width}`` string otherwise. The distinct strings ascend,
+    as UTF-8 text orders as ``str`` does. Runs of
     equal keys (a week, a city within a week) are collapsed before the
     sort. When the widest field would make the keys much larger than the
     block, the keys are Python bytes instead.
     """
     width = int(widths.max())
     if width <= 8:
-        keys = _windows(buf, "<u8")[starts] & _LOW_BYTES[widths]
+        keys = _windows(buf, ">u8")[starts] & _HIGH_BYTES[widths]
     elif width * len(starts) <= 4 * len(buf):
         keys = _windows(buf, f"S{width}")[starts]
         if widths.min() < width:
@@ -581,12 +617,13 @@ def _distinct(block: bytes, buf, starts, widths) -> tuple[list, np.ndarray]:
     np.not_equal(keys[1:], keys[:-1], out=head[1:])
     distinct, inverse = np.unique(keys[head], return_inverse=True)
     if width <= 8:
-        distinct = distinct.view("S8")
+        distinct = distinct.astype(">u8").view("S8")
     return distinct.tolist(), inverse[np.cumsum(head) - 1]
 
 
-# Mask keeping the first w bytes of a little-endian uint64, for w = 0..8.
-_LOW_BYTES = np.array([(1 << 8 * w) - 1 for w in range(9)], dtype="<u8")
+# Mask keeping the first w bytes of a big-endian uint64, for w = 0..8.
+_HIGH_BYTES = np.array([(1 << 64) - (1 << 8 * (8 - w)) for w in range(9)],
+                       dtype=np.uint64)
 
 
 def _windows(buf: np.ndarray, dtype: str) -> np.ndarray:

@@ -200,13 +200,22 @@ def _tagged_artists(config: RunConfig) -> set[str] | None:
     return tags[config.tag]
 
 
-def _velocities_for(config: RunConfig, series: ChartSeries) -> VelocitySeries:
+def _velocities_for(
+    config: RunConfig, series: ChartSeries, cities: tuple[str, ...] | None
+) -> VelocitySeries:
+    """Velocities of ``cities`` (None: every city), tag-filtered as configured.
+
+    Cities the (filtered) corpus lacks are left out, so the caller's check
+    against ``velocities.cities`` reports them as before.
+    """
     tagged = _tagged_artists(config)
     if tagged is not None and tagged.isdisjoint(series.artists):
         raise CliInputError(f"tag {config.tag!r} names no artist in the corpus")
     if tagged is not None and config.filter_stage == "pre":
-        return build_velocities(filter_by_tag(series, tagged))
-    return build_velocities(series, tagged)
+        series, tagged = filter_by_tag(series, tagged), None
+    if cities is not None:
+        cities = tuple(c for c in cities if c in series.cities)
+    return build_velocities(series, tagged, cities)
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -229,8 +238,9 @@ def cmd_validate(config: RunConfig) -> int:
 
 def cmd_evaluate(config: RunConfig) -> int:
     series = _load_corpus(config)
-    digest = fingerprint(series)
-    velocities = _velocities_for(config, series)
+    region_label, digest = series.region_label, fingerprint(series)
+    velocities = _velocities_for(config, series, config.cities_included)
+    del series  # the velocities hold all that is read from here on
     cities = (
         config.cities_included
         if config.cities_included is not None
@@ -266,7 +276,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     report = build_report(
         results,
         labels,
-        region_label=series.region_label,
+        region_label=region_label,
         genre_label=config.tag or "all",
     )
     metadata = {
@@ -312,19 +322,19 @@ def cmd_synth(spec_path: str, output_dir: str) -> int:
 
 def cmd_dump_design(config: RunConfig, city: str, scope: str, out: str | None) -> int:
     series = _load_corpus(config)
-    velocities = _velocities_for(config, series)
+    included = (city,) if scope == "own" else config.cities_included
+    velocities = _velocities_for(
+        config, series, None if included is None else (*included, city)
+    )
     if scope == "own":
         lag_config = LagConfig(lag_count=config.lag_count, scope=OWN_HISTORY)
     else:
-        cities = (
-            config.cities_included
-            if config.cities_included is not None
-            else velocities.cities
-        )
         lag_config = LagConfig(
             lag_count=config.lag_count,
             scope=ALL_HISTORY,
-            cities_included=tuple(cities),
+            cities_included=(
+                velocities.cities if included is None else included
+            ),
         )
     design = build_design(velocities, city, lag_config, config.active_set)
     text = design_csv_text(design)

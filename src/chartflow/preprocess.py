@@ -12,6 +12,11 @@ sparse row layout, columns ascending within each row. The corpus is already
 sorted by (week, city, artist), so every week's matrix is a slice of its
 columns, and each velocity matrix comes from one merge of the sorted
 (city, artist) keys of two adjacent weeks.
+
+A city's velocities depend on its own rows alone, so the pipeline can build
+the rows of some cities only (``build_velocities(..., cities=...)``), with
+the same values and every week of the corpus; ``chartflow evaluate`` builds
+just the cities it fits.
 """
 
 from __future__ import annotations
@@ -19,12 +24,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from datetime import date
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
 from .chart_store import ArtistIndex, ChartSeries, build_artist_index
-from .errors import IndexingError, InsufficientDataError
+from .errors import IndexingError, InsufficientDataError, UnknownCityError
 
 # Weekly charts list at most this many artists per city; more non-zeros in a
 # row means the corpus was not produced by chart truncation.
@@ -91,20 +96,27 @@ class VelocitySeries:
 
 
 def to_listeners_matrices(
-    series: ChartSeries, index: ArtistIndex
+    series: ChartSeries,
+    index: ArtistIndex,
+    cities: Collection[str] | None = None,
 ) -> list[WeekMatrix]:
     """One sparse counts matrix per distinct week of the corpus.
 
     ``index`` must be the corpus's own (``build_artist_index(series)``):
     its artists are the columns, so the corpus's artist codes are the
-    column codes. Any other index raises an IndexingError.
+    column codes. Any other index raises an IndexingError. ``cities``, when
+    given, keeps only those cities' rows, in corpus order (see
+    :func:`_corpus_cities`); only their counts are converted to float64.
+    Every week of the corpus gets a matrix, and the ``CHART_ROW_LIMIT``
+    warning still looks at every city's row.
     """
     if index.artists != series.artists:
         raise IndexingError("artist index does not match the corpus artists")
-    shape = (len(series.cities), index.size)
-    cols = series.artist_idx
-    data = series.listeners.astype(np.float64)
-    city_start = np.arange(shape[0] + 1)
+    kept = _corpus_cities(series, cities)
+    shape = (len(kept), index.size)
+    city_start = np.arange(len(series.cities) + 1)
+    is_kept = np.array([c in kept for c in series.cities], dtype=bool)
+    subset = not is_kept.all()
     matrices: list[WeekMatrix] = []
     for week, rows in series.week_slices():
         # A week's rows are sorted by city, then artist.
@@ -117,9 +129,27 @@ def to_listeners_matrices(
                 f"top-{CHART_ROW_LIMIT} chart limit",
                 stacklevel=2,
             )
-        mat = CsrMatrix(indptr, cols[rows], data[rows], shape)
+        if subset:
+            indptr = np.concatenate(([0], np.cumsum(row_nnz[is_kept])))
+            rows = rows.start + np.flatnonzero(is_kept[series.city_idx[rows]])
+        data = series.listeners[rows].astype(np.float64)
+        mat = CsrMatrix(indptr, series.artist_idx[rows], data, shape)
         matrices.append(WeekMatrix(week, mat))
     return matrices
+
+
+def _corpus_cities(
+    series: ChartSeries, cities: Collection[str] | None
+) -> tuple[str, ...]:
+    """The corpus cities among ``cities``, in corpus order; all of them for
+    None. A name that is not a corpus city raises UnknownCityError."""
+    if cities is None:
+        return series.cities
+    wanted = set(cities)
+    unknown = sorted(wanted.difference(series.cities))
+    if unknown:
+        raise UnknownCityError(f"cities not in corpus: {unknown}")
+    return tuple(c for c in series.cities if c in wanted)
 
 
 def normalize_rows(matrix: WeekMatrix) -> WeekMatrix:
@@ -213,20 +243,26 @@ def compute_velocities(
 
 
 def build_velocities(
-    series: ChartSeries, artists: set[str] | None = None
+    series: ChartSeries,
+    artists: set[str] | None = None,
+    cities: Collection[str] | None = None,
 ) -> VelocitySeries:
     """The pipeline: corpus -> counts -> unit rows -> velocities.
 
     ``artists``, when given, keeps only those artists' columns after the
-    rows are normalized (see :func:`restrict_artists`).
+    rows are normalized (see :func:`restrict_artists`). ``cities``, when
+    given, builds only those cities' rows (see :func:`_corpus_cities`): each
+    city's velocities depend on its own rows alone, so they equal the rows
+    built for every city, and the weeks are still the corpus's weeks.
     """
     index = build_artist_index(series)
-    listeners = to_listeners_matrices(series, index)
+    kept_cities = _corpus_cities(series, cities)
+    listeners = to_listeners_matrices(series, index, kept_cities)
     normalized = [normalize_rows(m) for m in listeners]
     kept = index.artists
     if artists is not None:
         normalized, kept = restrict_artists(normalized, index, artists)
-    return compute_velocities(normalized, series.cities, kept)
+    return compute_velocities(normalized, kept_cities, kept)
 
 
 def restrict_artists(

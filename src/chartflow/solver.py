@@ -72,19 +72,46 @@ def _validated(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(
             f"row mismatch: x has {x.shape[0]} rows, y has {y.shape[0]}"
         )
-    if not np.isfinite(x).all() or not np.isfinite(y).all():
-        raise NonFiniteError("non-finite entries in x or y")
     return x, y
 
 
+def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The augmented Gram matrix ``[x | y]^T [x | y]``; NonFiniteError when
+    x or y holds a NaN or an infinity.
+
+    Such an entry makes its column's diagonal entry, a sum of squares,
+    non-finite, so the entrywise test (an n x k mask) runs only when the
+    (k + 1) x (k + 1) matrix is not finite. When that test finds every entry
+    finite, the products overflowed: the matrix is formed again, now with
+    the overflow warning the first pass silenced, and goes on as before.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = _augmented_gram(x, y)
+    if np.isfinite(gram).all():
+        return gram
+    if not np.isfinite(x).all() or not np.isfinite(y).all():
+        raise NonFiniteError("non-finite entries in x or y")
+    return _augmented_gram(x, y)
+
+
+def _augmented_gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    k = x.shape[1]
+    gram = np.empty((k + 1, k + 1))
+    gram[:k, :k] = x.T @ x
+    gram[:k, k] = gram[k, :k] = x.T @ y
+    gram[k, k] = y @ y
+    return gram
+
+
 def _reduce(
-    x: np.ndarray, y: np.ndarray
+    x: np.ndarray, y: np.ndarray, gram: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Fold ``[x | y]`` into a (k + 1) x (k + 1) upper triangle ``[r | qty]``.
 
     Returns ``(r, qty, cholesky)`` such that ``||x b - y|| == ||r b - qty||``
     for every b. The triangle is the upper Cholesky factor of the augmented
-    Gram matrix ``[x | y]^T [x | y]``, which equals the R factor of the QR
+    Gram matrix ``[x | y]^T [x | y]`` (``gram``, formed by ``_gram`` when not
+    given), which equals the R factor of the QR
     decomposition of ``[x | y]`` up to row signs. Forming the Gram matrix
     squares the condition number, so when Cholesky fails or ``cond(r)``
     exceeds ``MAX_GRAM_COND`` the QR fold of ``_qr_fold`` is used instead;
@@ -92,10 +119,8 @@ def _reduce(
     ``cholesky`` says which path gave the triangle.
     """
     k = x.shape[1]
-    gram = np.empty((k + 1, k + 1))
-    gram[:k, :k] = x.T @ x
-    gram[:k, k] = gram[k, :k] = x.T @ y
-    gram[k, k] = y @ y
+    if gram is None:
+        gram = _gram(x, y)
     try:
         factor = np.linalg.cholesky(gram, upper=True)
     except np.linalg.LinAlgError:
@@ -143,11 +168,12 @@ def fit_ols(x, y, ridge: float = 0.0) -> Coefficients:
     is always full rank).
     """
     x, y = _validated(x, y)
+    gram = _gram(x, y)
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
     n_cols = x.shape[1]
     with _lapack_failures_as_singular():
-        r, qty, _ = _reduce(x, y)
+        r, qty, _ = _reduce(x, y, gram)
         if ridge > 0:
             r = np.vstack([r, np.sqrt(ridge) * np.eye(n_cols)])
             qty = np.concatenate([qty, np.zeros(n_cols)])
@@ -168,9 +194,10 @@ def fit_nnls(x, y, max_iter: int | None = None) -> Coefficients:
     iteration cap defaults to ``max(10 * n_cols, 100)``.
     """
     x, y = _validated(x, y)
+    gram = _gram(x, y)
     cap = max(10 * x.shape[1], 100) if max_iter is None else max_iter
     with _lapack_failures_as_singular():
-        r, qty, cholesky = _reduce(x, y)
+        r, qty, cholesky = _reduce(x, y, gram)
         beta, iterations = _lawson_hanson(r, qty, cholesky, cap, x.shape)
     return Coefficients(
         values=beta,

@@ -1,6 +1,7 @@
 """Corpus ingestion: parsing, indexing, filtering, round trips."""
 
 import tempfile
+import tracemalloc
 from datetime import date
 from pathlib import Path
 
@@ -11,8 +12,11 @@ from hypothesis import strategies as st
 
 from chartflow import (
     ChartSeries,
+    Influence,
+    PlantSpec,
     build_artist_index,
     filter_by_tag,
+    generate_planted,
     load_tags,
     parse_chart_csv,
     write_chart_csv,
@@ -350,3 +354,34 @@ def test_filter_idempotent_and_monotone(series, tag_set):
     once = filter_by_tag(series, tag_set)
     assert filter_by_tag(once, tag_set) == once
     assert build_artist_index(once).size <= build_artist_index(series).size
+
+
+def test_parse_peak_memory_is_bounded_by_the_columns(tmp_path):
+    """Parsing holds the columns plus block-sized scratch, not copies of them."""
+    names = [f"c{i:02d}" for i in range(30)]
+    roles = {"c00": "leader", "c01": "follower"}
+    spec = PlantSpec(
+        cities=tuple((n, roles.get(n, "unlabeled")) for n in names),
+        influence=(Influence("c00", "c01", 2, 0.8),),
+        weeks=40,
+        artists=600,
+        chart_size=150,
+        noise_sigma=0.04,
+        seed=101,
+    )
+    path = tmp_path / "corpus.csv"
+    write_chart_csv(generate_planted(spec), path)
+    tracemalloc.start()
+    try:
+        series = parse_chart_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(
+        column.nbytes
+        for column in (series.week_idx, series.city_idx, series.artist_idx,
+                       series.listeners)
+    )
+    assert len(series) == 40 * 30 * 150
+    assert series.digest is not None  # the byte path read it
+    assert peak <= 2 * columns, (peak, columns)

@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from chartflow import write_chart_csv
+from chartflow import (
+    ALL_HISTORY,
+    LagConfig,
+    build_design,
+    build_velocities,
+    parse_chart_csv,
+    write_chart_csv,
+)
+from chartflow.design import design_csv_text
 from chartflow.cli import CliInputError, main, parse_config_file, resolve_config
 from chartflow.errors import ChartFlowError
 
@@ -438,6 +446,28 @@ class TestTagFilter:
         assert err.count("tag 'rock' names no artist in the corpus") == 2
         assert not (tmp_path / "o").exists()
 
+    def test_pre_filter_emptying_an_included_city_exits_2(
+        self, tmp_path, capsys
+    ):
+        # "z" charts only untagged artists, so the pre-stage filter drops it
+        # from the corpus the velocities are built from.
+        rows = [(k, c, a, 1 + k % 5) for k in range(12) for c, a in
+                [("a", "p"), ("a", "q"), ("b", "p"), ("z", "r"), ("z", "s")]]
+        corpus, tags = tmp_path / "corpus.csv", tmp_path / "tags.csv"
+        write_chart_csv(make_series(rows), corpus)
+        tags.write_text("artist,tag\np,rock\nq,rock\nr,pop\n")
+        common = [
+            "--corpus-path", corpus, "--tags-path", tags, "--tag", "rock",
+            "--filter-stage", "pre", "--cities-included", "a,z",
+            "--lag-count", "2",
+        ]
+        assert run(["evaluate", *common, "--output-dir", tmp_path / "o"]) == 2
+        assert run(["dump-design", *common, "--city", "a"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: cities not in corpus: ['z']") == 2
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestSynth:
     def test_deterministic_corpus(self, spec_path, tmp_path):
@@ -507,6 +537,22 @@ class TestDumpDesign:
         assert header == "artist,week,y," + ",".join(
             f"echo@lag{k}" for k in range(1, 9)
         )
+
+    @pytest.mark.parametrize("rule", ["target", "union"])
+    def test_city_outside_included_cities(self, corpus_path, capsys, rule):
+        """The design of a city that is not among the included ones reads
+        as it does from velocities built for every city."""
+        code = run(
+            [
+                "dump-design", "--corpus-path", corpus_path, "--city", "other",
+                "--cities-included", "lead,echo", "--active-set", rule,
+            ]
+        )
+        assert code == 0
+        velocities = build_velocities(parse_chart_csv(corpus_path))
+        config = LagConfig(8, ALL_HISTORY, ("lead", "echo"))
+        design = build_design(velocities, "other", config, rule)
+        assert capsys.readouterr().out == design_csv_text(design)
 
 
 class TestConfigResolution:

@@ -345,6 +345,25 @@ class TestEvaluateRegion:
         assert calls == [[0, 1, 2]]
 
 
+    @pytest.mark.parametrize("active_rule", ["target", "union"])
+    @pytest.mark.parametrize("solver_variant", ["ols", "nnls"])
+    def test_subset_velocities_give_equal_results(
+        self, small_series, active_rule, solver_variant
+    ):
+        """Velocities built only for the included cities give the results
+        that velocities built for every city give."""
+        included = ("echo", "lead")
+        kwargs = dict(lag_count=4, active_rule=active_rule,
+                      solver_variant=solver_variant)
+        part = build_velocities(small_series, cities=included)
+        assert part.cities == ("echo", "lead")
+        results = evaluate_region(part, included, **kwargs)
+        assert all(r.ok for r in results)
+        assert results == evaluate_region(
+            build_velocities(small_series), included, **kwargs
+        )
+
+
 class TestUnionActiveSet:
     """Under ``union`` both models share the all-history sample set."""
 

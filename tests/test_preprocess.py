@@ -11,7 +11,11 @@ from chartflow import (
     restrict_artists,
     to_listeners_matrices,
 )
-from chartflow.errors import IndexingError, InsufficientDataError
+from chartflow.errors import (
+    IndexingError,
+    InsufficientDataError,
+    UnknownCityError,
+)
 from chartflow.preprocess import WeekMatrix
 
 from conftest import make_series, row_norms, week
@@ -290,3 +294,59 @@ class TestMatchesScipyOracle:
         # A row empty after the cut is undefined: only weeks 0 -> 1 move.
         assert sum(m.nnz for m in velocities.matrices) == 1
         assert sum(m.nnz for m in velocities.support) == 4
+
+
+class TestCitySubset:
+    """Velocities built for some cities equal those rows of the full build."""
+
+    @staticmethod
+    def _check(series, cities, artists=None):
+        full = build_velocities(series, artists)
+        part = build_velocities(series, artists, cities)
+        assert part.cities == tuple(c for c in series.cities if c in cities)
+        assert (part.weeks, part.artists) == (full.weeks, full.artists)
+        rows = [full.cities.index(c) for c in part.cities]
+        assert np.array_equal(part.defined, full.defined[:, rows])
+        for new, old in [*zip(part.matrices, full.matrices),
+                         *zip(part.support, full.support)]:
+            assert new.shape == (len(rows), old.shape[1])
+            for r, o in enumerate(rows):
+                n0, n1 = new.indptr[r], new.indptr[r + 1]
+                o0, o1 = old.indptr[o], old.indptr[o + 1]
+                assert np.array_equal(new.indices[n0:n1], old.indices[o0:o1])
+                assert new.data[n0:n1].tobytes() == old.data[o0:o1].tobytes()
+        return part
+
+    @pytest.mark.parametrize(
+        "cities", [("c2",), ("c3", "c1"), ("c1", "c2", "c3")]
+    )
+    def test_rows_equal_the_full_build(self, cities):
+        self._check(_gap_and_absence_series(), cities)
+
+    def test_post_filter_stage(self, small_series):
+        self._check(small_series, {"echo"}, set(small_series.artists[::3]))
+
+    def test_weeks_stay_the_corpus_weeks(self):
+        # "solo" only charts in c1's weeks 0, 1 and 7, but every corpus week
+        # still gets a velocity week.
+        series = _gap_and_absence_series()
+        part = self._check(series, ("c2",))
+        assert part.n_weeks == len(series.weeks) - 1
+
+    def test_no_city(self, small_series):
+        part = self._check(small_series, ())
+        assert part.defined.shape == (len(small_series.weeks) - 1, 0)
+
+    def test_unknown_city_raises(self, small_series):
+        with pytest.raises(UnknownCityError, match="atlantis"):
+            build_velocities(small_series, cities=("echo", "atlantis"))
+
+    def test_left_out_city_still_warns(self):
+        rows = [(0, "big", f"a{i:04d}", 1) for i in range(501)]
+        rows.append((0, "small", "a0000", 1))
+        series = make_series(rows)
+        with pytest.warns(UserWarning, match="501 non-zeros, above the top-500"):
+            matrices = to_listeners_matrices(
+                series, build_artist_index(series), ("small",)
+            )
+        assert matrices[0].entries.toarray().tolist() == [[1.0] + [0.0] * 500]

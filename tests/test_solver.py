@@ -133,6 +133,37 @@ class TestFitOls:
         assert isinstance(err.value, ValueError)
 
     @pytest.mark.parametrize("fit", [fit_ols, fit_nnls])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["x", "y"])
+    def test_one_non_finite_cell_raises(self, fit, value, where):
+        # A sparse design, as evaluate builds: an infinity times the zeros
+        # beside it is NaN in the Gram matrix, which must not warn.
+        x, y = random_system(402, 5000, 96)
+        x[x < 0.5] = 0.0
+        if where == "x":
+            x[2718, 31] = value
+        else:
+            y[2718] = value
+        with pytest.raises(NonFiniteError, match="non-finite entries"):
+            fit(x, y)
+
+    def test_non_finite_precedes_negative_ridge(self):
+        x, y = random_system(403, 20, 3)
+        x[4, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            fit_ols(x, y, ridge=-1.0)
+
+    @pytest.mark.parametrize("fit", [fit_ols, fit_nnls])
+    def test_finite_system_whose_gram_overflows(self, fit):
+        """Finite entries whose squares overflow are not called non-finite:
+        numpy warns of the overflow and the fold fails as a singular system."""
+        x, y = random_system(404, 200, 4)
+        x[:, 1] *= 1e200
+        with pytest.warns(RuntimeWarning, match="overflow encountered"):
+            with pytest.raises(SingularMatrixError):
+                fit(x, y)
+
+    @pytest.mark.parametrize("fit", [fit_ols, fit_nnls])
     def test_lapack_failure_is_singular(self, fit, monkeypatch):
         def broken(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")

@@ -3,8 +3,8 @@
 ``perfbench/trace_run.py`` wraps chartflow functions by module attribute
 and reads a few counts off their results; a rename or a changed return type
 would silently empty a per-layer metric. This runs a traced ``synth`` and a
-traced ``evaluate`` (OLS, then NNLS) on a small spec and checks the
-metrics they give.
+traced ``evaluate`` (OLS, then NNLS, then for two of the three cities) on
+a small spec and checks the metrics they give.
 """
 
 import json
@@ -12,6 +12,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from chartflow import build_velocities, parse_chart_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -82,3 +86,16 @@ def test_traced_layers_are_all_measured(tmp_path):
     nnls = layer_metrics(synth_spans, nnls_spans, 0.0, 0.0)
     assert nnls["solver.fits"]["value"] == 2 * len(SPEC["cities"])
     assert nnls["solver.nnls_iterations"]["value"] > 0
+
+    # Velocities are built only for the included cities, and the layer's
+    # count says so: the nnz of the two cities' rows, not of all three.
+    pair_spans = _traced(tmp_path / "pair.json", "evaluate", "--corpus-path",
+                         tmp_path / "corpus.csv", "--cities-included",
+                         "lead,echo", "--output-dir", tmp_path / "out_pair")
+    pair = layer_metrics(synth_spans, pair_spans, 0.0, 0.0)
+    full = build_velocities(parse_chart_csv(tmp_path / "corpus.csv"))
+    rows = [full.cities.index(city) for city in ("lead", "echo")]
+    pair_nnz = sum(int(np.isin(m.rows(), rows).sum()) for m in full.matrices)
+    assert pair["preprocess.velocity_nnz"]["value"] == pair_nnz
+    assert pair_nnz < metrics["preprocess.velocity_nnz"]["value"]
+    assert pair["design.calls"]["value"] == 2
