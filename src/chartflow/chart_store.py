@@ -19,9 +19,10 @@ input, quoted RFC 4180 fields among it, and plain input that fails
 validation, goes whole to a row loop over ``csv.reader``. The loop is the
 only code that reports a parse error: every syntax, decode, csv and value
 error names the physical line its row starts on. The byte path holds the
-columns plus one block's scratch (blocks are 256 KiB): the blocks' parts are
-joined one column at a time, and the checks of ``from_columns`` run a fixed
-number of rows at a time, so no whole-column temporary is built.
+columns plus one block's scratch (blocks are 256 KiB): a first pass counts
+the lines, so the columns are allocated at their final length and each
+block is coded into its rows, and the checks of ``from_columns`` run a
+fixed number of rows at a time, so no whole-column temporary is built.
 
 This module also owns the canonical CSV, the one rendering of a corpus:
 :func:`chart_csv_chunks` renders it, :func:`write_chart_csv` writes it and
@@ -422,6 +423,10 @@ _HEADER_LINE = (",".join(CHART_HEADER) + "\n").encode()
 # A plain count is 1-16 ASCII digits: below 2**63, so exact in int64.
 _MAX_DIGITS = 16
 _COMMA, _NEWLINE = ord(","), ord("\n")
+# NUL bytes after each block's bytes. A label key is a window as wide as the
+# block's widest label, at least 8 bytes: up to this width (ISO week text,
+# most names) the block is not copied again to pad it.
+_PAD = 64
 
 
 def _plain_columns(handle) -> tuple:
@@ -437,34 +442,46 @@ def _plain_columns(handle) -> tuple:
     row per line, so these are the columns the row loop would collect.
     Other input raises :class:`_NotPlain`, after at most a partial read.
 
+    A first pass counts the lines of the seekable ``handle``, so the code
+    columns (int32) and the counts (int64) are allocated at their final
+    length and each block's rows are written into their slice. When the
+    second pass codes another number of rows than the first counted (the
+    file changed in between), the input raises :class:`_NotPlain`.
+
     ``digest`` is the hex SHA-256 of the bytes read when they spell every
     row as :func:`chart_csv_chunks` would: they end in a newline, no count
     starts with ``0``, each week is its ``isoformat()`` and each label its
     ``csv.writer`` rendering. Otherwise it is None.
     """
+    rows = _count_rows(handle)
     limit = csv.field_size_limit()
     week_of_text: dict[str, int] = {}
     labels: tuple[dict, dict, dict] = ({}, {}, {})
-    parts: tuple[list, ...] = ([], [], [], [])  # each column's block parts
     reads = hashlib.sha256()
     # A plain line is at most four fields, three commas and a newline.
     blocks = _line_blocks(handle, 4 * limit + 4, reads)
-    first, ended = next(blocks, (b"", True))
-    if not first.startswith(_HEADER_LINE):
+    first, ended = next(blocks, (_padded(), True))
+    if first[:len(_HEADER_LINE)].tobytes() != _HEADER_LINE:
         raise _NotPlain
     # Only the chain keeps the first block's rows, and only until they are
     # coded: a block-sized buffer held for the whole parse is not scratch.
-    blocks = itertools.chain([(first[len(_HEADER_LINE):], ended)], blocks)
+    # A list iterator lets go of its items once exhausted; the chain would
+    # keep a list itself until the last block.
+    blocks = itertools.chain(iter([(first[len(_HEADER_LINE):], ended)]),
+                             blocks)
     del first
+    columns = (*(np.empty(rows, np.int32) for _ in range(3)),
+               np.empty(rows, np.int64))
+    done = 0
     canonical = True
     for block, ended in blocks:
-        if b'"' in block or b"\r" in block or b"\0" in block:
-            raise _NotPlain
-        part, padded = _code_block(block, limit, week_of_text, labels)
-        for column, piece in zip(parts, part):
-            column.append(piece)
-        canonical = canonical and ended and not padded
-    columns = [_joined(column) for column in parts]
+        coded, leading_zero = _code_block(
+            block, limit, week_of_text, labels,
+            [column[done:] for column in columns])
+        done += coded
+        canonical = canonical and ended and not leading_zero
+    if done != rows:
+        raise _NotPlain
     weeks, cities, artists = (tuple(d) for d in labels)
     canonical = (
         canonical
@@ -477,41 +494,74 @@ def _plain_columns(handle) -> tuple:
     return weeks, cities, artists, *columns, digest
 
 
-def _joined(pieces: list) -> np.ndarray:
-    """The pieces as one array; ``pieces`` is emptied, so only one column
-    is ever held twice."""
-    column = np.concatenate(pieces)
-    pieces.clear()
-    return column
+def _count_rows(handle) -> int:
+    """The lines after the first in ``handle``, a final line without a
+    newline included; ``handle`` is read to its end and rewound."""
+    buffer = bytearray(_BLOCK_BYTES)
+    view = np.frombuffer(buffer, dtype=np.uint8)
+    newlines, last = 0, _NEWLINE
+    while size := handle.readinto(buffer):
+        # A vector compare counts three times faster than bytes.count.
+        newlines += int(np.count_nonzero(view[:size] == _NEWLINE))
+        last = buffer[size - 1]
+    handle.seek(0)
+    return max(newlines - 1 + (last != _NEWLINE), 0)
 
 
-def _line_blocks(handle, longest: int, reads) -> Iterator[tuple[bytes, bool]]:
+def _line_blocks(handle, longest: int,
+                 reads) -> Iterator[tuple[np.ndarray, bool]]:
     """``(block, ended)``: the bytes of ``handle`` in blocks of whole lines.
 
-    Each block ends in a newline. A final line without one gets one, and
-    only its block has ``ended`` False. Every read is fed to the hash
-    ``reads`` as it comes. A line longer than ``longest`` bytes raises
-    :class:`_NotPlain`.
+    Each block is a :func:`_padded` array whose bytes end in a newline. A
+    final line without one gets one, and only its block has ``ended``
+    False. Every read is fed to the hash ``reads`` as it comes. A ``"``,
+    carriage return or NUL byte, or a line longer than ``longest`` bytes,
+    raises :class:`_NotPlain`.
     """
     rest = b""
-    while block := handle.read(_BLOCK_BYTES):
-        reads.update(block)
-        block = rest + block
-        cut = block.rfind(b"\n") + 1
-        rest = block[cut:]
+    while data := handle.read(_BLOCK_BYTES):
+        reads.update(data)
+        if b'"' in data or b"\r" in data or b"\0" in data:
+            raise _NotPlain
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            block = _padded(rest, memoryview(data)[:cut])
+            rest = data[cut:]
+        else:
+            rest += data
+        del data  # only the block is held while it is coded
         if len(rest) > longest:
             raise _NotPlain
         if cut:
-            yield block[:cut], True
+            yield block, True
     if rest:
-        yield rest + b"\n", False
+        yield _padded(rest, b"\n"), False
 
 
-def _code_block(block: bytes, limit: int, week_of_text: dict,
-                labels: tuple[dict, dict, dict]) -> tuple[tuple, bool]:
+def _padded(*parts, pad: int = _PAD) -> np.ndarray:
+    """The bytes of ``parts`` in one uint8 array, followed by ``pad`` NUL
+    bytes: a block's one copy, in which each label key of
+    :func:`_distinct` is a window that may run past the block's end."""
+    size = sum(len(part) for part in parts)
+    padded = np.empty(size + pad, dtype=np.uint8)
+    start = 0
+    for part in parts:
+        padded[start:start + len(part)] = np.frombuffer(part, dtype=np.uint8)
+        start += len(part)
+    padded[size:] = 0
+    return padded
+
+
+def _code_block(block: np.ndarray, limit: int, week_of_text: dict,
+                labels: tuple[dict, dict, dict],
+                out: list) -> tuple[int, bool]:
     """Code one block of whole lines into (week, city, artist, count) columns.
 
-    Returns the columns and whether some count starts with ``0``.
+    ``block`` is a :func:`_padded` array. ``out`` holds the four columns
+    from the block's first row on; the block's rows are written to their
+    head, and a block with more rows than they hold raises
+    :class:`_NotPlain`. Returns the number of rows and whether some count
+    starts with ``0``.
     ``week_of_text`` and ``labels`` (weeks by date, cities, artists) gain
     the block's new labels, coded after earlier blocks' labels in
     ascending order; so a label set first seen whole in one block, as a
@@ -519,32 +569,40 @@ def _code_block(block: bytes, limit: int, week_of_text: dict,
     blank line (a lone newline) breaks the three-commas-then-newline
     pattern, so it raises :class:`_NotPlain` like any other irregular line.
     """
-    buf = np.frombuffer(block, dtype=np.uint8)
+    buf = block[:-_PAD]
     is_sep = buf == _COMMA
     is_sep |= buf == _NEWLINE
-    # Byte offsets as int32 unless the block is too long for them.
-    sep = np.flatnonzero(is_sep).astype(
-        np.int32 if len(buf) <= np.iinfo(np.int32).max else np.intp)
+    sep = np.flatnonzero(is_sep)
     del is_sep
     newline = buf[sep] == _NEWLINE
     if len(sep) % 4 or not (newline.reshape(-1, 4) == _ROW_SEPARATORS).all():
         raise _NotPlain
-    if not len(sep):
-        return _EMPTY_PART, False
-    # Each field starts one byte after the separator before it.
-    ends = sep.reshape(-1, 4)
-    starts = np.empty_like(ends)
-    starts[0, 0] = 0
-    starts[1:, 0] = ends[:-1, 3] + 1
-    starts[:, 1:] = ends[:, :3] + 1
-    widths = ends - starts
+    del newline
+    rows = len(sep) // 4
+    if rows > len(out[3]):
+        raise _NotPlain
+    if not rows:
+        return 0, False
+    # Field i of the block starts at bounds[i], one byte after the separator
+    # before it, and is bounds[i + 1] - bounds[i] - 1 bytes wide. Byte
+    # offsets are int32 unless the block is too long for them.
+    offset = np.int32 if len(buf) <= np.iinfo(np.int32).max else np.intp
+    bounds = np.empty(len(sep) + 1, dtype=offset)
+    bounds[0] = 0
+    np.add(sep, 1, out=bounds[1:])
+    del sep
+    widths = np.diff(bounds).reshape(-1, 4)
+    widths -= 1
+    starts = bounds[:-1].reshape(-1, 4)
     if widths.max() > limit:
         raise _NotPlain
-    counts = _digits(buf, starts[:, 3], ends[:, 3], widths[:, 3])
-    padded = bool((buf[starts[:, 3]] == ord("0")).any())
-    codes = []
+    _digits(buf, starts[:, 3], widths[:, 3], out[3][:rows])
+    leading_zero = bool((buf[starts[:, 3]] == ord("0")).any())
+    label_width = int(widths[:, :3].max())
+    if label_width > _PAD:  # pad once for all three label columns
+        block = _padded(buf, pad=label_width)
     for column, store in enumerate(labels):
-        fields, inverse = _distinct(block, buf, starts[:, column],
+        fields, inverse = _distinct(block, len(buf), starts[:, column],
                                     widths[:, column])
         try:
             texts = [field.decode("utf-8") for field in fields]
@@ -554,18 +612,18 @@ def _code_block(block: bytes, limit: int, week_of_text: dict,
             code = _week_codes(texts, week_of_text, store)
         else:
             code = [store.setdefault(text, len(store)) for text in texts]
-        codes.append(np.array(code, dtype=np.int32)[inverse])
-    return (*codes, counts), padded
+        np.take(np.array(code, dtype=np.int32), inverse,
+                out=out[column][:rows])
+    return rows, leading_zero
 
 
 # Each row's separators: three commas, then a newline.
 _ROW_SEPARATORS = np.array([False, False, False, True])
-_EMPTY_PART = (*(np.empty(0, np.int32) for _ in range(3)),
-               np.empty(0, np.int64))
 
 
-def _digits(buf, starts, ends, widths) -> np.ndarray:
-    """Each count field's value, by Horner's rule over its digit bytes.
+def _digits(buf, starts, widths, counts) -> None:
+    """Write each count field's value to ``counts``, by Horner's rule over
+    its digit bytes.
 
     Raises :class:`_NotPlain` when some field is empty, longer than
     ``_MAX_DIGITS`` or holds a byte other than an ASCII digit.
@@ -573,7 +631,8 @@ def _digits(buf, starts, ends, widths) -> np.ndarray:
     width = int(widths.max())
     if widths.min() < 1 or width > _MAX_DIGITS:
         raise _NotPlain
-    counts = np.zeros(len(ends), dtype=np.int64)
+    ends = starts + widths
+    counts[:] = 0
     # Step k reads the k-th byte of a window of ``width`` bytes ending at
     # each field's end; bytes before the field read as a leading zero.
     for k in range(-width, 0):
@@ -584,12 +643,14 @@ def _digits(buf, starts, ends, widths) -> np.ndarray:
             raise _NotPlain
         counts *= 10
         counts += digit
-    return counts
 
 
-def _distinct(block: bytes, buf, starts, widths) -> tuple[list, np.ndarray]:
+def _distinct(block: np.ndarray, size: int, starts,
+              widths) -> tuple[list, np.ndarray]:
     """The distinct byte strings among the fields at ``starts`` (of
-    ``widths`` bytes) in the block and, per field, its position among them.
+    ``widths`` bytes) in the first ``size`` bytes of ``block`` and, per
+    field, its position among them. At least 8 NUL bytes follow those
+    ``size`` bytes, and at least as many as the widest field has.
 
     Each field becomes a fixed-width key padded with NUL bytes, which no
     plain field holds, so equal keys mean equal fields and keys order as
@@ -602,15 +663,15 @@ def _distinct(block: bytes, buf, starts, widths) -> tuple[list, np.ndarray]:
     """
     width = int(widths.max())
     if width <= 8:
-        keys = _windows(buf, ">u8")[starts] & _HIGH_BYTES[widths]
-    elif width * len(starts) <= 4 * len(buf):
-        keys = _windows(buf, f"S{width}")[starts]
+        keys = _windows(block, size, ">u8")[starts] & _HIGH_BYTES[widths]
+    elif width * len(starts) <= 4 * size:
+        keys = _windows(block, size, f"S{width}")[starts]
         if widths.min() < width:
             padding = np.arange(width) >= widths[:, None]
             keys.view(np.uint8).reshape(-1, width)[padding] = 0
     else:
-        keys = np.array([block[s:s + w] for s, w in zip(starts.tolist(),
-                                                        widths.tolist())],
+        keys = np.array([block[s:s + w].tobytes()
+                         for s, w in zip(starts.tolist(), widths.tolist())],
                         dtype=object)
     head = np.empty(len(keys), dtype=bool)
     head[0] = True
@@ -626,12 +687,10 @@ _HIGH_BYTES = np.array([(1 << 64) - (1 << 8 * (8 - w)) for w in range(9)],
                        dtype=np.uint64)
 
 
-def _windows(buf: np.ndarray, dtype: str) -> np.ndarray:
-    """Item i is the ``dtype``-sized window of ``buf`` starting at byte i;
-    windows reaching past the end read NUL bytes."""
-    size = np.dtype(dtype).itemsize
-    padded = np.concatenate((buf, np.zeros(size, dtype=np.uint8)))
-    return np.ndarray((len(buf),), dtype=dtype, buffer=padded, strides=(1,))
+def _windows(block: np.ndarray, size: int, dtype: str) -> np.ndarray:
+    """Item i < ``size`` is the ``dtype``-sized window of ``block`` starting
+    at byte i; ``block`` must be long enough to hold the last one."""
+    return np.ndarray((size,), dtype=dtype, buffer=block, strides=(1,))
 
 
 def _week_codes(texts: list[str], week_of_text: dict[str, int],

@@ -53,6 +53,10 @@ class SingularMatrixError(ChartFlowError):
     """A direct solve hit a numerically singular system."""
 
 
+class GramOverflowError(ChartFlowError):
+    """A finite system whose Gram matrix overflows float64."""
+
+
 class UndefinedBaselineError(ChartFlowError):
     """The baseline error is zero, so relative percentages are undefined."""
 

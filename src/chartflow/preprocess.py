@@ -181,7 +181,9 @@ def compute_velocities(
     Produces one matrix per adjacent pair of input weeks. A city's row is
     defined only when both endpoint rows are non-empty and the pair is
     exactly 7 days apart; everything else is flagged undefined and stores
-    nothing, and exact zeros are never stored.
+    nothing, and exact zeros are never stored. Each week's entries are
+    keyed by (city, artist) as the merge reaches it, so beside the output
+    only two weeks' keys are held at a time.
     """
     if len(normalized) < 2:
         raise InsufficientDataError(
@@ -197,17 +199,19 @@ def compute_velocities(
         [(b - a).days == 7 for a, b in zip(week_dates, week_dates[1:])]
     )
     defined = present[1:] & present[:-1] & consecutive[:, None]
-    # Key every stored entry by (city, artist); the keys ascend in a week.
-    cell = [m.rows() * n_artists + m.indices for m in entries]
     row_start = np.arange(n_cities + 1) * n_artists
     shape = (n_cities, n_artists)
     matrices, supports = [], []
+    # Key each stored entry by (city, artist) as its week is merged; the
+    # keys ascend in a week. Only two weeks' keys are held at a time.
+    later = _cells(entries[0], n_artists)
     for i in range(len(defined)):
         # Velocity week i is week i + 1 minus week i. Each week's keys are a
         # sorted run holding a key at most once, so a stable sort of the two
         # runs is a linear merge that puts a key's week-i + 1 entry right
         # before its week-i entry.
-        key = np.concatenate((cell[i + 1], cell[i]))
+        earlier, later = later, _cells(entries[i + 1], n_artists)
+        key = np.concatenate((later, earlier))
         value = np.concatenate((entries[i + 1].data, -entries[i].data))
         order = np.argsort(key, kind="stable")
         key, value = key.take(order), value.take(order)
@@ -242,6 +246,11 @@ def compute_velocities(
     )
 
 
+def _cells(m: CsrMatrix, n_artists: int) -> np.ndarray:
+    """The key ``row * n_artists + column`` of each stored entry."""
+    return m.rows() * n_artists + m.indices
+
+
 def build_velocities(
     series: ChartSeries,
     artists: set[str] | None = None,
@@ -259,6 +268,7 @@ def build_velocities(
     kept_cities = _corpus_cities(series, cities)
     listeners = to_listeners_matrices(series, index, kept_cities)
     normalized = [normalize_rows(m) for m in listeners]
+    del listeners  # the counts; the unit rows share only their positions
     kept = index.artists
     if artists is not None:
         normalized, kept = restrict_artists(normalized, index, artists)

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DimensionError,
+    GramOverflowError,
     NonFiniteError,
     SingularMatrixError,
 )
@@ -82,8 +83,8 @@ def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Such an entry makes its column's diagonal entry, a sum of squares,
     non-finite, so the entrywise test (an n x k mask) runs only when the
     (k + 1) x (k + 1) matrix is not finite. When that test finds every entry
-    finite, the products overflowed: the matrix is formed again, now with
-    the overflow warning the first pass silenced, and goes on as before.
+    finite, the products overflowed, through x or through y alone, and
+    GramOverflowError is raised: no fit can be read from such a matrix.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram = _augmented_gram(x, y)
@@ -91,7 +92,10 @@ def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return gram
     if not np.isfinite(x).all() or not np.isfinite(y).all():
         raise NonFiniteError("non-finite entries in x or y")
-    return _augmented_gram(x, y)
+    raise GramOverflowError(
+        f"the Gram matrix of a finite {x.shape[0]}x{x.shape[1]} system "
+        "overflows float64"
+    )
 
 
 def _augmented_gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ again; every digest equals the oracle's.
 
 import csv
 import hashlib
+import io
 import os
 from datetime import date, timedelta
 from pathlib import Path
@@ -45,9 +46,12 @@ def _outcome(parse, path):
         return ("error", type(exc), getattr(exc, "line", None))
 
 
-def _columnar(path):
-    series = parse_chart_csv(path)
+def _summary(series):
     return fingerprint(series), series.weeks, series.cities, series.artists
+
+
+def _columnar(path):
+    return _summary(parse_chart_csv(path))
 
 
 def _check(path, data: bytes, plain: bool, block_bytes: int | None = None):
@@ -262,6 +266,79 @@ def test_file_larger_than_one_block(tmp_path):
     assert len(data) > chart_store._BLOCK_BYTES
     outcome = _check(tmp_path / "corpus.csv", data, True)
     assert outcome[0] == "ok" and len(outcome[3]) == 3
+
+
+class _Rewritten(io.BytesIO):
+    """A seekable handle holding ``before`` until its first rewind, and
+    ``after`` from then on: a file written again while it is read."""
+
+    def __init__(self, before: bytes, after: bytes):
+        super().__init__(before)
+        self.after = after
+
+    def seek(self, pos, whence=io.SEEK_SET):
+        if self.after is not None:
+            super().seek(0)
+            self.truncate()
+            self.write(self.after)
+            self.after = None
+        return super().seek(pos, whence)
+
+
+_BEFORE = _rows("2007-01-07,a,x,1", "2007-01-07,a,y,2", "2007-01-07,b,x,3")
+# The bytes the first pass counts, and the bytes the second pass codes. The
+# last two keep the row count, so the byte path codes the new bytes itself.
+CHANGED = {
+    "rows added": (_BEFORE, _BEFORE + b"2007-01-14,a,x,4\n"),
+    "rows removed": (_BEFORE, _rows("2007-01-07,a,x,1")),
+    "from empty": (b"", _BEFORE),
+    "to header only": (_BEFORE, HEADER),
+    "to a bad count": (_BEFORE, _rows("2007-01-07,a,x,1",
+                                      "2007-01-07,a,y,zz")),
+    "final newline dropped": (_BEFORE, _BEFORE[:-1]),
+    "same row count": (_BEFORE, _rows("2007-01-07,c,x,1", "2007-01-07,c,y,2",
+                                      "2007-01-07,d,x,3")),
+}
+
+
+@pytest.mark.parametrize("block_bytes", [None, 5])
+@pytest.mark.parametrize("name", sorted(CHANGED))
+def test_bytes_changed_between_the_passes(tmp_path, name, block_bytes):
+    """The first pass only sizes the columns: when the second pass codes
+    another number of rows, the row loop parses the bytes as they now are,
+    so the outcome is the oracle's on those bytes, never wrong columns."""
+    before, after = CHANGED[name]
+    path = tmp_path / "corpus.csv"
+    path.write_bytes(after)
+    spy = mock.patch.object(chart_store, "_parse_chart_rows",
+                            wraps=chart_store._parse_chart_rows)
+    blocks = mock.patch.object(chart_store, "_BLOCK_BYTES",
+                               block_bytes or chart_store._BLOCK_BYTES)
+
+    def parse(_):
+        handle = _Rewritten(before, after)
+        return _summary(chart_store._parse_chart_binary(handle, ""))
+
+    with spy as loop, blocks:
+        outcome = _outcome(parse, path)
+    assert loop.called == (name not in ("final newline dropped",
+                                        "same row count"))
+    assert outcome == _outcome(oracle_parse_file, path)
+
+
+@pytest.mark.parametrize("data, rows", [
+    (b"", 0),
+    (HEADER, 0),
+    (HEADER[:-1], 0),
+    (_BEFORE, 3),
+    (_BEFORE[:-1], 3),
+    (HEADER + b"\n\n", 2),
+])
+def test_count_rows(data, rows):
+    handle = io.BytesIO(data)
+    with mock.patch.object(chart_store, "_BLOCK_BYTES", 7):
+        assert chart_store._count_rows(handle) == rows
+    assert handle.tell() == 0
 
 
 _LABELS = st.text(alphabet="ab é東", max_size=12)

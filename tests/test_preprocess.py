@@ -1,12 +1,17 @@
 """Listeners matrices, row normalization, velocity computation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from chartflow import (
+    Influence,
+    PlantSpec,
     build_artist_index,
     build_velocities,
     compute_velocities,
+    generate_planted,
     normalize_rows,
     restrict_artists,
     to_listeners_matrices,
@@ -350,3 +355,31 @@ class TestCitySubset:
                 series, build_artist_index(series), ("small",)
             )
         assert matrices[0].entries.toarray().tolist() == [[1.0] + [0.0] * 500]
+
+
+def test_velocity_build_peak_memory_is_bounded_by_the_output():
+    """Counts are freed once normalized and each week is keyed as it is
+    merged, so the build holds its output plus a few weeks of scratch."""
+    names = [f"c{i:02d}" for i in range(12)]
+    spec = PlantSpec(
+        cities=tuple((n, "unlabeled") for n in names),
+        influence=tuple(Influence(names[i], names[i + 4], i + 1, 0.8)
+                        for i in range(4)),
+        weeks=120,
+        artists=600,
+        chart_size=120,
+        noise_sigma=0.04,
+        seed=202,
+    )
+    series = generate_planted(spec)
+    tracemalloc.start()
+    try:
+        velocities = build_velocities(series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = {id(a): a for m in (*velocities.matrices, *velocities.support)
+              for a in (m.indptr, m.indices, m.data)}
+    output = velocities.defined.nbytes + sum(a.nbytes for a in arrays.values())
+    assert velocities.n_weeks == 119
+    assert peak <= 2 * output, (peak, output)

@@ -24,6 +24,7 @@ from chartflow import (
 from chartflow.errors import (
     ConvergenceError,
     DimensionError,
+    GramOverflowError,
     NonFiniteError,
     SingularMatrixError,
 )
@@ -155,13 +156,19 @@ class TestFitOls:
 
     @pytest.mark.parametrize("fit", [fit_ols, fit_nnls])
     def test_finite_system_whose_gram_overflows(self, fit):
-        """Finite entries whose squares overflow are not called non-finite:
-        numpy warns of the overflow and the fold fails as a singular system."""
+        """Finite entries whose products overflow are not called non-finite,
+        and no fit is read from the overflowed matrix: the overflow raises a
+        GramOverflowError, through x or through y alone, and warns of
+        nothing (the suite makes a RuntimeWarning an error)."""
         x, y = random_system(404, 200, 4)
         x[:, 1] *= 1e200
-        with pytest.warns(RuntimeWarning, match="overflow encountered"):
-            with pytest.raises(SingularMatrixError):
-                fit(x, y)
+        with pytest.raises(GramOverflowError, match="200x4 system"):
+            fit(x, y)
+        x, y = random_system(405, 5000, 96)
+        y *= 1e300
+        with pytest.raises(GramOverflowError, match="5000x96 system"):
+            fit(x, y)
+        assert issubclass(GramOverflowError, ChartFlowError)
 
     @pytest.mark.parametrize("fit", [fit_ols, fit_nnls])
     def test_lapack_failure_is_singular(self, fit, monkeypatch):
