@@ -24,7 +24,6 @@ from .design import (
     ColMeta,
     LabeledDesign,
     LagConfig,
-    SplitDesign,
     build_design,
     default_boundary,
     temporal_split,
@@ -50,7 +49,6 @@ from .preprocess import (
     build_velocities,
     compute_velocities,
     normalize_rows,
-    restrict_artists,
     to_listeners_matrices,
 )
 from .solver import Coefficients, fit_nnls, fit_ols, predict
@@ -73,7 +71,6 @@ __all__ = [
     "LagConfig",
     "PlantSpec",
     "RegionReport",
-    "SplitDesign",
     "VelocitySeries",
     "WeekMatrix",
     "baseline_rmse",
@@ -99,7 +96,6 @@ __all__ = [
     "report_csv_text",
     "report_json_text",
     "report_table_text",
-    "restrict_artists",
     "rmse",
     "temporal_split",
     "to_listeners_matrices",

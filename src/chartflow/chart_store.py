@@ -38,7 +38,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import itertools
 import re
 from dataclasses import dataclass, field
 from datetime import date
@@ -442,39 +441,32 @@ def _plain_columns(handle) -> tuple:
     row per line, so these are the columns the row loop would collect.
     Other input raises :class:`_NotPlain`, after at most a partial read.
 
-    A first pass counts the lines of the seekable ``handle``, so the code
-    columns (int32) and the counts (int64) are allocated at their final
-    length and each block's rows are written into their slice. When the
-    second pass codes another number of rows than the first counted (the
-    file changed in between), the input raises :class:`_NotPlain`.
+    The header is checked first, so input without it is not read further.
+    Then a first pass counts the lines after it in the seekable ``handle``,
+    so the code columns (int32) and the counts (int64) are allocated at
+    their final length and each block's rows are written into their slice.
+    The second pass checks the header again and codes the lines after it;
+    when it codes another number of rows than the first counted (the file
+    changed in between), the input raises :class:`_NotPlain`.
 
     ``digest`` is the hex SHA-256 of the bytes read when they spell every
     row as :func:`chart_csv_chunks` would: they end in a newline, no count
     starts with ``0``, each week is its ``isoformat()`` and each label its
     ``csv.writer`` rendering. Otherwise it is None.
     """
+    _read_header(handle)
     rows = _count_rows(handle)
+    header = _read_header(handle)  # again: the file may have changed since
     limit = csv.field_size_limit()
     week_of_text: dict[str, int] = {}
     labels: tuple[dict, dict, dict] = ({}, {}, {})
-    reads = hashlib.sha256()
-    # A plain line is at most four fields, three commas and a newline.
-    blocks = _line_blocks(handle, 4 * limit + 4, reads)
-    first, ended = next(blocks, (_padded(), True))
-    if first[:len(_HEADER_LINE)].tobytes() != _HEADER_LINE:
-        raise _NotPlain
-    # Only the chain keeps the first block's rows, and only until they are
-    # coded: a block-sized buffer held for the whole parse is not scratch.
-    # A list iterator lets go of its items once exhausted; the chain would
-    # keep a list itself until the last block.
-    blocks = itertools.chain(iter([(first[len(_HEADER_LINE):], ended)]),
-                             blocks)
-    del first
+    reads = hashlib.sha256(header)
     columns = (*(np.empty(rows, np.int32) for _ in range(3)),
                np.empty(rows, np.int64))
     done = 0
-    canonical = True
-    for block, ended in blocks:
+    canonical = header == _HEADER_LINE
+    # A plain line is at most four fields, three commas and a newline.
+    for block, ended in _line_blocks(handle, 4 * limit + 4, reads):
         coded, leading_zero = _code_block(
             block, limit, week_of_text, labels,
             [column[done:] for column in columns])
@@ -494,9 +486,19 @@ def _plain_columns(handle) -> tuple:
     return weeks, cities, artists, *columns, digest
 
 
+def _read_header(handle) -> bytes:
+    """Read and return the header line, which may end the input without
+    a newline; any other bytes raise :class:`_NotPlain`."""
+    header = handle.read(len(_HEADER_LINE))
+    if header not in (_HEADER_LINE, _HEADER_LINE[:-1]):
+        raise _NotPlain
+    return header
+
+
 def _count_rows(handle) -> int:
-    """The lines after the first in ``handle``, a final line without a
-    newline included; ``handle`` is read to its end and rewound."""
+    """The lines from the position of ``handle`` on, a final line without
+    a newline included; ``handle`` is read to its end and rewound to its
+    start."""
     buffer = bytearray(_BLOCK_BYTES)
     view = np.frombuffer(buffer, dtype=np.uint8)
     newlines, last = 0, _NEWLINE
@@ -505,12 +507,13 @@ def _count_rows(handle) -> int:
         newlines += int(np.count_nonzero(view[:size] == _NEWLINE))
         last = buffer[size - 1]
     handle.seek(0)
-    return max(newlines - 1 + (last != _NEWLINE), 0)
+    return newlines + (last != _NEWLINE)
 
 
 def _line_blocks(handle, longest: int,
                  reads) -> Iterator[tuple[np.ndarray, bool]]:
-    """``(block, ended)``: the bytes of ``handle`` in blocks of whole lines.
+    """``(block, ended)``: the bytes of ``handle`` from its position on, in
+    blocks of whole lines.
 
     Each block is a :func:`_padded` array whose bytes end in a newline. A
     final line without one gets one, and only its block has ``ended``

@@ -9,8 +9,10 @@ active rule the sample set therefore depends on the target city alone;
 under ``union`` it also depends on which cities are included, so an
 own-history design and an all-history design can hold different rows.
 Evaluation sidesteps this by fitting the own-history model on the target
-city's columns of the all-history design. Lagged values of *other* cities
-that are undefined (absence, gap) enter as 0.0, the no-change value.
+city's columns of the all-history design. Both rules read which artists a
+city charts from the velocity matrices, whose rows store the columns of
+their two endpoint charts. Lagged values of *other* cities that are
+undefined (absence, gap) enter as 0.0, the no-change value.
 
 The design is gathered from a dense velocity cube: ``densify`` spreads the
 chosen city rows of every velocity week into one (week, artist, city)
@@ -153,9 +155,10 @@ def build_design(
 
     The ``target`` active rule admits an (artist, week) sample when the
     artist appears in the target city's chart at either endpoint of the
-    sample week's velocity; ``union`` widens that to any included city's
-    chart across the sample week and the whole lag window. Rows come out in
-    ascending week order, artists ascending within a week.
+    sample week's velocity, i.e. among the stored columns of the target's
+    row of that velocity matrix; ``union`` widens that to any included
+    city's row across the sample week and the whole lag window. Rows come
+    out in ascending week order, artists ascending within a week.
 
     ``cube`` is ``densify(velocities, rows)`` for the rows of
     ``config.cities(target_city)``, in that order, followed by the target
@@ -207,15 +210,15 @@ def build_design(
         listed = np.zeros((velocities.n_weeks, n_artists), dtype=bool)
         is_included = np.zeros(len(cities), dtype=bool)
         is_included[included_rows] = True
-        for j, support in enumerate(velocities.support):
-            listed[j, support.indices[is_included[support.rows()]]] = True
+        for j, matrix in enumerate(velocities.matrices):
+            listed[j, matrix.indices[is_included[matrix.rows()]]] = True
 
     eligible: list[tuple[int, np.ndarray]] = []
     for i in eligible_weeks.tolist():
         if active_rule == ACTIVE_TARGET:
-            support = velocities.support[i]
-            start, end = support.indptr[target_row], support.indptr[target_row + 1]
-            active = support.indices[start:end]
+            matrix = velocities.matrices[i]
+            start, end = matrix.indptr[target_row], matrix.indptr[target_row + 1]
+            active = matrix.indices[start:end]
         else:
             active = np.flatnonzero(listed[[i, *lags[i]]].any(0))
         if active.size:

@@ -5,13 +5,13 @@ Rows are scaled to unit Euclidean norm so cities compare by listening
 proportions rather than audience size, and the week-over-week difference of
 those unit rows is the city's velocity through artist space. A velocity row
 exists only where the city charts in two consecutive (7-day) weeks; gaps and
-absences yield flagged-undefined rows, never imputed values.
+absences yield rows flagged undefined that hold 0.0, never imputed values.
 
 The matrices are ``CsrMatrix`` records of plain numpy arrays in compressed
 sparse row layout, columns ascending within each row. The corpus is already
 sorted by (week, city, artist), so every week's matrix is a slice of its
 columns, and each velocity matrix comes from one merge of the sorted
-(city, artist) keys of two adjacent weeks.
+(city, artist) keys of two adjacent weeks and stores every key of either.
 
 A city's velocities depend on its own rows alone, so the pipeline can build
 the rows of some cities only (``build_velocities(..., cities=...)``), with
@@ -76,17 +76,17 @@ class VelocitySeries:
     """Week-over-week changes of the normalized rows.
 
     ``matrices[i]`` holds the change from ``weeks[i] - 7 days`` to
-    ``weeks[i]``. ``defined[i, c]`` marks whether city ``c`` has a valid
-    velocity row there (non-empty at both endpoints, exactly 7 days apart);
-    undefined rows store nothing. ``support[i]`` is the boolean union of
-    the two endpoint charts, i.e. which artists the city listed (stored an
-    entry for) at either endpoint week.
+    ``weeks[i]``. Row ``c`` stores an entry for every artist city ``c``
+    listed (stored an entry for) at either endpoint week, so its columns
+    are the endpoint charts' union. ``defined[i, c]`` marks whether the row
+    is a valid velocity (non-empty at both endpoints, exactly 7 days
+    apart): a defined row stores the differences, exact zeros included; an
+    undefined row stores +0.0 throughout.
     """
 
     weeks: tuple[date, ...]
     matrices: tuple[CsrMatrix, ...]
     defined: np.ndarray
-    support: tuple[CsrMatrix, ...]
     cities: tuple[str, ...]
     artists: tuple[str, ...]
 
@@ -178,12 +178,13 @@ def compute_velocities(
 ) -> VelocitySeries:
     """Difference consecutive normalized matrices into a velocity series.
 
-    Produces one matrix per adjacent pair of input weeks. A city's row is
+    Produces one matrix per adjacent pair of input weeks, each row stored
+    on the union of its two endpoint rows' columns. A city's row is
     defined only when both endpoint rows are non-empty and the pair is
     exactly 7 days apart; everything else is flagged undefined and stores
-    nothing, and exact zeros are never stored. Each week's entries are
-    keyed by (city, artist) as the merge reaches it, so beside the output
-    only two weeks' keys are held at a time.
+    +0.0. Each week's entries are keyed by (city, artist) as the merge
+    reaches it, so beside the output only two weeks' keys are held at a
+    time.
     """
     if len(normalized) < 2:
         raise InsufficientDataError(
@@ -201,7 +202,7 @@ def compute_velocities(
     defined = present[1:] & present[:-1] & consecutive[:, None]
     row_start = np.arange(n_cities + 1) * n_artists
     shape = (n_cities, n_artists)
-    matrices, supports = [], []
+    matrices = []
     # Key each stored entry by (city, artist) as its week is merged; the
     # keys ascend in a week. Only two weeks' keys are held at a time.
     later = _cells(entries[0], n_artists)
@@ -212,7 +213,8 @@ def compute_velocities(
         # before its week-i entry.
         earlier, later = later, _cells(entries[i + 1], n_artists)
         key = np.concatenate((later, earlier))
-        value = np.concatenate((entries[i + 1].data, -entries[i].data))
+        # 0.0 - b, not -b: a stored zero must not become -0.0.
+        value = np.concatenate((entries[i + 1].data, 0.0 - entries[i].data))
         order = np.argsort(key, kind="stable")
         key, value = key.take(order), value.take(order)
         repeat = key[1:] == key[:-1]  # entry j + 1 has entry j's key
@@ -224,23 +226,12 @@ def compute_velocities(
         indptr = np.searchsorted(union, row_start)
         row_size = np.diff(indptr)
         columns = (union - np.repeat(row_start[:-1], row_size)).astype(np.int32)
-        keep = np.flatnonzero((diff != 0) & np.repeat(defined[i], row_size))
-        matrices.append(
-            CsrMatrix(
-                np.searchsorted(keep, indptr),
-                columns.take(keep),
-                diff.take(keep),
-                shape,
-            )
-        )
-        supports.append(
-            CsrMatrix(indptr, columns, np.ones(len(union), dtype=bool), shape)
-        )
+        diff[np.repeat(~defined[i], row_size)] = 0.0
+        matrices.append(CsrMatrix(indptr, columns, diff, shape))
     return VelocitySeries(
         weeks=tuple(week_dates[1:]),
         matrices=tuple(matrices),
         defined=defined,
-        support=tuple(supports),
         cities=tuple(cities),
         artists=tuple(artists),
     )
@@ -259,7 +250,7 @@ def build_velocities(
     """The pipeline: corpus -> counts -> unit rows -> velocities.
 
     ``artists``, when given, keeps only those artists' columns after the
-    rows are normalized (see :func:`restrict_artists`). ``cities``, when
+    rows are normalized (see :func:`_restrict_artists`). ``cities``, when
     given, builds only those cities' rows (see :func:`_corpus_cities`): each
     city's velocities depend on its own rows alone, so they equal the rows
     built for every city, and the weeks are still the corpus's weeks.
@@ -271,11 +262,11 @@ def build_velocities(
     del listeners  # the counts; the unit rows share only their positions
     kept = index.artists
     if artists is not None:
-        normalized, kept = restrict_artists(normalized, index, artists)
+        normalized, kept = _restrict_artists(normalized, index, artists)
     return compute_velocities(normalized, kept_cities, kept)
 
 
-def restrict_artists(
+def _restrict_artists(
     normalized: Sequence[WeekMatrix],
     index: ArtistIndex,
     artist_subset: set[str],

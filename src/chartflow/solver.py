@@ -190,16 +190,16 @@ def fit_ols(x, y, ridge: float = 0.0) -> Coefficients:
     )
 
 
-def fit_nnls(x, y, max_iter: int | None = None) -> Coefficients:
+def fit_nnls(x, y) -> Coefficients:
     """Lawson-Hanson active-set solve of min ||x b - y|| s.t. b >= 0.
 
     Terminates when the zero set is empty or its largest dual component is
-    at most ``DUAL_TOL``. Constrained coefficients are exact zeros. The
-    iteration cap defaults to ``max(10 * n_cols, 100)``.
+    at most ``DUAL_TOL``. Constrained coefficients are exact zeros. After
+    ``max(10 * n_cols, 100)`` iterations it raises ConvergenceError.
     """
     x, y = _validated(x, y)
     gram = _gram(x, y)
-    cap = max(10 * x.shape[1], 100) if max_iter is None else max_iter
+    cap = max(10 * x.shape[1], 100)
     with _lapack_failures_as_singular():
         r, qty, cholesky = _reduce(x, y, gram)
         beta, iterations = _lawson_hanson(r, qty, cholesky, cap, x.shape)

@@ -154,15 +154,15 @@ def build_design_by_columns(
     artist_parts: list[np.ndarray] = []
     for i, lag_idx in eligible:
         if active_rule == ACTIVE_TARGET:
-            support = velocities.support[i]
-            start, end = support.indptr[target_row], support.indptr[target_row + 1]
-            active = support.indices[start:end]
+            matrix = velocities.matrices[i]
+            start, end = matrix.indptr[target_row], matrix.indptr[target_row + 1]
+            active = matrix.indices[start:end]
         else:
             mask = np.zeros(n_artists, dtype=bool)
             for j in [i, *lag_idx]:
-                support = velocities.support[j]
+                matrix = velocities.matrices[j]
                 for r in included_rows:
-                    mask[support.indices[support.indptr[r] : support.indptr[r + 1]]] = True
+                    mask[matrix.indices[matrix.indptr[r] : matrix.indptr[r + 1]]] = True
             active = np.flatnonzero(mask)
         if active.size == 0:
             continue
@@ -227,37 +227,38 @@ def oracle_normalize_rows(matrix: WeekMatrix) -> WeekMatrix:
 
 
 def oracle_compute_velocities(normalized, cities, artists) -> VelocitySeries:
-    """Week-by-week ``scipy.sparse`` differences of adjacent unit rows."""
+    """Week-by-week dense differences of adjacent unit rows, stored on the
+    ``scipy.sparse`` sum of the two weeks' stored-entry patterns."""
     week_dates = [m.week_start for m in normalized]
     present = np.array(
         [np.diff(m.entries.indptr) > 0 for m in normalized], dtype=bool
     )
-    matrices, defined_rows, supports = [], [], []
+    matrices, defined_rows = [], []
     for i in range(1, len(normalized)):
         if (week_dates[i] - week_dates[i - 1]).days == 7:
             defined = present[i] & present[i - 1]
         else:
             defined = np.zeros(len(cities), dtype=bool)
-        vel = (normalized[i].entries - normalized[i - 1].entries).tocsr()
-        if not defined.all():
-            vel.data *= np.repeat(
-                defined.astype(np.float64), np.diff(vel.indptr)
-            )
-        vel.eliminate_zeros()
-        support = (
-            normalized[i].entries.astype(bool)
-            + normalized[i - 1].entries.astype(bool)
-        ).tocsr()
-        matrices.append(vel)
+        later, earlier = normalized[i].entries, normalized[i - 1].entries
+        # Ones on each stored entry, so the sum keeps stored zeros too.
+        pattern = (_ones(later) + _ones(earlier)).tocsr()
+        rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+        diff = (later.toarray() - earlier.toarray())[rows, pattern.indices]
+        pattern.data = np.where(defined[rows], diff, 0.0)
+        matrices.append(pattern)
         defined_rows.append(defined)
-        supports.append(support)
     return VelocitySeries(
         weeks=tuple(week_dates[1:]),
         matrices=tuple(matrices),
         defined=np.array(defined_rows, dtype=bool),
-        support=tuple(supports),
         cities=tuple(cities),
         artists=tuple(artists),
+    )
+
+
+def _ones(m) -> sparse.csr_matrix:
+    return sparse.csr_matrix(
+        (np.ones(m.nnz), m.indices, m.indptr), shape=m.shape
     )
 
 

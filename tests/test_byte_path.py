@@ -137,13 +137,15 @@ LOOP = {
 @pytest.mark.parametrize("block_bytes", [None, 5, 64])
 @pytest.mark.parametrize("name", sorted({**PLAIN, **REROUTED}))
 def test_plain_inputs_take_byte_path(tmp_path, name, block_bytes):
-    """The byte path codes the input; it keeps the outcome only when plain."""
+    """The byte path codes the input; it keeps the outcome only when plain.
+    Its blocks start after the header, so a file of the header alone has
+    none to code."""
+    data = {**PLAIN, **REROUTED}[name]
     coder = mock.patch.object(chart_store, "_code_block",
                               wraps=chart_store._code_block)
     with coder as coded:
-        _check(tmp_path / "corpus.csv", {**PLAIN, **REROUTED}[name],
-               name in PLAIN, block_bytes)
-    assert coded.called
+        _check(tmp_path / "corpus.csv", data, name in PLAIN, block_bytes)
+    assert coded.called == (len(data) > len(HEADER))
 
 
 @pytest.mark.parametrize("name", sorted(LOOP))
@@ -293,6 +295,7 @@ CHANGED = {
     "rows removed": (_BEFORE, _rows("2007-01-07,a,x,1")),
     "from empty": (b"", _BEFORE),
     "to header only": (_BEFORE, HEADER),
+    "header changed": (_BEFORE, _BEFORE.replace(b"listeners", b"listenerz")),
     "to a bad count": (_BEFORE, _rows("2007-01-07,a,x,1",
                                       "2007-01-07,a,y,zz")),
     "final newline dropped": (_BEFORE, _BEFORE[:-1]),
@@ -333,12 +336,36 @@ def test_bytes_changed_between_the_passes(tmp_path, name, block_bytes):
     (_BEFORE, 3),
     (_BEFORE[:-1], 3),
     (HEADER + b"\n\n", 2),
+    (HEADER + b"x", 1),
 ])
 def test_count_rows(data, rows):
+    """The lines after the header, which the parse has already read (all
+    of a shorter input)."""
     handle = io.BytesIO(data)
+    handle.read(len(HEADER))
     with mock.patch.object(chart_store, "_BLOCK_BYTES", 7):
         assert chart_store._count_rows(handle) == rows
     assert handle.tell() == 0
+
+
+@pytest.mark.parametrize("data", [
+    b"",
+    HEADER[:-2],
+    HEADER[:-1] + b",\n",
+    HEADER.replace(b"city", b"town") + _BEFORE[len(HEADER):],
+    bytes(range(256)) * 64,
+])
+def test_input_without_the_header_is_not_counted(tmp_path, data):
+    """Input that does not start with the header line is not counted: only
+    the row loop reads it."""
+    path = tmp_path / "corpus.csv"
+    path.write_bytes(data)
+    count = mock.patch.object(chart_store, "_count_rows",
+                              wraps=chart_store._count_rows)
+    with count as counted:
+        outcome = _outcome(_columnar, path)
+    assert not counted.called
+    assert outcome == _outcome(oracle_parse_file, path)
 
 
 _LABELS = st.text(alphabet="ab é東", max_size=12)

@@ -28,7 +28,6 @@ from chartflow import (
     report_json_text,
     generate_planted,
     report_table_text,
-    restrict_artists,
     rmse,
     temporal_split,
     to_listeners_matrices,
@@ -41,6 +40,7 @@ from chartflow.errors import (
     UndefinedBaselineError,
 )
 from chartflow.evaluate import format_pct
+from chartflow.preprocess import _restrict_artists
 
 from conftest import SMALL_PLANT, make_series
 
@@ -321,7 +321,7 @@ class TestEvaluateRegion:
         normalized = [
             normalize_rows(m) for m in to_listeners_matrices(small_series, index)
         ]
-        sliced, kept = restrict_artists(normalized, index, {"nobody"})
+        sliced, kept = _restrict_artists(normalized, index, {"nobody"})
         velocities = compute_velocities(sliced, small_series.cities, kept)
         results = evaluate_region(velocities)
         assert [r.city for r in results] == list(small_series.cities)

@@ -13,7 +13,6 @@ from chartflow import (
     compute_velocities,
     generate_planted,
     normalize_rows,
-    restrict_artists,
     to_listeners_matrices,
 )
 from chartflow.errors import (
@@ -21,7 +20,7 @@ from chartflow.errors import (
     InsufficientDataError,
     UnknownCityError,
 )
-from chartflow.preprocess import WeekMatrix
+from chartflow.preprocess import CsrMatrix, WeekMatrix, _restrict_artists
 
 from conftest import make_series, row_norms, week
 from oracles import (
@@ -109,7 +108,23 @@ class TestComputeVelocities:
         )
         vel = compute_velocities(normalized, ("c",), index.artists)
         assert vel.defined[0, 0]
-        assert vel.matrices[0].nnz == 0
+        # Both charted artists are stored, as +0.0.
+        assert vel.matrices[0].indices.tolist() == [0, 1]
+        assert vel.matrices[0].data.tobytes() == np.zeros(2).tobytes()
+
+    def test_stored_zero_leaving_gives_positive_zero(self):
+        # Corpora drop zero counts, but a caller's unit rows may store a
+        # 0.0: when only the earlier week stores it, 0.0 - 0.0 must be
+        # stored as +0.0, not -0.0.
+        def unit_row(week_offset, columns, data):
+            entries = CsrMatrix(np.array([0, len(columns)]), np.array(columns),
+                                np.array(data), (1, 2))
+            return WeekMatrix(week(week_offset), entries)
+
+        normalized = [unit_row(0, [0, 1], [0.0, 1.0]), unit_row(1, [1], [1.0])]
+        vel = compute_velocities(normalized, ("c",), ("a", "b"))
+        assert vel.matrices[0].indices.tolist() == [0, 1]
+        assert not np.signbit(vel.matrices[0].data).any()
 
     def test_orthogonal_swap(self):
         _, index, _, normalized = pipeline(
@@ -120,7 +135,8 @@ class TestComputeVelocities:
 
     def test_gap_fixture(self):
         # Weeks 0, 1, 3: the 1 -> 3 transition spans 14 days, so the second
-        # velocity matrix exists but carries no defined rows.
+        # velocity matrix exists but carries no defined rows: its one row
+        # stores the endpoints' artist as +0.0.
         _, index, _, normalized = pipeline(
             [(0, "c", "a", 2), (1, "c", "a", 3), (3, "c", "a", 4)]
         )
@@ -128,7 +144,8 @@ class TestComputeVelocities:
         assert vel.n_weeks == 2
         assert vel.weeks == (week(1), week(3))
         assert vel.defined[0, 0] and not vel.defined[1, 0]
-        assert vel.matrices[1].nnz == 0
+        assert vel.matrices[1].indices.tolist() == [0]
+        assert vel.matrices[1].data.tobytes() == np.zeros(1).tobytes()
 
     def test_city_absence_undefines_row(self):
         _, index, _, normalized = pipeline(
@@ -140,12 +157,22 @@ class TestComputeVelocities:
         assert vel.matrices[0].toarray()[1].tolist() == [0.0]
 
     def test_support_is_endpoint_union(self):
+        # "gone" charts only in week 0, so its row is undefined; it still
+        # stores its week-0 artists, as +0.0.
         _, index, _, normalized = pipeline(
-            [(0, "c", "a", 1), (0, "c", "b", 1), (1, "c", "b", 2), (1, "c", "d", 3)]
+            [(0, "c", "a", 1), (0, "c", "b", 1), (1, "c", "b", 2),
+             (1, "c", "d", 3), (0, "gone", "a", 4)]
         )
-        vel = compute_velocities(normalized, ("c",), index.artists)
-        support = vel.support[0].toarray()[0]
-        assert support.tolist() == [True, True, True]
+        vel = compute_velocities(normalized, ("c", "gone"), index.artists)
+        m = vel.matrices[0]
+        assert vel.defined[0].tolist() == [True, False]
+        assert m.indptr.tolist() == [0, 3, 4]
+        assert m.indices.tolist() == [0, 1, 2, 0]
+        half, thirteenth = np.sqrt(0.5), np.sqrt(1 / 13)
+        assert m.data[:3] == pytest.approx(
+            [-half, 2 * thirteenth - half, 3 * thirteenth], abs=1e-12
+        )
+        assert m.data[3:].tobytes() == np.zeros(1).tobytes()
 
     def test_too_few_weeks(self):
         _, index, _, normalized = pipeline([(0, "c", "a", 1)])
@@ -206,7 +233,7 @@ def test_restrict_artists():
     )
     index = build_artist_index(series)
     normalized = [normalize_rows(m) for m in to_listeners_matrices(series, index)]
-    sliced, kept = restrict_artists(normalized, index, {"b"})
+    sliced, kept = _restrict_artists(normalized, index, {"b"})
     assert kept == ("b",)
     # Norms are from the full corpus: week-0 b entry stays 0.8.
     assert sliced[0].entries.toarray()[0].tolist() == [0.8]
@@ -226,11 +253,25 @@ def _assert_same_velocities(new, old):
         old.weeks, old.cities, old.artists
     )
     assert np.array_equal(new.defined, old.defined)
-    assert len(new.matrices) == len(old.matrices) == len(new.support)
+    assert len(new.matrices) == len(old.matrices)
     for a, b in zip(new.matrices, old.matrices):
         _assert_same_csr(a, b)
-    for a, b in zip(new.support, old.support):
-        _assert_same_csr(a, b)
+
+
+def _assert_one_pattern(velocities, normalized):
+    """Each velocity row stores the union of its endpoint rows' columns,
+    defined or not, and an undefined row stores +0.0 only."""
+    for i, m in enumerate(velocities.matrices):
+        later, earlier = normalized[i + 1].entries, normalized[i].entries
+        for r in range(m.shape[0]):
+            row = slice(m.indptr[r], m.indptr[r + 1])
+            union = np.union1d(
+                later.indices[later.indptr[r]:later.indptr[r + 1]],
+                earlier.indices[earlier.indptr[r]:earlier.indptr[r + 1]],
+            )
+            assert np.array_equal(m.indices[row], union)
+            if not velocities.defined[i, r]:
+                assert m.data[row].tobytes() == np.zeros(len(union)).tobytes()
 
 
 def _gap_and_absence_series():
@@ -250,7 +291,8 @@ def _gap_and_absence_series():
 
 
 class TestMatchesScipyOracle:
-    """Velocities, ``defined`` and support equal the scipy.sparse pipeline."""
+    """Velocities and ``defined`` equal the scipy.sparse pipeline, and each
+    velocity row is stored on its endpoints' union."""
 
     @staticmethod
     def _check(series, subset=None):
@@ -266,7 +308,7 @@ class TestMatchesScipyOracle:
             _assert_same_csr(new.entries, old.entries)
         artists = index.artists
         if subset is not None:
-            normalized, artists = restrict_artists(normalized, index, subset)
+            normalized, artists = _restrict_artists(normalized, index, subset)
             old_normalized, old_artists = oracle_restrict_artists(
                 old_normalized, index, subset
             )
@@ -276,6 +318,7 @@ class TestMatchesScipyOracle:
         new = compute_velocities(normalized, series.cities, artists)
         old = oracle_compute_velocities(old_normalized, series.cities, artists)
         _assert_same_velocities(new, old)
+        _assert_one_pattern(new, normalized)
         return new
 
     def test_small_plant(self, small_series):
@@ -296,9 +339,11 @@ class TestMatchesScipyOracle:
     def test_post_filter_leaving_empty_weeks(self):
         velocities = self._check(_gap_and_absence_series(), {"solo"})
         assert velocities.artists == ("solo",)
-        # A row empty after the cut is undefined: only weeks 0 -> 1 move.
-        assert sum(m.nnz for m in velocities.matrices) == 1
-        assert sum(m.nnz for m in velocities.support) == 4
+        # A row empty after the cut is undefined: only weeks 0 -> 1 move,
+        # but the other endpoint unions (weeks 1 -> 2, 6 -> 7, 7 -> 8) are
+        # stored too, as +0.0.
+        assert sum(m.nnz for m in velocities.matrices) == 4
+        assert sum(np.count_nonzero(m.data) for m in velocities.matrices) == 1
 
 
 class TestCitySubset:
@@ -312,8 +357,7 @@ class TestCitySubset:
         assert (part.weeks, part.artists) == (full.weeks, full.artists)
         rows = [full.cities.index(c) for c in part.cities]
         assert np.array_equal(part.defined, full.defined[:, rows])
-        for new, old in [*zip(part.matrices, full.matrices),
-                         *zip(part.support, full.support)]:
+        for new, old in zip(part.matrices, full.matrices):
             assert new.shape == (len(rows), old.shape[1])
             for r, o in enumerate(rows):
                 n0, n1 = new.indptr[r], new.indptr[r + 1]
@@ -378,7 +422,7 @@ def test_velocity_build_peak_memory_is_bounded_by_the_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = {id(a): a for m in (*velocities.matrices, *velocities.support)
+    arrays = {id(a): a for m in velocities.matrices
               for a in (m.indptr, m.indices, m.data)}
     output = velocities.defined.nbytes + sum(a.nbytes for a in arrays.values())
     assert velocities.n_weeks == 119

@@ -236,8 +236,9 @@ class TestFitNnls:
 
     def test_iteration_cap(self):
         x, y = random_system(56, 40, 3, nonneg_target=True)
+        r, qty, cholesky = _reduce(x, y)
         with pytest.raises(ConvergenceError):
-            fit_nnls(x, y, max_iter=0)
+            _lawson_hanson(r, qty, cholesky, 0, x.shape)
 
     def test_kkt_conditions(self):
         for seed in range(30):
