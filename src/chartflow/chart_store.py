@@ -26,11 +26,16 @@ fixed number of rows at a time, so no whole-column temporary is built.
 
 This module also owns the canonical CSV, the one rendering of a corpus:
 :func:`chart_csv_chunks` renders it, :func:`write_chart_csv` writes it and
-:func:`fingerprint` is its SHA-256, the corpus digest. Rows already in
-canonical order are not sorted again, and plain input whose bytes are the
-canonical CSV (every file ``write_chart_csv`` writes, unless a label needs
-quoting) keeps the hash of the bytes read as its digest, so
-``fingerprint`` renders nothing.
+:func:`fingerprint` is its SHA-256, the corpus digest. The renderer yields
+UTF-8 bytes, a block of rows at a time: each block is laid out as a byte
+matrix of at most 64 KiB, one line per row, from tables of the labels'
+quoted fields, and one mask drops the padding and the counts' leading
+zeros. So the writer and the hash take the chunks as they come, and its
+scratch stays at a few blocks plus the label tables, however wide a label.
+Rows already in canonical order are not sorted again, and plain input
+whose bytes are the canonical CSV (every file ``write_chart_csv`` writes,
+unless a label needs quoting) keeps the hash of the bytes read as its
+digest, so ``fingerprint`` renders nothing.
 """
 
 from __future__ import annotations
@@ -165,8 +170,10 @@ class ChartSeries:
 
     def week_slices(self) -> Iterator[tuple[date, slice]]:
         """Each week with the slice of rows holding it (rows are week-sorted)."""
+        # Codes of the column's dtype, so the column is searched uncast.
         bounds = np.searchsorted(
-            self.week_idx, np.arange(len(self.weeks) + 1)
+            self.week_idx,
+            np.arange(len(self.weeks) + 1, dtype=self.week_idx.dtype),
         ).tolist()
         for k, week in enumerate(self.weeks):
             yield week, slice(bounds[k], bounds[k + 1])
@@ -782,25 +789,76 @@ def _csv_fields(labels: Sequence[str]) -> list[str]:
     return fields
 
 
-def chart_csv_chunks(series: ChartSeries) -> Iterator[str]:
-    """Canonical CSV serialization in pieces: the header, then each week.
+# A rendered block of rows is laid out as a matrix of at most this many
+# bytes (one row at least), whatever the width of its labels.
+_RENDER_BYTES = 1 << 16
+# An ISO week and its comma: "YYYY-MM-DD,".
+_WEEK_FIELD = 11
 
-    Labels are rendered once each with RFC 4180 quoting, then joined row by
-    row from the columns.
+
+def chart_csv_chunks(series: ChartSeries) -> Iterator[bytes]:
+    """Canonical CSV serialization in UTF-8 pieces: the header, then blocks
+    of rows.
+
+    Labels are rendered once each with RFC 4180 quoting (see
+    :func:`_csv_fields`) into tables of zero-padded bytes. A block lays its
+    rows out as a uint8 matrix, one line per row: the week field, the city
+    and artist fields from the tables, the count's digits and a newline.
+    One mask then drops the padding and the count's leading zeros.
     """
-    yield ",".join(CHART_HEADER) + "\n"
-    cities = _csv_fields(series.cities)
-    artists = _csv_fields(series.artists)
-    for week, rows in series.week_slices():
-        prefix = week.isoformat() + ","
-        yield "".join(
-            f"{prefix}{cities[c]},{artists[a]},{n}\n"
-            for c, a, n in zip(
-                series.city_idx[rows].tolist(),
-                series.artist_idx[rows].tolist(),
-                series.listeners[rows].tolist(),
-            )
-        )
+    yield _HEADER_LINE
+    if not len(series):
+        return
+    weeks = np.frombuffer(
+        "".join(f"{week.isoformat()}," for week in series.weeks).encode(),
+        dtype=np.uint8,
+    ).reshape(-1, _WEEK_FIELD)
+    cities, city_len = _field_table(_csv_fields(series.cities))
+    artists, artist_len = _field_table(_csv_fields(series.artists))
+    digits = len(str(int(series.listeners.max())))
+    # Column offsets of the city, artist and count fields within a line.
+    c0 = _WEEK_FIELD
+    a0 = c0 + cities.shape[1] + 1
+    d0 = a0 + artists.shape[1] + 1
+    line = np.zeros(d0 + digits + 1, dtype=np.uint8)
+    line[[a0 - 1, d0 - 1, -1]] = _COMMA, _COMMA, _NEWLINE
+    # A count's digit is kept when the count reaches its place value; the
+    # units digit always is.
+    place = 10 ** np.arange(digits - 1, -1, -1, dtype=np.int64)
+    place[-1] = 0
+    step = max(1, _RENDER_BYTES // len(line))
+    for begin in range(0, len(series), step):
+        rows = slice(begin, begin + step)
+        c, a = series.city_idx[rows], series.artist_idx[rows]
+        counts = series.listeners[rows]
+        matrix = np.empty((len(counts), len(line)), dtype=np.uint8)
+        matrix[:] = line
+        matrix[:, :c0] = weeks[series.week_idx[rows]]
+        matrix[:, c0 : a0 - 1] = cities[c]
+        matrix[:, a0 : d0 - 1] = artists[a]
+        rest = counts
+        for col in range(len(line) - 2, d0 - 1, -1):
+            rest, matrix[:, col] = np.divmod(rest, 10)
+        matrix[:, d0:-1] += ord("0")
+        keep = np.ones(matrix.shape, dtype=bool)
+        for lo, hi, length, codes in ((c0, a0 - 1, city_len, c),
+                                      (a0, d0 - 1, artist_len, a)):
+            if length.min() < hi - lo:  # some label is padded
+                np.less(np.arange(hi - lo), length[codes, None],
+                        out=keep[:, lo:hi])
+        np.greater_equal(counts[:, None], place, out=keep[:, d0:-1])
+        yield matrix[keep].tobytes()
+
+
+def _field_table(fields: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Each field's UTF-8 bytes as a row of a zero-padded uint8 matrix as
+    wide as the longest, and each field's length in bytes."""
+    encoded = [field.encode("utf-8") for field in fields]
+    width = max(map(len, encoded))
+    table = np.frombuffer(
+        b"".join(data.ljust(width, b"\0") for data in encoded), dtype=np.uint8
+    ).reshape(len(encoded), width)
+    return table, np.array([len(data) for data in encoded])
 
 
 def fingerprint(series: ChartSeries) -> str:
@@ -816,22 +874,21 @@ def fingerprint(series: ChartSeries) -> str:
         return series.digest
     digest = hashlib.sha256()
     for chunk in chart_csv_chunks(series):
-        digest.update(chunk.encode("utf-8"))
+        digest.update(chunk)
     return digest.hexdigest()
 
 
 def write_chart_csv(series: ChartSeries, path: str | Path) -> str:
     """Write the canonical CSV; returns the hex SHA-256 of the bytes written.
 
-    The digest equals ``fingerprint(series)``: both hash the same encoded
-    chunks, here in the one pass that writes them.
+    The digest equals ``fingerprint(series)``: both hash the same chunks,
+    here in the one pass that writes them.
     """
     digest = hashlib.sha256()
     with open(path, "wb") as handle:
         for chunk in chart_csv_chunks(series):
-            data = chunk.encode("utf-8")
-            digest.update(data)
-            handle.write(data)
+            digest.update(chunk)
+            handle.write(chunk)
     return digest.hexdigest()
 
 

@@ -114,7 +114,8 @@ def to_listeners_matrices(
         raise IndexingError("artist index does not match the corpus artists")
     kept = _corpus_cities(series, cities)
     shape = (len(kept), index.size)
-    city_start = np.arange(len(series.cities) + 1)
+    city_start = np.arange(len(series.cities) + 1,
+                           dtype=series.city_idx.dtype)
     is_kept = np.array([c in kept for c in series.cities], dtype=bool)
     subset = not is_kept.all()
     matrices: list[WeekMatrix] = []

@@ -6,6 +6,10 @@ carrying generator objects around. The core is the splitmix64 finalizer
 applied to ``key + (i + 1) * GAMMA``; Gaussian variates come from the
 Box-Muller transform on counter pairs. All integer arithmetic is explicit
 64-bit wraparound.
+
+The vectorized draws work in place: each applies its elementwise steps to
+the array it returns, with one scratch array for the shifted words, so
+``normals(key, n)`` peaks at three ``n``-element arrays.
 """
 
 from __future__ import annotations
@@ -39,23 +43,52 @@ def derive_key(seed: int, *parts: int) -> int:
 
 
 def _outputs(key: int, start: int, n: int) -> np.ndarray:
-    """Raw 64-bit outputs for counters ``start .. start+n-1``, vectorized."""
-    idx = np.arange(start, start + n, dtype=np.uint64)
-    state = np.uint64(key) + (idx + np.uint64(1)) * np.uint64(_GAMMA)
-    z = (state ^ (state >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """Raw 64-bit outputs for counters ``start .. start+n-1``, vectorized.
+
+    The mixing runs in place on the returned array, with one scratch array
+    for each step's shifted words.
+    """
+    z = np.arange(start, start + n, dtype=np.uint64)
+    z += np.uint64(1)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(key)
+    shifted = np.empty_like(z)
+    for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
+        if mix is not None:
+            z *= np.uint64(mix)
+    return z
 
 
 def uniforms(key: int, n: int, start: int = 0) -> np.ndarray:
-    """``n`` doubles in [0, 1) from the keyed counter stream."""
-    bits = _outputs(key, start, n) >> np.uint64(11)
-    return bits.astype(np.float64) * 2.0**-53
+    """``n`` doubles in [0, 1) from the keyed counter stream.
+
+    Each double takes the top 53 bits of its output word, converted in the
+    word's own memory.
+    """
+    bits = _outputs(key, start, n)
+    bits >>= np.uint64(11)
+    out = bits.view(np.float64)
+    np.multiply(bits, 2.0**-53, out=out, casting="unsafe")
+    return out
 
 
 def normals(key: int, n: int) -> np.ndarray:
-    """``n`` standard normal doubles via Box-Muller on counter pairs."""
-    # u1 is shifted into (0, 1] so log() never sees zero.
-    u1 = uniforms(key, n) + 2.0**-53
-    u2 = uniforms(key, n, start=n)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    """``n`` standard normal doubles via Box-Muller on counter pairs.
+
+    Counters ``0 .. n-1`` give the radii and ``n .. 2n-1`` the angles; each
+    factor is transformed in place, and the product is returned in the
+    radii's array.
+    """
+    # The radii's uniforms are shifted into (0, 1] so log() never sees zero.
+    radius = uniforms(key, n)
+    radius += 2.0**-53
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = uniforms(key, n, start=n)
+    angle *= 2.0 * np.pi
+    np.cos(angle, out=angle)
+    radius *= angle
+    return radius

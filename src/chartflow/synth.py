@@ -7,7 +7,8 @@ innovation is a scaled copy of its leader's innovation from ``lag`` weeks
 earlier plus independent noise of scale ``noise_sigma``. Latents map to
 listener counts through ``count = max(1, round(city_size * exp(latent)))``,
 which produces heavy-tailed chart shapes, and each city-week keeps only its
-top ``chart_size`` artists.
+top ``chart_size`` artists: by count descending, and by artist index on
+ties.
 
 Followers start from a lag-shifted copy of their leader's state and share
 its base popularity profile, so with ``strength = 1`` and zero noise a
@@ -15,13 +16,18 @@ follower's chart is exactly its leader's chart shifted by ``lag`` weeks.
 All randomness comes from the keyed counter streams in :mod:`chartflow.rng`,
 so a spec generates the identical corpus on every run.
 
-Memory stays near the size of the output. Cities are walked leaders first,
-and each city's chart is written into preallocated ``(weeks, cities,
-chart)`` arrays as soon as its walk ends; only leaders keep what their
-followers read. The chart arrays, already int32 codes in canonical order,
-become the corpus's columns without a copy. A walk that overflows to NaN
-(an extreme ``walk_sigma`` or ``noise_sigma``) raises ``PlantSpecError``
-naming its city.
+Memory stays near the size of the output. Cities are walked depth first,
+each follower right after its last leader, and each city's chart is
+written into preallocated ``(weeks, cities, chart)`` arrays as soon as its
+walk ends. A leader keeps what its followers read only until the last of
+them has read it, and any other city walks, and turns into counts, in the
+one array its innovations were drawn into. Each week's chart comes from a
+partition at its threshold count, not a sort of every artist. Walk order
+does not change the output: each city's random streams are keyed by its
+position in the spec, and its chart goes to its own slot. The chart arrays,
+already int32 codes in canonical order, become the corpus's columns without
+a copy. A walk that overflows to NaN (an extreme ``walk_sigma`` or
+``noise_sigma``) raises ``PlantSpecError`` naming its city.
 """
 
 from __future__ import annotations
@@ -224,22 +230,26 @@ _SPEC_PARSERS = {
 
 
 def _toposort(names: list[str], influence: tuple[Influence, ...]) -> list[str]:
-    """Order cities leaders-first; reject cyclic influence graphs."""
+    """Order cities so each comes after its leaders; reject cyclic graphs.
+
+    Ready cities are taken from a stack, smallest name first, so the order
+    is depth first: a follower comes right after its last leader.
+    """
     outgoing: dict[str, list[Influence]] = {n: [] for n in names}
     incoming_count = {n: 0 for n in names}
     for edge in influence:
         outgoing[edge.leader].append(edge)
         incoming_count[edge.follower] += 1
-    ready = sorted(n for n in names if incoming_count[n] == 0)
+    ready = sorted((n for n in names if incoming_count[n] == 0), reverse=True)
     order: list[str] = []
     while ready:
-        city = ready.pop(0)
+        city = ready.pop()
         order.append(city)
-        for edge in sorted(outgoing[city], key=lambda e: e.follower):
+        for edge in sorted(outgoing[city], key=lambda e: e.follower,
+                           reverse=True):
             incoming_count[edge.follower] -= 1
             if incoming_count[edge.follower] == 0:
                 ready.append(edge.follower)
-        ready.sort()
     if len(order) != len(names):
         raise PlantSpecError("influence graph contains a cycle")
     return order
@@ -292,10 +302,10 @@ def _charts(spec: PlantSpec, cities: tuple[str, ...]) -> tuple[np.ndarray, np.nd
 
     Returns the int32 artist codes, ascending within each chart, and their
     int64 counts; ``cities`` (sorted) gives the city axis. Cities are walked
-    leaders first, and each city's chart is written as soon as its walk
-    ends. A leader keeps what its followers read: its base profile, its
-    innovations and the state row each follower starts from. Every other
-    walk is dropped once charted.
+    in ``_toposort`` order, and each city's chart is written as soon as its
+    walk ends. A leader keeps what its followers read (its base profile, its
+    innovations and the state row each follower starts from) until its last
+    follower has read them. Every other walk is dropped once charted.
     """
     names = list(spec.city_names())
     order = _toposort(names, spec.influence)
@@ -309,13 +319,14 @@ def _charts(spec: PlantSpec, cities: tuple[str, ...]) -> tuple[np.ndarray, np.nd
         outgoing[edge.leader].append(edge)
     for follower in incoming:
         incoming[follower].sort(key=lambda e: (e.leader, e.lag))
+    # Per leader, the edges whose follower has not yet read its mu and inc.
+    unread = {name: len(edges) for name, edges in outgoing.items()}
 
     n_artists = spec.artists
     width = min(n_artists, spec.chart_size)
     artist_idx = np.empty((spec.weeks, len(cities), width), dtype=np.int32)
     counts = np.empty((spec.weeks, len(cities), width), dtype=np.int64)
     stationary = spec.walk_sigma / np.sqrt(1.0 - (1.0 - DAMPING) ** 2)
-    keep = 1.0 - DAMPING
 
     # A city's walk x[t] is its latent offset at week spec.start_week +
     # 7(t - need[c]) days, for t in [0, need[c] + spec.weeks); steps[t] is
@@ -329,58 +340,92 @@ def _charts(spec: PlantSpec, cities: tuple[str, ...]) -> tuple[np.ndarray, np.nd
         edges = incoming[city]
         span = need[city] + spec.weeks
         own_sigma = spec.noise_sigma if edges else spec.walk_sigma
-        steps = own_sigma * rng.normals(
+        steps = rng.normals(
             rng.derive_key(spec.seed, _TAG_ETA, ci), span * n_artists
         ).reshape(span, n_artists)
-        x = np.empty((span, n_artists))
+        steps *= own_sigma
+        # Each leader's innovations, aligned so row t feeds steps[t].
+        feeds = []
         if edges:
             total = sum(e.strength for e in edges)
             base = sum(e.strength * mu[e.leader] for e in edges) / total
-            x[0] = steps[0]
+            first = steps[0].copy()
             for e in edges:
-                x[0] += e.strength * start[e]
+                first += e.strength * start[e]
+                src0 = need[e.leader] - need[city] - e.lag
+                feeds.append((e.strength, inc[e.leader][src0 : src0 + span]))
         else:
             base = BASE_SPREAD * rng.normals(
                 rng.derive_key(spec.seed, _TAG_MU, ci), n_artists
             )
-            x[0] = stationary * rng.normals(
+            first = stationary * rng.normals(
                 rng.derive_key(spec.seed, _TAG_INIT, ci), n_artists
             )
         steps[0] = 0.0
+        # Only a leader keeps its innovations; any other city walks in place.
+        x = np.empty_like(steps) if outgoing[city] else steps
+        x[0] = first
+        _walk(x, steps, feeds)
+        del feeds, first
         for e in edges:
-            src0 = need[e.leader] - need[city] - e.lag
-            steps[1:] += e.strength * inc[e.leader][src0 + 1 : src0 + span]
-        for t in range(1, span):
-            x[t] = keep * x[t - 1] + steps[t]
+            start.pop(e, None)
+            unread[e.leader] -= 1
+            if not unread[e.leader]:
+                del mu[e.leader], inc[e.leader]
         if outgoing[city]:
             mu[city], inc[city] = base, steps
             for e in outgoing[city]:
                 start[e] = x[need[city] - need[e.follower] - e.lag].copy()
-        latent = base + x[need[city] :]
-        # Each temporary is dropped as soon as it is used, so no two walks'
-        # arrays are alive at once.
-        del steps, x
+        del steps
+        latent = x[need[city] :]
+        latent += base
         if np.isnan(latent).any():
             raise PlantSpecError(
                 f"city {city!r}: latent walk overflows to NaN; "
                 "lower walk_sigma or noise_sigma"
             )
-        # Clipped so extreme specs cannot overflow the integer counts.
-        city_counts = np.rint(
-            np.clip(spec.city_size * np.exp(latent), 1.0, 1e15)
-        ).astype(np.int64)
-        del latent
-        if n_artists > width:
-            # Top of the chart: count descending, artist index on ties.
-            top = np.argsort(-city_counts, axis=1, kind="stable")
-            sel = np.sort(top[:, :width], axis=1)
-            del top
-            artist_idx[:, slot[city]] = sel
-            counts[:, slot[city]] = np.take_along_axis(city_counts, sel, axis=1)
-        else:
-            artist_idx[:, slot[city]] = np.arange(n_artists)
-            counts[:, slot[city]] = city_counts
+        # Counts, in place: clipped so extreme specs cannot overflow the
+        # integers, and rounded, so the doubles are the integer counts. Only
+        # the charted ones are cast to int64, as they are stored.
+        np.exp(latent, out=latent)
+        latent *= spec.city_size
+        np.clip(latent, 1.0, 1e15, out=latent)
+        np.rint(latent, out=latent)
+        top = _chart_top(latent, width)
+        artist_idx[:, slot[city]] = top
+        counts[:, slot[city]] = np.take_along_axis(latent, top, axis=1)
+        del x, latent, top
     return artist_idx, counts
+
+
+def _walk(x: np.ndarray, steps: np.ndarray, feeds: list) -> None:
+    """Fill ``x[1:]`` by ``x[t] = (1 - DAMPING) x[t-1] + steps[t]``, adding
+    each leader's row ``t`` into ``steps[t]`` first. ``x`` may be ``steps``.
+    """
+    keep = 1.0 - DAMPING
+    for t in range(1, len(x)):
+        for strength, feed in feeds:
+            steps[t] += strength * feed[t]
+        x[t] = keep * x[t - 1] + steps[t]
+
+
+def _chart_top(counts: np.ndarray, width: int) -> np.ndarray:
+    """Each row's top ``width`` columns, by count descending and column
+    index on ties, as ascending column indices.
+
+    ``np.partition`` finds each row's threshold, the ``width``-th largest
+    count. Every column above it is kept, and the columns equal to it fill
+    the rest of the chart in ascending order, so no row is sorted whole.
+    """
+    n = counts.shape[1]
+    threshold = np.partition(counts, n - width, axis=1)[:, n - width].copy()
+    chart = counts > threshold[:, None]
+    short = width - np.count_nonzero(chart, axis=1)
+    ties = counts == threshold[:, None]
+    chart |= ties & (np.cumsum(ties, axis=1, dtype=np.int32) <= short[:, None])
+    top = np.flatnonzero(chart).reshape(-1, width)
+    top %= n
+    return top
 
 
 def sidecar_json_text(spec: PlantSpec, digest: str) -> str:

@@ -9,6 +9,10 @@ per-(week, city) dense rows, the way ``chartflow.design.build_design`` did
 before it gathered each week's block at once. The ``oracle_*`` preprocessing
 functions build the per-week matrices with ``scipy.sparse``, the way
 ``chartflow.preprocess`` did before it kept them as plain numpy arrays.
+``oracle_chart_top`` picks each synthetic chart with a stable sort of every
+whole row, and ``oracle_chart_csv`` renders the canonical CSV row by row
+with f-strings: both are how ``chartflow`` did it before it partitioned the
+rows and laid the CSV out as byte matrices.
 """
 
 from __future__ import annotations
@@ -18,7 +22,12 @@ from datetime import timedelta
 import numpy as np
 from scipy import sparse
 
-from chartflow.chart_store import ArtistIndex, ChartSeries
+from chartflow.chart_store import (
+    CHART_HEADER,
+    ArtistIndex,
+    ChartSeries,
+    _csv_fields,
+)
 from chartflow.design import ACTIVE_TARGET, LabeledDesign, LagConfig
 from chartflow.errors import ChartFlowError, DimensionError, SingularMatrixError
 from chartflow.preprocess import VelocitySeries, WeekMatrix
@@ -270,3 +279,27 @@ def oracle_restrict_artists(normalized, index: ArtistIndex, artist_subset):
         for m in normalized
     ]
     return sliced, tuple(index.artists[i] for i in keep)
+
+
+def oracle_chart_top(counts: np.ndarray, width: int) -> np.ndarray:
+    """Each row's top ``width`` columns, by count descending and column
+    index on ties, as ascending column indices: a stable sort of each row."""
+    return np.sort(np.argsort(-counts, axis=1, kind="stable")[:, :width], axis=1)
+
+
+def oracle_chart_csv(series: ChartSeries) -> bytes:
+    """The canonical CSV, joined row by row with f-strings, week by week."""
+    cities = _csv_fields(series.cities)
+    artists = _csv_fields(series.artists)
+    parts = [",".join(CHART_HEADER) + "\n"]
+    for week, rows in series.week_slices():
+        prefix = week.isoformat() + ","
+        parts.extend(
+            f"{prefix}{cities[c]},{artists[a]},{n}\n"
+            for c, a, n in zip(
+                series.city_idx[rows].tolist(),
+                series.artist_idx[rows].tolist(),
+                series.listeners[rows].tolist(),
+            )
+        )
+    return "".join(parts).encode("utf-8")

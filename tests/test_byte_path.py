@@ -235,7 +235,7 @@ def test_label_rendering_is_checked(tmp_path):
                                lambda labels: [f'"{x}"' for x in labels])
     with quoted:
         series = parse_chart_csv(path)
-        rendered = "".join(chart_store.chart_csv_chunks(series)).encode()
+        rendered = b"".join(chart_store.chart_csv_chunks(series))
         assert series.digest is None
         assert fingerprint(series) == hashlib.sha256(rendered).hexdigest()
 

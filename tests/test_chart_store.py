@@ -4,6 +4,7 @@ import tempfile
 import tracemalloc
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from chartflow.chart_store import MAX_LISTENERS, chart_csv_chunks
 from chartflow.errors import ChartValueError, DuplicateKeyError, ParseError
 
 from conftest import make_series, series_from_rows, week
+from oracles import oracle_chart_csv
 
 HEADER = "week_start,city,artist,listeners\n"
 
@@ -40,7 +42,7 @@ def parse_text(text, region_label=""):
 
 def csv_text(series):
     """The canonical CSV of ``series``, as one string."""
-    return "".join(chart_csv_chunks(series))
+    return b"".join(chart_csv_chunks(series)).decode("utf-8")
 
 
 class TestParse:
@@ -388,3 +390,87 @@ def test_parse_peak_memory_is_bounded_by_the_columns(tmp_path):
     assert len(series) == 40 * 30 * 150
     assert series.digest is not None  # the byte path read it
     assert peak <= columns + 6 * chart_store._BLOCK_BYTES, (peak, columns)
+
+
+def test_week_slices_do_not_copy_the_week_column():
+    """The week bounds are searched with codes of the column's own dtype,
+    so the 180,000-row int32 column is not cast to int64 (1.4 MiB)."""
+    weeks, cities, artists = 40, 30, 150
+    series = ChartSeries.from_columns(
+        tuple(week(k) for k in range(weeks)),
+        tuple(f"c{i:02d}" for i in range(cities)),
+        tuple(f"a{i:03d}" for i in range(artists)),
+        np.repeat(np.arange(weeks, dtype=np.int32), cities * artists),
+        np.tile(np.repeat(np.arange(cities, dtype=np.int32), artists), weeks),
+        np.tile(np.arange(artists, dtype=np.int32), weeks * cities),
+        np.ones(weeks * cities * artists, dtype=np.int64),
+    )
+    assert len(series) == 180_000
+    tracemalloc.start()
+    try:
+        slices = list(series.week_slices())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert slices[1] == (week(1), slice(cities * artists, 2 * cities * artists))
+    assert peak < 64 * 1024, peak
+
+
+# Labels that csv.writer quotes (a comma, a quote, a newline) or that are
+# not ASCII, so their fields are longer in bytes than in characters.
+_HOSTILE = series_from_rows([
+    (week(0), "a,b", "plain", 1),
+    (week(0), 'say "hi"', "two\nlines", 9),
+    (week(0), "Montréal", "東京事変", 10),
+    (week(1), "a,b", "東京事変", MAX_LISTENERS),
+    (week(1), "x", "plain", 100),
+])
+
+
+class TestRender:
+    """``chart_csv_chunks`` is byte-equal to the f-string row renderer."""
+
+    @pytest.mark.parametrize("series", [
+        _HOSTILE,
+        ChartSeries.from_columns((), (), (), [], [], [], []),
+        make_series([(0, "c", "x", 1), (0, "c", "y", 9), (2, "d", "x", 10)]),
+    ], ids=["hostile labels", "header only", "short counts"])
+    def test_matches_the_row_renderer(self, series):
+        assert b"".join(chart_csv_chunks(series)) == oracle_chart_csv(series)
+
+    def test_label_wider_than_one_block(self):
+        wide = "w" * (chart_store._RENDER_BYTES + 1)
+        series = make_series([(0, "c", wide, 3), (0, "c", "x", 12),
+                              (1, "d", wide, 7)])
+        chunks = list(chart_csv_chunks(series))
+        assert len(chunks) == 4  # the header, then one row per block
+        assert b"".join(chunks) == oracle_chart_csv(series)
+
+    @given(corpora(), st.integers(min_value=1, max_value=200))
+    @settings(max_examples=60, deadline=None)
+    def test_any_block_size(self, series, block_bytes):
+        with mock.patch.object(chart_store, "_RENDER_BYTES", block_bytes):
+            rendered = b"".join(chart_csv_chunks(series))
+        assert rendered == oracle_chart_csv(series)
+
+    def test_wide_label_peak_memory(self):
+        """One 10,000-byte artist label widens every line of the block
+        matrix, so a block holds fewer rows: the rendering peak stays near
+        the label table, not the corpus times the label width (40 MB)."""
+        series = ChartSeries.from_columns(
+            tuple(week(k) for k in range(10)),
+            ("c0", "c1", "c2", "c3"),
+            ("w" * 10_000, *(f"a{i:02d}" for i in range(99))),
+            np.repeat(np.arange(10, dtype=np.int32), 400),
+            np.tile(np.repeat(np.arange(4, dtype=np.int32), 100), 10),
+            np.tile(np.arange(100, dtype=np.int32), 40),
+            np.full(4000, 12345, dtype=np.int64),
+        )
+        tracemalloc.start()
+        try:
+            for _ in chart_csv_chunks(series):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak

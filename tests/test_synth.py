@@ -11,7 +11,10 @@ from dataclasses import astuple, replace
 from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chartflow import (
     Influence,
@@ -22,10 +25,11 @@ from chartflow import (
 )
 from chartflow.cli import main
 from chartflow.errors import PlantSpecError
-from chartflow.synth import sidecar_json_text
+from chartflow.synth import _chart_top, sidecar_json_text
 
 from conftest import NULL_SPEC, REFERENCE_SPEC, SMALL_PLANT, series_from_rows
 from test_golden import REFERENCE_SPEC_SHA256, SMALL_PLANT_SHA256
+from oracles import oracle_chart_top
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -145,6 +149,64 @@ def test_peak_memory_is_bounded_by_the_columns():
     )
     assert len(series) == 40 * 30 * 50
     assert peak <= 3 * columns, (peak, columns)
+
+
+def test_peak_memory_with_four_leaders_is_bounded_by_the_columns():
+    """Four leader->follower pairs at lags 1-4 among independent cities:
+    each follower is walked right after its leader, which then drops its
+    walk, so at most one leader's innovations are held at a time."""
+    names = [f"c{i:02d}" for i in range(12)]
+    roles = {**{n: "leader" for n in names[:4]},
+             **{n: "follower" for n in names[4:8]}}
+    spec = PlantSpec(
+        cities=tuple((n, roles.get(n, "unlabeled")) for n in names),
+        influence=tuple(
+            Influence(names[i], names[7 - i], i + 1, 0.8) for i in range(4)
+        ),
+        weeks=120,
+        artists=600,
+        chart_size=120,
+        noise_sigma=0.04,
+        seed=101,
+    )
+    tracemalloc.start()
+    try:
+        series = generate_planted(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(
+        column.nbytes
+        for column in (series.week_idx, series.city_idx, series.artist_idx,
+                       series.listeners)
+    )
+    assert len(series) == 120 * 12 * 120
+    assert peak <= 1.6 * columns, (peak, columns)
+
+
+@st.composite
+def tied_counts(draw):
+    """A count matrix drawn from few values, so most rows hold ties; some
+    rows are all one value. Returns it with a chart width."""
+    rows = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 12))
+    value = st.sampled_from([1, 2, 3, 10**15])
+    counts = np.array([
+        [draw(value)] * n if draw(st.booleans())
+        else draw(st.lists(value, min_size=n, max_size=n))
+        for _ in range(rows)
+    ], dtype=np.int64)
+    width = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n)))
+    return counts, width
+
+
+@given(tied_counts())
+@settings(max_examples=200, deadline=None)
+def test_chart_top_matches_a_stable_sort(drawn):
+    counts, width = drawn
+    expected = oracle_chart_top(counts, width)
+    for values in (counts, counts.astype(np.float64)):
+        np.testing.assert_array_equal(_chart_top(values, width), expected)
 
 
 class TestPlantedStructure:
