@@ -10,7 +10,6 @@ and (b) the fitted coefficients point straight at the planted edge.
 
 from chartflow import (
     ALL_HISTORY,
-    OWN_HISTORY,
     Influence,
     LagConfig,
     PlantSpec,
@@ -47,7 +46,6 @@ print(f"cities: {velocities.cities}")
 result = evaluate_city(
     velocities,
     "echo",
-    LagConfig(8, OWN_HISTORY),
     LagConfig(8, ALL_HISTORY, velocities.cities),
 )
 print(
@@ -78,7 +76,6 @@ for (city, lag), value in ranked[:5]:
 leader_result = evaluate_city(
     velocities,
     "harbinger",
-    LagConfig(8, OWN_HISTORY),
     LagConfig(8, ALL_HISTORY, velocities.cities),
 )
 print(

@@ -14,18 +14,21 @@ city charts from the velocity matrices, whose rows store the columns of
 their two endpoint charts. Lagged values of *other* cities that are
 undefined (absence, gap) enter as 0.0, the no-change value.
 
-The design is gathered from a dense velocity cube: ``densify`` spreads the
-chosen city rows of every velocity week into one (week, artist, city)
-array, so the values one sample row needs, all included cities at one lag
-week, lie side by side. ``evaluate_region`` densifies the included cities
-once and passes that cube to every ``build_design`` call; called alone,
-``build_design`` densifies the cities it needs. One lag table, the velocity
-week index ``7 * (l + 1)`` days before each week, decides which weeks are
-eligible. Each eligible week's block of rows is then read lag-major from
-the cube, (artist, lag, city), and written through a transposed view
-straight into the preallocated design. Rows come out in ascending week
-order, so ``temporal_split`` cuts the design into two row slices, views
-that share the design's memory.
+The design is gathered from a small ring of dense (artist, city) slabs,
+one per velocity week, so the values one sample row needs, all included
+cities at one lag week, lie side by side. Each week's slab is filled from
+its CSR matrix when the week enters the ring, by one scatter at positions
+that ``slab_positions`` computes once: ``evaluate_region`` computes them
+for the included cities and passes them to every ``build_design`` call;
+called alone, ``build_design`` computes the positions of the cities it
+needs. One lag table, the velocity week index ``7 * (l + 1)`` days before
+each week, decides which weeks are eligible and how many weeks the ring
+holds. Each eligible week's block of rows is then read lag-major from the
+ring with one ``take``, (artist, lag, city), and written through a
+transposed view straight into the preallocated design; the response is
+read from the sample week's slab. Rows come out in ascending week order,
+so ``temporal_split`` cuts the design into two row slices, views that
+share the design's memory.
 """
 
 from __future__ import annotations
@@ -115,22 +118,44 @@ class SplitDesign:
     test: LabeledDesign
 
 
-def densify(velocities: VelocitySeries, rows: Sequence[int]) -> np.ndarray:
-    """The given city rows of every velocity week as one dense cube.
+class SlabPositions(NamedTuple):
+    """Where each velocity week's entries land in a dense slab.
 
-    Returns shape ``(weeks, artists, len(rows))``; entry ``[w, a, p]`` is
-    city ``rows[p]``'s velocity for artist ``a`` in week ``w``, 0.0 where
-    the week's CSR matrix stores no entry.
+    A slab is one week's ``(artists, len(rows))`` array of the city rows
+    ``rows``, in that order. Week ``w``'s stored entries of those rows go
+    to the flat slab positions ``flat[w]`` (``artist * len(rows) + p``)
+    with the values ``values[w]``, a view of the week's CSR data when the
+    series holds no other row.
     """
-    n_cities = len(velocities.cities)
-    position = np.full(n_cities, -1)
-    position[list(rows)] = np.arange(len(rows))
-    out = np.zeros((velocities.n_weeks, len(velocities.artists), len(rows)))
-    for w, matrix in enumerate(velocities.matrices):
-        city = position[matrix.rows()]
-        keep = city >= 0
-        out[w, matrix.indices[keep], city[keep]] = matrix.data[keep]
-    return out
+
+    rows: tuple[int, ...]
+    flat: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]
+
+
+def slab_positions(
+    velocities: VelocitySeries, rows: Sequence[int]
+) -> SlabPositions:
+    """The slab scatter of every velocity week, for the given city rows."""
+    rows = tuple(rows)
+    width = len(rows)
+    position = np.full(len(velocities.cities), -1, dtype=np.int32)
+    position[list(rows)] = np.arange(width)
+    every = bool((position >= 0).all())
+    flat, values = [], []
+    for matrix in velocities.matrices:
+        slot = np.repeat(position, np.diff(matrix.indptr))
+        at = matrix.indices.astype(np.int32)
+        at *= width
+        at += slot
+        if every:
+            flat.append(at)
+            values.append(matrix.data)
+        else:
+            keep = np.flatnonzero(slot >= 0)
+            flat.append(at.take(keep))
+            values.append(matrix.data.take(keep))
+    return SlabPositions(rows, tuple(flat), tuple(values))
 
 
 def check_lag_count(velocities: VelocitySeries, lag_count: int) -> None:
@@ -149,7 +174,7 @@ def build_design(
     config: LagConfig,
     active_rule: str = ACTIVE_TARGET,
     *,
-    cube: np.ndarray | None = None,
+    positions: SlabPositions | None = None,
 ) -> LabeledDesign:
     """Assemble the lagged design matrix and target vector for one city.
 
@@ -160,11 +185,11 @@ def build_design(
     city's row across the sample week and the whole lag window. Rows come
     out in ascending week order, artists ascending within a week.
 
-    ``cube`` is ``densify(velocities, rows)`` for the rows of
+    ``positions`` is ``slab_positions(velocities, rows)`` for the rows of
     ``config.cities(target_city)``, in that order, followed by the target
     city's row when it is not among them; callers building several designs
-    pass one cube to all of them. A cube of any other shape raises
-    ValueError. Without it the design densifies those rows itself.
+    pass one to all of them. Positions built for other rows raise
+    ValueError. Without them the design computes its own.
     """
     if active_rule not in (ACTIVE_TARGET, ACTIVE_UNION):
         raise ValueError(f"unknown active rule {active_rule!r}")
@@ -183,14 +208,15 @@ def build_design(
     city_row = {c: i for i, c in enumerate(cities)}
     target_row = city_row[target_city]
     included_rows = [city_row[c] for c in included]
-    rows = list(dict.fromkeys([*included_rows, target_row]))
+    rows = tuple(dict.fromkeys([*included_rows, target_row]))
     n_included, y_pos = len(included_rows), rows.index(target_row)
     n_artists = len(velocities.artists)
-    shape = (velocities.n_weeks, n_artists, len(rows))
-    if cube is None:
-        cube = densify(velocities, rows)
-    elif cube.shape != shape:
-        raise ValueError(f"cube has shape {cube.shape}, expected {shape}")
+    if positions is None:
+        positions = slab_positions(velocities, rows)
+    elif positions.rows != rows:
+        raise ValueError(
+            f"positions are built for rows {positions.rows}, expected {rows}"
+        )
 
     # lags[i, l] is the velocity week 7 * (l + 1) days before week i, or -1.
     # A week is eligible when the target city's velocity is defined there
@@ -229,16 +255,31 @@ def build_design(
     y = np.empty(n_rows)
     week_idx = np.empty(n_rows, dtype=np.int32)
     artist_idx = np.empty(n_rows, dtype=np.int32)
+    # The rows of week i read week i and its lag weeks, the furthest
+    # lags[i, -1]; a ring of `depth` slabs, week j in slab j % depth, holds
+    # all of them. A week's slab is filled when the week enters the ring.
+    depth = 1 + max((i - int(lags[i, -1]) for i, _ in eligible), default=0)
+    ring = np.empty((depth * n_artists, len(rows)))
+    slabs = ring.reshape(depth, -1)
+    lag_rows = lags % depth * n_artists
+    filled = -1
     start = 0
     for i, active in eligible:
+        for j in range(max(filled + 1, i + 1 - depth), i + 1):
+            slab = slabs[j % depth]
+            slab.fill(0.0)
+            # An intp copy of the positions scatters twice as fast as
+            # int32 positions, which numpy casts one by one.
+            slab[positions.flat[j].astype(np.intp)] = positions.values[j]
+        filled = i
         stop = start + active.size
         # Columns run city-major, so the rows' (artist, city, lag) view,
         # transposed, takes the (artist, lag, city) block as read.
         block = x[start:stop].reshape(active.size, n_included, config.lag_count)
-        block.transpose(0, 2, 1)[...] = cube[
-            lags[i][None, :], active[:, None], :n_included
-        ]
-        y[start:stop] = cube[i, active, y_pos]
+        block.transpose(0, 2, 1)[...] = ring.take(
+            lag_rows[i][None, :] + active[:, None], axis=0
+        )[..., :n_included]
+        y[start:stop] = ring[i % depth * n_artists + active, y_pos]
         week_idx[start:stop] = i
         artist_idx[start:stop] = active
         start = stop

@@ -24,11 +24,11 @@ import numpy as np
 from .chart_store import read_csv_pairs
 from .design import (
     ALL_HISTORY,
-    OWN_HISTORY,
     LagConfig,
+    SlabPositions,
     build_design,
     default_boundary,
-    densify,
+    slab_positions,
     temporal_split,
 )
 from .errors import (
@@ -105,27 +105,25 @@ def percent_of_baseline(model_rmse: float, baseline: float) -> float:
 def evaluate_city(
     velocities: VelocitySeries,
     target_city: str,
-    own_config: LagConfig,
-    all_config: LagConfig,
+    config: LagConfig,
     *,
     boundary: date | None = None,
     solver_variant: str = "ols",
     ridge: float = 0.0,
     active_rule: str = "target",
-    cube: np.ndarray | None = None,
+    positions: SlabPositions | None = None,
 ) -> CityResult:
     """Fit and score both models for one city on the identical sample set.
 
-    Only the all-history design is built. The own-history model is fitted on
-    the target city's ``lag_count`` columns of it, so both models see the
-    same rows by construction. ``cube`` goes to ``build_design``: the
-    included cities densified in order. ``ridge`` > 0 needs the OLS solver.
+    ``config`` is the all-history configuration, and only its design is
+    built. The own-history model is fitted on the target city's
+    ``lag_count`` columns of it, so both models see the same rows by
+    construction. ``positions`` goes to ``build_design``: the slab scatter
+    of the included cities, in order. ``ridge`` > 0 needs the OLS solver.
     """
-    if own_config.scope != OWN_HISTORY or all_config.scope != ALL_HISTORY:
-        raise ValueError("expected an (own_history, all_history) config pair")
-    if own_config.lag_count != all_config.lag_count:
-        raise ValueError("config pair must share lag_count")
-    if target_city not in all_config.cities_included:
+    if config.scope != ALL_HISTORY:
+        raise ValueError("expected an all_history config")
+    if target_city not in config.cities_included:
         raise ValueError(
             f"all_history config does not include target {target_city!r}"
         )
@@ -135,13 +133,13 @@ def evaluate_city(
         raise ValueError("ridge applies to the ols solver only, not nnls")
 
     design = build_design(
-        velocities, target_city, all_config, active_rule, cube=cube
+        velocities, target_city, config, active_rule, positions=positions
     )
     if boundary is None:
         boundary = default_boundary(velocities.weeks)
     split = temporal_split(design, boundary)
-    first = all_config.cities_included.index(target_city) * all_config.lag_count
-    own = slice(first, first + all_config.lag_count)
+    first = config.cities_included.index(target_city) * config.lag_count
+    own = slice(first, first + config.lag_count)
 
     def fit(x, y):
         if solver_variant == "nnls":
@@ -180,33 +178,32 @@ def evaluate_region(
 ) -> list[CityResult]:
     """Evaluate every included city; failures become status rows.
 
-    The included cities' velocities are densified once, in their order,
-    into one cube that every city's design is gathered from. A city missing
-    from the corpus is left out of the cube and fails every design.
+    The slab scatter of the included cities' velocity weeks, in their
+    order, is computed once and passed to every city's design. A city
+    missing from the corpus is left out of it and fails every design.
     """
     cities = tuple(
         cities_included if cities_included is not None else velocities.cities
     )
-    own_config = LagConfig(lag_count=lag_count, scope=OWN_HISTORY)
-    all_config = LagConfig(
+    config = LagConfig(
         lag_count=lag_count, scope=ALL_HISTORY, cities_included=cities
     )
     city_row = {c: i for i, c in enumerate(velocities.cities)}
-    rows = [city_row[c] for c in cities if c in city_row]
-    cube = densify(velocities, rows)
+    positions = slab_positions(
+        velocities, [city_row[c] for c in cities if c in city_row]
+    )
 
     def one(city: str) -> CityResult:
         try:
             return evaluate_city(
                 velocities,
                 city,
-                own_config,
-                all_config,
+                config,
                 boundary=boundary,
                 solver_variant=solver_variant,
                 ridge=ridge,
                 active_rule=active_rule,
-                cube=cube,
+                positions=positions,
             )
         except ChartFlowError as exc:
             return CityResult(

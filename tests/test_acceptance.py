@@ -174,7 +174,6 @@ def test_planted_lag_recovery():
     result = evaluate_city(
         velocities,
         "beta",
-        LagConfig(8, OWN_HISTORY),
         LagConfig(8, ALL_HISTORY, velocities.cities),
     )
     assert result.self_history_pct - result.all_history_pct >= 5.0
@@ -185,7 +184,6 @@ def test_planted_lag_recovery():
         null_result = evaluate_city(
             null_velocities,
             city,
-            LagConfig(8, OWN_HISTORY),
             LagConfig(8, ALL_HISTORY, null_velocities.cities),
         )
         null_diffs.append(abs(null_result.difference))
@@ -217,7 +215,6 @@ def test_baseline_calibration():
         result = evaluate_city(
             velocities,
             city,
-            LagConfig(8, OWN_HISTORY),
             LagConfig(8, ALL_HISTORY, velocities.cities),
         )
         assert result.sample_counts[1] >= 2000

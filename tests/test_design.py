@@ -3,7 +3,7 @@
 import dataclasses
 import itertools
 import tracemalloc
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -22,12 +22,13 @@ from chartflow import (
     predict,
     temporal_split,
 )
-from chartflow.design import densify, design_csv_text
+from chartflow.design import design_csv_text, slab_positions
 from chartflow.errors import (
     DegenerateSplitError,
     InsufficientDataError,
     UnknownCityError,
 )
+from chartflow.preprocess import CsrMatrix, VelocitySeries
 
 from conftest import SMALL_PLANT, make_series, week
 from oracles import build_design_by_columns
@@ -186,23 +187,76 @@ class TestEligibilityAndFill:
         assert min(c.lag for c in design.col_meta) >= 1
 
 
-class TestGatherMatchesColumnLoop:
-    """The lag-major gather gives the per-column assembly, bit for bit.
+def off_grid_velocities(seed: int) -> VelocitySeries:
+    """A hand-built series whose weekly grid also holds weeks 3 days off it.
 
-    It is checked with the cube ``build_design`` densifies itself and with a
-    cube passed in, densified for the rows of ``config.cities(city)`` in
-    order, as ``evaluate_region`` passes one.
+    Each off-grid week sits between two grid weeks, so a lag 7 * l days
+    back lies more than l velocity weeks back. Entries are random, a stored
+    zero among them, and some rows are undefined.
     """
+    rng = np.random.default_rng(seed)
+    days = sorted(
+        {7 * k for k in range(24)} | {7 * k + 3 for k in (2, 5, 6, 9, 13, 14)}
+    )
+    cities, n_artists = ("m", "n", "o"), 9
+    matrices = []
+    for _ in days:
+        stored = rng.random((len(cities), n_artists)) < 0.5
+        stored[0, :3] = True
+        values = rng.normal(size=stored.shape)
+        values[0, 0] = 0.0
+        row, column = np.nonzero(stored)
+        indptr = np.searchsorted(row, np.arange(len(cities) + 1))
+        matrices.append(
+            CsrMatrix(
+                indptr,
+                column.astype(np.int32),
+                values[row, column],
+                stored.shape,
+            )
+        )
+    defined = rng.random((len(days), len(cities))) < 0.9
+    defined[:, 0] = True
+    defined[17, 0] = False
+    return VelocitySeries(
+        weeks=tuple(week(0) + timedelta(days=d) for d in days),
+        matrices=tuple(matrices),
+        defined=defined,
+        cities=cities,
+        artists=tuple(f"a{k}" for k in range(n_artists)),
+    )
+
+
+class TestGatherMatchesColumnLoop:
+    """The slab-ring gather gives the per-column assembly, bit for bit.
+
+    It is checked with the positions ``build_design`` computes itself and
+    with positions passed in, built for the rows of ``config.cities(city)``
+    in order, then the target's row, as ``evaluate_region`` passes them.
+    The configurations list the cities in corpus order, reversed, as a
+    subset that leaves some targets out (their row goes last), and for the
+    target alone.
+    """
+
+    @staticmethod
+    def configs(cities, lag_count):
+        return (
+            LagConfig(lag_count, ALL_HISTORY, cities),
+            LagConfig(lag_count, ALL_HISTORY, tuple(reversed(cities))),
+            LagConfig(lag_count, ALL_HISTORY, cities[1:]),
+            LagConfig(lag_count, OWN_HISTORY),
+        )
 
     @staticmethod
     def assert_bit_equal(velocities, cities, configs, active_rule):
         city_row = {c: i for i, c in enumerate(velocities.cities)}
         for config, city in itertools.product(configs, cities):
-            rows = [city_row[c] for c in config.cities(city)]
+            rows = [city_row[c] for c in (*config.cities(city), city)]
+            shared = slab_positions(velocities, dict.fromkeys(rows))
             ref = build_design_by_columns(velocities, city, config, active_rule)
-            for cube in (None, densify(velocities, rows)):
+            for positions in (None, shared):
                 got = build_design(
-                    velocities, city, config, active_rule, cube=cube
+                    velocities, city, config, active_rule, positions=positions
                 )
                 assert got.n_rows > 0
                 assert got.col_meta == ref.col_meta
@@ -218,10 +272,8 @@ class TestGatherMatchesColumnLoop:
         spec = dataclasses.replace(SMALL_PLANT, chart_size=chart_size)
         velocities = build_velocities(generate_planted(spec))
         cities = velocities.cities
-        configs = (
-            LagConfig(8, ALL_HISTORY, cities),
+        configs = self.configs(cities, 8) + (
             LagConfig(3, ALL_HISTORY, tuple(reversed(cities))),
-            LagConfig(8, OWN_HISTORY),
         )
         self.assert_bit_equal(velocities, cities, configs, active_rule)
 
@@ -248,24 +300,37 @@ class TestGatherMatchesColumnLoop:
         )
         assert not velocities.defined[:, velocities.cities.index("n")].all()
         cities = velocities.cities
-        configs = (
-            LagConfig(4, ALL_HISTORY, cities),
+        configs = self.configs(cities, 4) + (
             LagConfig(2, ALL_HISTORY, tuple(reversed(cities))),
-            LagConfig(4, OWN_HISTORY),
         )
         self.assert_bit_equal(velocities, cities, configs, active_rule)
 
-    def test_cube_of_wrong_shape(self, small_velocities):
+    @pytest.mark.parametrize("active_rule", ["target", "union"])
+    def test_bit_equal_off_grid(self, active_rule):
+        velocities = off_grid_velocities(5)
+        # Some week's furthest lag lies further back than lag_count weeks,
+        # so a ring of lag_count + 1 slabs would not hold it.
+        ordinals = [w.toordinal() for w in velocities.weeks]
+        back = [
+            i - ordinals.index(o - 7 * 3)
+            for i, o in enumerate(ordinals)
+            if o - 7 * 3 in ordinals
+        ]
+        assert max(back) > 3 + 1
+        configs = self.configs(velocities.cities, 3)
+        self.assert_bit_equal(velocities, ("m",), configs, active_rule)
+
+    def test_positions_for_other_rows(self, small_velocities):
         cities = small_velocities.cities
         config = LagConfig(4, ALL_HISTORY, cities)
         rows = list(range(len(cities)))
-        for bad in (rows[:-1], rows + rows[:1]):
-            with pytest.raises(ValueError, match="cube has shape"):
+        for bad in (rows[:-1], rows[::-1], rows[1:] + rows[:1]):
+            with pytest.raises(ValueError, match="positions are built for"):
                 build_design(
                     small_velocities,
                     "echo",
                     config,
-                    cube=densify(small_velocities, bad),
+                    positions=slab_positions(small_velocities, bad),
                 )
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from chartflow.errors import (
     ParseError,
     UndefinedBaselineError,
 )
+from chartflow.design import slab_positions
 from chartflow.evaluate import format_pct
 from chartflow.preprocess import _restrict_artists
 
@@ -202,9 +204,8 @@ class TestReportGolden:
 
 class TestEvaluateCity:
     def test_planted_follower(self, small_velocities):
-        own = LagConfig(8, OWN_HISTORY)
         alls = LagConfig(8, ALL_HISTORY, small_velocities.cities)
-        result = evaluate_city(small_velocities, "echo", own, alls)
+        result = evaluate_city(small_velocities, "echo", alls)
         assert result.ok
         assert result.all_history_pct < result.self_history_pct
         assert result.difference == pytest.approx(
@@ -212,59 +213,44 @@ class TestEvaluateCity:
         )
         assert result.sample_counts[0] > 0 and result.sample_counts[1] > 0
 
-    def test_config_pair_validated(self, small_velocities):
-        own = LagConfig(8, OWN_HISTORY)
+    def test_config_validated(self, small_velocities):
         alls = LagConfig(8, ALL_HISTORY, small_velocities.cities)
+        with pytest.raises(ValueError, match="all_history config"):
+            evaluate_city(small_velocities, "echo", LagConfig(8, OWN_HISTORY))
         with pytest.raises(ValueError):
-            evaluate_city(small_velocities, "echo", alls, alls)
-        with pytest.raises(ValueError):
-            evaluate_city(
-                small_velocities,
-                "echo",
-                LagConfig(4, OWN_HISTORY),
-                alls,
-            )
-        with pytest.raises(ValueError):
-            evaluate_city(
-                small_velocities, "echo", own, alls, solver_variant="lasso"
-            )
+            evaluate_city(small_velocities, "echo", alls, solver_variant="lasso")
         with pytest.raises(ValueError):
             evaluate_city(
                 small_velocities,
                 "echo",
-                own,
                 LagConfig(8, ALL_HISTORY, ("lead", "other")),
             )
 
     def test_own_model_is_target_slice_of_all_design(self, small_velocities):
         # Listing the target last moves its columns; the result must not move.
-        own = LagConfig(8, OWN_HISTORY)
         first = LagConfig(8, ALL_HISTORY, ("echo", "lead", "other"))
         last = LagConfig(8, ALL_HISTORY, ("lead", "other", "echo"))
-        a = evaluate_city(small_velocities, "echo", own, first)
-        b = evaluate_city(small_velocities, "echo", own, last)
+        a = evaluate_city(small_velocities, "echo", first)
+        b = evaluate_city(small_velocities, "echo", last)
         assert a.self_history_pct == pytest.approx(b.self_history_pct, abs=1e-9)
         assert a.all_history_pct == pytest.approx(b.all_history_pct, abs=1e-9)
         assert a.sample_counts == b.sample_counts
 
     def test_ridge_rejected_under_nnls(self, small_velocities):
-        own = LagConfig(4, OWN_HISTORY)
         alls = LagConfig(4, ALL_HISTORY, small_velocities.cities)
         with pytest.raises(ValueError, match="ridge"):
             evaluate_city(
                 small_velocities,
                 "echo",
-                own,
                 alls,
                 solver_variant="nnls",
                 ridge=1000.0,
             )
 
     def test_nnls_variant_runs(self, small_velocities):
-        own = LagConfig(4, OWN_HISTORY)
         alls = LagConfig(4, ALL_HISTORY, small_velocities.cities)
         result = evaluate_city(
-            small_velocities, "echo", own, alls, solver_variant="nnls"
+            small_velocities, "echo", alls, solver_variant="nnls"
         )
         assert result.ok
 
@@ -330,20 +316,53 @@ class TestEvaluateRegion:
                 "InsufficientDataError: velocity series has no artists"
             )
 
-    def test_one_densify_per_region(self, small_velocities, monkeypatch):
+    def test_one_position_build_per_region(self, small_velocities, monkeypatch):
         calls = []
-        densify = design_module.densify
+        slab_positions = design_module.slab_positions
 
         def counted(velocities, rows):
             calls.append(list(rows))
-            return densify(velocities, rows)
+            return slab_positions(velocities, rows)
 
-        monkeypatch.setattr(evaluate_module, "densify", counted)
-        monkeypatch.setattr(design_module, "densify", counted)
+        monkeypatch.setattr(evaluate_module, "slab_positions", counted)
+        monkeypatch.setattr(design_module, "slab_positions", counted)
         results = evaluate_region(small_velocities, solver_variant="nnls")
         assert all(r.ok for r in results)
         assert calls == [[0, 1, 2]]
 
+    @pytest.mark.parametrize("active_rule", ["target", "union"])
+    def test_peak_memory_is_one_design(self, small_velocities, active_rule):
+        """The traced peak is one design, the slab positions and the ring.
+
+        The fixed 96 KiB of slack covers the fit and the rows' index arrays
+        (the peak sits 56-80 KiB above the other terms), but not those and
+        a region-wide (week, artist, city) array, 55 KiB here, together.
+        """
+        cities = small_velocities.cities
+        config = LagConfig(8, ALL_HISTORY, cities)
+        design_bytes = max(
+            d.x.nbytes + d.y.nbytes
+            for d in (
+                build_design(small_velocities, c, config, active_rule)
+                for c in cities
+            )
+        )
+        positions = slab_positions(small_velocities, range(len(cities)))
+        position_bytes = sum(
+            a.nbytes
+            for a in (*positions.flat, *positions.values)
+            if not any(np.shares_memory(a, m.data)
+                       for m in small_velocities.matrices)
+        )
+        ring_bytes = (8 + 1) * len(small_velocities.artists) * len(cities) * 8
+        tracemalloc.start()
+        try:
+            results = evaluate_region(small_velocities, active_rule=active_rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.ok for r in results)
+        assert peak <= design_bytes + position_bytes + ring_bytes + 96 * 2**10
 
     @pytest.mark.parametrize("active_rule", ["target", "union"])
     @pytest.mark.parametrize("solver_variant", ["ols", "nnls"])
