@@ -9,7 +9,6 @@ and (b) the fitted coefficients point straight at the planted edge.
 """
 
 from chartflow import (
-    ALL_HISTORY,
     Influence,
     LagConfig,
     PlantSpec,
@@ -46,7 +45,7 @@ print(f"cities: {velocities.cities}")
 result = evaluate_city(
     velocities,
     "echo",
-    LagConfig(8, ALL_HISTORY, velocities.cities),
+    LagConfig(8, velocities.cities),
 )
 print(
     f"\necho: own-history {result.self_history_pct:.1f}% of baseline, "
@@ -59,7 +58,7 @@ print(f"train/test samples: {result.sample_counts}")
 # Look at the fitted coefficients: the planted edge should dominate.
 # ---------------------------------------------------------------------------
 design = build_design(
-    velocities, "echo", LagConfig(8, ALL_HISTORY, velocities.cities)
+    velocities, "echo", LagConfig(8, velocities.cities)
 )
 split = temporal_split(design, default_boundary(velocities.weeks))
 fitted = fit_ols(split.train.x, split.train.y)
@@ -76,7 +75,7 @@ for (city, lag), value in ranked[:5]:
 leader_result = evaluate_city(
     velocities,
     "harbinger",
-    LagConfig(8, ALL_HISTORY, velocities.cities),
+    LagConfig(8, velocities.cities),
 )
 print(
     f"\nharbinger difference: {leader_result.difference:.2f} points "

@@ -19,8 +19,6 @@ from .chart_store import (
     write_chart_csv,
 )
 from .design import (
-    ALL_HISTORY,
-    OWN_HISTORY,
     ColMeta,
     LabeledDesign,
     LagConfig,
@@ -57,8 +55,6 @@ from .synth import Influence, PlantSpec, generate_planted
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_HISTORY",
-    "OWN_HISTORY",
     "ArtistIndex",
     "ChartFlowError",
     "ChartRecord",

@@ -38,8 +38,6 @@ from .chart_store import (
     write_chart_csv,
 )
 from .design import (
-    ALL_HISTORY,
-    OWN_HISTORY,
     LagConfig,
     build_design,
     check_lag_count,
@@ -168,7 +166,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise CliInputError("cities_included must name at least one city")
     if config.cities_included is not None:
         try:
-            LagConfig(cities_included=config.cities_included)
+            LagConfig(config.lag_count, config.cities_included)
         except ValueError as exc:  # a repeated city
             raise CliInputError(str(exc)) from None
     return config
@@ -326,16 +324,9 @@ def cmd_dump_design(config: RunConfig, city: str, scope: str, out: str | None) -
     velocities = _velocities_for(
         config, series, None if included is None else (*included, city)
     )
-    if scope == "own":
-        lag_config = LagConfig(lag_count=config.lag_count, scope=OWN_HISTORY)
-    else:
-        lag_config = LagConfig(
-            lag_count=config.lag_count,
-            scope=ALL_HISTORY,
-            cities_included=(
-                velocities.cities if included is None else included
-            ),
-        )
+    lag_config = LagConfig(
+        config.lag_count, velocities.cities if included is None else included
+    )
     design = build_design(velocities, city, lag_config, config.active_set)
     text = design_csv_text(design)
     if out:

@@ -3,16 +3,19 @@
 A sample is an (artist, week) pair: the response is the target city's
 velocity for that artist at that week, and the predictors are the velocities
 of that artist in each included city at each of the previous ``lag_count``
-weeks. Eligibility requires the target city to have defined velocity rows at
-the sample week and at every one of the lag weeks. Under the ``target``
-active rule the sample set therefore depends on the target city alone;
-under ``union`` it also depends on which cities are included, so an
-own-history design and an all-history design can hold different rows.
-Evaluation sidesteps this by fitting the own-history model on the target
-city's columns of the all-history design. Both rules read which artists a
-city charts from the velocity matrices, whose rows store the columns of
-their two endpoint charts. Lagged values of *other* cities that are
-undefined (absence, gap) enter as 0.0, the no-change value.
+weeks. One ``LagConfig``, a city list and a lag count, describes both of
+the paper's models: the all-history model includes every city, and the
+own-history model is the one-city case, the target alone. Eligibility
+requires the target city to have defined velocity rows at the sample week
+and at every one of the lag weeks. Under the ``target`` active rule the
+sample set therefore depends on the target city alone; under ``union`` it
+also depends on which cities are included, so a one-city design and an
+all-city design can hold different rows. Evaluation sidesteps this by
+fitting the own-history model on the target city's columns of the
+all-history design. Both rules read which artists a city charts from the
+velocity matrices, whose rows store the columns of their two endpoint
+charts. Lagged values of *other* cities that are undefined (absence, gap)
+enter as 0.0, the no-change value.
 
 The design is gathered from a small ring of dense (artist, city) slabs,
 one per velocity week, so the values one sample row needs, all included
@@ -45,8 +48,6 @@ import numpy as np
 from .errors import DegenerateSplitError, InsufficientDataError, UnknownCityError
 from .preprocess import VelocitySeries
 
-OWN_HISTORY = "own_history"
-ALL_HISTORY = "all_history"
 ACTIVE_TARGET = "target"
 ACTIVE_UNION = "union"
 
@@ -58,34 +59,26 @@ class ColMeta(NamedTuple):
 
 @dataclass(frozen=True)
 class LagConfig:
-    """How many past weeks feed the predictor, and whose history counts."""
+    """How many past weeks feed the predictor, and whose history counts:
+    the included cities' lags, in this order, are the design's columns."""
 
-    lag_count: int = 8
-    scope: str = ALL_HISTORY
-    cities_included: tuple[str, ...] = ()
+    lag_count: int
+    cities_included: tuple[str, ...]
 
     def __post_init__(self):
         if self.lag_count < 1:
             raise ValueError(f"lag_count must be >= 1, got {self.lag_count}")
-        if self.scope not in (OWN_HISTORY, ALL_HISTORY):
-            raise ValueError(f"unknown scope {self.scope!r}")
-        if self.scope == ALL_HISTORY and not self.cities_included:
-            raise ValueError("all_history scope needs a non-empty city list")
+        if not self.cities_included:
+            raise ValueError("cities_included must name at least one city")
         for i, city in enumerate(self.cities_included):
             if city in self.cities_included[:i]:
                 raise ValueError(f"cities_included names {city!r} more than once")
 
-    def cities(self, target_city: str) -> tuple[str, ...]:
-        """The cities whose lags are columns, in configured order."""
-        return (
-            (target_city,) if self.scope == OWN_HISTORY else self.cities_included
-        )
-
-    def columns(self, target_city: str) -> tuple[ColMeta, ...]:
+    def columns(self) -> tuple[ColMeta, ...]:
         """Column labels: configured city order, lags ascending within city."""
         return tuple(
             ColMeta(city, lag)
-            for city in self.cities(target_city)
+            for city in self.cities_included
             for lag in range(1, self.lag_count + 1)
         )
 
@@ -105,7 +98,6 @@ class LabeledDesign:
     weeks: tuple[date, ...]
     artists: tuple[str, ...]
     col_meta: tuple[ColMeta, ...]
-    target_city: str
 
     @property
     def n_rows(self) -> int:
@@ -178,15 +170,18 @@ def build_design(
 ) -> LabeledDesign:
     """Assemble the lagged design matrix and target vector for one city.
 
-    The ``target`` active rule admits an (artist, week) sample when the
-    artist appears in the target city's chart at either endpoint of the
-    sample week's velocity, i.e. among the stored columns of the target's
-    row of that velocity matrix; ``union`` widens that to any included
-    city's row across the sample week and the whole lag window. Rows come
-    out in ascending week order, artists ascending within a week.
+    The columns are the lags of ``config.cities_included``, which need not
+    name the target city: ``LagConfig(lag_count, (target_city,))`` gives
+    the own-history design. The ``target`` active rule admits an (artist,
+    week) sample when the artist appears in the target city's chart at
+    either endpoint of the sample week's velocity, i.e. among the stored
+    columns of the target's row of that velocity matrix; ``union`` widens
+    that to any included city's row across the sample week and the whole
+    lag window. Rows come out in ascending week order, artists ascending
+    within a week.
 
     ``positions`` is ``slab_positions(velocities, rows)`` for the rows of
-    ``config.cities(target_city)``, in that order, followed by the target
+    ``config.cities_included``, in that order, followed by the target
     city's row when it is not among them; callers building several designs
     pass one to all of them. Positions built for other rows raise
     ValueError. Without them the design computes its own.
@@ -196,14 +191,14 @@ def build_design(
     cities = velocities.cities
     if target_city not in cities:
         raise UnknownCityError(f"city {target_city!r} not in corpus")
-    included = config.cities(target_city)
+    included = config.cities_included
     missing = sorted(set(included) - set(cities))
     if missing:
         raise UnknownCityError(f"cities not in corpus: {missing}")
     if not velocities.artists:
         raise InsufficientDataError("velocity series has no artists")
     check_lag_count(velocities, config.lag_count)
-    col_meta = config.columns(target_city)
+    col_meta = config.columns()
 
     city_row = {c: i for i, c in enumerate(cities)}
     target_row = city_row[target_city]
@@ -291,7 +286,6 @@ def build_design(
         weeks=velocities.weeks,
         artists=velocities.artists,
         col_meta=col_meta,
-        target_city=target_city,
     )
 
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from .chart_store import read_csv_pairs
 from .design import (
-    ALL_HISTORY,
     LagConfig,
     SlabPositions,
     build_design,
@@ -115,18 +114,15 @@ def evaluate_city(
 ) -> CityResult:
     """Fit and score both models for one city on the identical sample set.
 
-    ``config`` is the all-history configuration, and only its design is
-    built. The own-history model is fitted on the target city's
-    ``lag_count`` columns of it, so both models see the same rows by
-    construction. ``positions`` goes to ``build_design``: the slab scatter
-    of the included cities, in order. ``ridge`` > 0 needs the OLS solver.
+    ``config`` lists the cities of the all-history model, the target among
+    them, and only its design is built. The own-history model, the one-city
+    case, is fitted on the target city's ``lag_count`` columns of it, so
+    both models see the same rows by construction. ``positions`` goes to
+    ``build_design``: the slab scatter of the included cities, in order.
+    ``ridge`` > 0 needs the OLS solver.
     """
-    if config.scope != ALL_HISTORY:
-        raise ValueError("expected an all_history config")
     if target_city not in config.cities_included:
-        raise ValueError(
-            f"all_history config does not include target {target_city!r}"
-        )
+        raise ValueError(f"config does not include target {target_city!r}")
     if solver_variant not in ("ols", "nnls"):
         raise ValueError(f"unknown solver variant {solver_variant!r}")
     if solver_variant == "nnls" and ridge > 0:
@@ -185,9 +181,7 @@ def evaluate_region(
     cities = tuple(
         cities_included if cities_included is not None else velocities.cities
     )
-    config = LagConfig(
-        lag_count=lag_count, scope=ALL_HISTORY, cities_included=cities
-    )
+    config = LagConfig(lag_count, cities)
     city_row = {c: i for i, c in enumerate(velocities.cities)}
     positions = slab_positions(
         velocities, [city_row[c] for c in cities if c in city_row]

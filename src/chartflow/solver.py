@@ -51,11 +51,10 @@ MAX_GRAM_COND = 1e3
 
 @dataclass(frozen=True)
 class Coefficients:
-    """A fitted coefficient vector plus fit diagnostics."""
+    """A fitted coefficient vector plus fit diagnostics: the NNLS
+    iteration count and the OLS rank flag."""
 
     values: np.ndarray
-    variant: str  # "ols" or "nnls"
-    training_rmse: float
     iterations: int = 0
     rank_deficient: bool = False
 
@@ -158,11 +157,6 @@ def _lapack_failures_as_singular():
         raise SingularMatrixError(f"linear algebra failure: {exc}") from exc
 
 
-def _training_rmse(x: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
-    residual = x @ beta - y
-    return float(np.sqrt(np.mean(residual**2)))
-
-
 def fit_ols(x, y, ridge: float = 0.0) -> Coefficients:
     """Minimum-norm least-squares fit.
 
@@ -184,8 +178,6 @@ def fit_ols(x, y, ridge: float = 0.0) -> Coefficients:
         beta, _, rank, _ = np.linalg.lstsq(r, qty, rcond=RANK_TOL)
     return Coefficients(
         values=beta,
-        variant="ols",
-        training_rmse=_training_rmse(x, y, beta),
         rank_deficient=bool(rank < n_cols) if ridge == 0 else False,
     )
 
@@ -203,12 +195,7 @@ def fit_nnls(x, y) -> Coefficients:
     with _lapack_failures_as_singular():
         r, qty, cholesky = _reduce(x, y, gram)
         beta, iterations = _lawson_hanson(r, qty, cholesky, cap, x.shape)
-    return Coefficients(
-        values=beta,
-        variant="nnls",
-        training_rmse=_training_rmse(x, y, beta),
-        iterations=iterations,
-    )
+    return Coefficients(values=beta, iterations=iterations)
 
 
 def _lawson_hanson(

@@ -186,14 +186,16 @@ class PlantSpec:
         missing = required - set(raw)
         if missing:
             raise PlantSpecError(f"missing spec keys: {sorted(missing)}")
-        try:
-            return cls(**{
-                key: parse(raw[key])
-                for key, parse in _SPEC_PARSERS.items()
-                if key in raw
-            })
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise PlantSpecError(f"malformed spec: {exc}") from exc
+        values = {}
+        for key, parse in _SPEC_PARSERS.items():
+            if key in raw:
+                try:
+                    values[key] = parse(raw[key])
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    raise PlantSpecError(
+                        f"malformed spec key {key!r}: {exc}"
+                    ) from exc
+        return cls(**values)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PlantSpec":
@@ -208,24 +210,48 @@ class PlantSpec:
         return cls.from_dict(raw)
 
 
+def _json_type(kind: str, *types: type):
+    """A parser of JSON values of ``types``, never a bool: anything else
+    raises TypeError naming the value. A number parses as a float."""
+
+    def parse(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError(f"expected a JSON {kind}, got {value!r}")
+        return float(value) if float in types else value
+
+    return parse
+
+
+_string = _json_type("string", str)
+_integer = _json_type("integer", int)
+_number = _json_type("number", int, float)
+
+
 # Each spec key's parser from JSON values, in conversion order: the first
-# key that fails names the error.
+# key that fails names the error. Values are not coerced: 60.9 weeks or a
+# "7" seed is an error, not 60 or 7.
 _SPEC_PARSERS = {
     "cities": lambda cities: tuple(
-        (c["name"], c.get("role", "unlabeled")) for c in cities
+        (_string(c["name"]), _string(c.get("role", "unlabeled")))
+        for c in cities
     ),
     "influence": lambda edges: tuple(
-        Influence(e["leader"], e["follower"], int(e["lag"]), float(e["strength"]))
+        Influence(
+            _string(e["leader"]),
+            _string(e["follower"]),
+            _integer(e["lag"]),
+            _number(e["strength"]),
+        )
         for e in edges
     ),
-    "weeks": int,
-    "artists": int,
-    "chart_size": int,
-    "noise_sigma": float,
-    "walk_sigma": float,
-    "city_size": float,
+    "weeks": _integer,
+    "artists": _integer,
+    "chart_size": _integer,
+    "noise_sigma": _number,
+    "walk_sigma": _number,
+    "city_size": _number,
     "start_week": date.fromisoformat,
-    "seed": int,
+    "seed": _integer,
 }
 
 

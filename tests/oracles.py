@@ -31,7 +31,7 @@ from chartflow.chart_store import (
 from chartflow.design import ACTIVE_TARGET, LabeledDesign, LagConfig
 from chartflow.errors import ChartFlowError, DimensionError, SingularMatrixError
 from chartflow.preprocess import VelocitySeries, WeekMatrix
-from chartflow.solver import Coefficients, _training_rmse, _validated
+from chartflow.solver import Coefficients, _validated
 
 
 def oracle_ols(x, y) -> Coefficients:
@@ -46,9 +46,7 @@ def oracle_ols(x, y) -> Coefficients:
     a = x.T @ x
     b = x.T @ y
     beta = _gaussian_solve(a, b)
-    return Coefficients(
-        values=beta, variant="ols", training_rmse=_training_rmse(x, y, beta)
-    )
+    return Coefficients(values=beta)
 
 
 def _gaussian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -104,11 +102,7 @@ def oracle_nnls(x, y) -> Coefficients:
             best_beta = beta
     if best_beta is None:
         raise ChartFlowError("no feasible zero pattern found")
-    return Coefficients(
-        values=best_beta,
-        variant="nnls",
-        training_rmse=_training_rmse(x, y, best_beta),
-    )
+    return Coefficients(values=best_beta)
 
 
 def _dense_row(matrix, row: int, width: int) -> np.ndarray:
@@ -126,7 +120,7 @@ def build_design_by_columns(
 ) -> LabeledDesign:
     """Per-column design assembly; valid input only, for testing only."""
     cities = velocities.cities
-    col_meta = config.columns(target_city)
+    col_meta = config.columns()
     city_row = {c: i for i, c in enumerate(cities)}
     target_row = city_row[target_city]
     week_of = {w: i for i, w in enumerate(velocities.weeks)}
@@ -200,7 +194,6 @@ def build_design_by_columns(
         weeks=velocities.weeks,
         artists=velocities.artists,
         col_meta=col_meta,
-        target_city=target_city,
     )
 
 

@@ -9,8 +9,6 @@ import time
 import numpy as np
 
 from chartflow import (
-    ALL_HISTORY,
-    OWN_HISTORY,
     LagConfig,
     PlantSpec,
     build_artist_index,
@@ -23,6 +21,8 @@ from chartflow import (
     fit_ols,
     generate_planted,
     normalize_rows,
+    predict,
+    rmse,
     rng,
     temporal_split,
     to_listeners_matrices,
@@ -82,14 +82,16 @@ def test_nesting_inequality():
         velocities = build_velocities(generate_planted(spec))
         boundary = default_boundary(velocities.weeks)
         for city in velocities.cities:
-            own = build_design(velocities, city, LagConfig(8, OWN_HISTORY))
+            own = build_design(velocities, city, LagConfig(8, (city,)))
             alls = build_design(
-                velocities, city, LagConfig(8, ALL_HISTORY, velocities.cities)
+                velocities, city, LagConfig(8, velocities.cities)
             )
             own_train = temporal_split(own, boundary).train
             all_train = temporal_split(alls, boundary).train
-            own_rmse = fit_ols(own_train.x, own_train.y).training_rmse
-            all_rmse = fit_ols(all_train.x, all_train.y).training_rmse
+            own_fit = fit_ols(own_train.x, own_train.y)
+            all_fit = fit_ols(all_train.x, all_train.y)
+            own_rmse = rmse(own_train.y, predict(own_train.x, own_fit))
+            all_rmse = rmse(all_train.y, predict(all_train.x, all_fit))
             baseline = float(np.sqrt(np.mean(own_train.y**2)))
             assert all_rmse <= own_rmse + 1e-10, city
             assert own_rmse <= baseline + 1e-10, city
@@ -161,7 +163,7 @@ def test_planted_lag_recovery():
     start = time.monotonic()
     velocities = build_velocities(generate_planted(REFERENCE_SPEC))
     design = build_design(
-        velocities, "beta", LagConfig(8, ALL_HISTORY, velocities.cities)
+        velocities, "beta", LagConfig(8, velocities.cities)
     )
     split = temporal_split(design, default_boundary(velocities.weeks))
     fitted = fit_ols(split.train.x, split.train.y)
@@ -174,7 +176,7 @@ def test_planted_lag_recovery():
     result = evaluate_city(
         velocities,
         "beta",
-        LagConfig(8, ALL_HISTORY, velocities.cities),
+        LagConfig(8, velocities.cities),
     )
     assert result.self_history_pct - result.all_history_pct >= 5.0
 
@@ -184,7 +186,7 @@ def test_planted_lag_recovery():
         null_result = evaluate_city(
             null_velocities,
             city,
-            LagConfig(8, ALL_HISTORY, null_velocities.cities),
+            LagConfig(8, null_velocities.cities),
         )
         null_diffs.append(abs(null_result.difference))
     assert max(null_diffs) <= 2.0
@@ -215,7 +217,7 @@ def test_baseline_calibration():
         result = evaluate_city(
             velocities,
             city,
-            LagConfig(8, ALL_HISTORY, velocities.cities),
+            LagConfig(8, velocities.cities),
         )
         assert result.sample_counts[1] >= 2000
         assert 90.0 <= result.all_history_pct <= 110.0, city
@@ -279,9 +281,9 @@ def test_dimensional_fidelity():
     )
     velocities = build_velocities(generate_planted(spec))
     alls = build_design(
-        velocities, "c00", LagConfig(8, ALL_HISTORY, velocities.cities)
+        velocities, "c00", LagConfig(8, velocities.cities)
     )
-    own = build_design(velocities, "c00", LagConfig(8, OWN_HISTORY))
+    own = build_design(velocities, "c00", LagConfig(8, ("c00",)))
     assert alls.x.shape[1] == 160 and len(alls.col_meta) == 160
     assert own.x.shape[1] == 8 and len(own.col_meta) == 8
     _pass("dimensional fidelity", "160 all-history / 8 own-history columns")

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from chartflow import (
-    ALL_HISTORY,
     LagConfig,
     build_design,
     build_velocities,
@@ -521,22 +520,21 @@ class TestDumpDesign:
         assert "lead@lag8" in lines[0]
 
     def test_own_scope(self, corpus_path, capsys):
-        code = run(
-            [
-                "dump-design",
-                "--corpus-path",
-                corpus_path,
-                "--city",
-                "echo",
-                "--scope",
-                "own",
-            ]
-        )
-        assert code == 0
-        header = capsys.readouterr().out.splitlines()[0]
-        assert header == "artist,week,y," + ",".join(
-            f"echo@lag{k}" for k in range(1, 9)
-        )
+        """``--scope own`` is the one-city design: under either active rule,
+        the bytes of ``--scope all`` with the city as the only included
+        city."""
+        for rule in ("target", "union"):
+            dump = ["dump-design", "--corpus-path", corpus_path,
+                    "--city", "echo", "--active-set", rule]
+            assert run([*dump, "--scope", "own"]) == 0
+            own = capsys.readouterr().out
+            assert len(own.splitlines()) > 1
+            assert own.splitlines()[0] == "artist,week,y," + ",".join(
+                f"echo@lag{k}" for k in range(1, 9)
+            )
+            assert run([*dump, "--scope", "all",
+                        "--cities-included", "echo"]) == 0
+            assert capsys.readouterr().out == own, rule
 
     @pytest.mark.parametrize("rule", ["target", "union"])
     def test_city_outside_included_cities(self, corpus_path, capsys, rule):
@@ -550,7 +548,7 @@ class TestDumpDesign:
         )
         assert code == 0
         velocities = build_velocities(parse_chart_csv(corpus_path))
-        config = LagConfig(8, ALL_HISTORY, ("lead", "echo"))
+        config = LagConfig(8, ("lead", "echo"))
         design = build_design(velocities, "other", config, rule)
         assert capsys.readouterr().out == design_csv_text(design)
 

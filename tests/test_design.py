@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 from chartflow import (
-    ALL_HISTORY,
-    OWN_HISTORY,
     ColMeta,
     LagConfig,
     PlantSpec,
@@ -74,7 +72,7 @@ class TestSingleCityFixture:
         velocities = build_velocities(series)
         assert velocities.n_weeks == 9
         design = build_design(
-            velocities, "m", LagConfig(8, ALL_HISTORY, ("m",))
+            velocities, "m", LagConfig(8, ("m",))
         )
         # Independent oracle: plain numpy normalization and differencing.
         norm = counts / np.linalg.norm(counts, axis=1, keepdims=True)
@@ -90,12 +88,23 @@ class TestSingleCityFixture:
             ), f"lag {lag}"
 
     def test_own_scope_matches(self):
-        series, _, _ = single_city_fixture()
-        velocities = build_velocities(series)
-        own = build_design(velocities, "m", LagConfig(8, OWN_HISTORY))
-        alls = build_design(velocities, "m", LagConfig(8, ALL_HISTORY, ("m",)))
-        assert np.array_equal(own.x, alls.x)
-        assert own.col_meta == alls.col_meta
+        # The own-history design is the one-city config's, whatever other
+        # cities the corpus holds.
+        series, counts, artists = single_city_fixture()
+        rows = [
+            (k, city, artists[j], int(counts[k, j]) + shift)
+            for k in range(10)
+            for j in range(5)
+            for city, shift in (("m", 0), ("n", 3 * j - k))
+        ]
+        own = build_design(build_velocities(series), "m", LagConfig(8, ("m",)))
+        beside = build_design(
+            build_velocities(make_series(rows)), "m", LagConfig(8, ("m",))
+        )
+        assert own.col_meta == beside.col_meta
+        assert row_labels(own) == row_labels(beside)
+        assert own.x.tobytes() == beside.x.tobytes()
+        assert own.y.tobytes() == beside.y.tobytes()
 
 
 class TestColumnCounts:
@@ -109,9 +118,9 @@ class TestColumnCounts:
         )
         velocities = build_velocities(generate_planted(spec))
         alls = build_design(
-            velocities, "c00", LagConfig(8, ALL_HISTORY, velocities.cities)
+            velocities, "c00", LagConfig(8, velocities.cities)
         )
-        own = build_design(velocities, "c00", LagConfig(8, OWN_HISTORY))
+        own = build_design(velocities, "c00", LagConfig(8, ("c00",)))
         assert alls.x.shape[1] == 160
         assert len(alls.col_meta) == 160
         assert own.x.shape[1] == 8
@@ -121,11 +130,11 @@ class TestColumnCounts:
 class TestNestedColumns:
     def test_own_columns_embedded_in_all(self, small_velocities):
         target = "echo"
-        own = build_design(small_velocities, target, LagConfig(8, OWN_HISTORY))
+        own = build_design(small_velocities, target, LagConfig(8, (target,)))
         alls = build_design(
             small_velocities,
             target,
-            LagConfig(8, ALL_HISTORY, small_velocities.cities),
+            LagConfig(8, small_velocities.cities),
         )
         positions = [
             alls.col_meta.index(ColMeta(target, lag)) for lag in range(1, 9)
@@ -143,7 +152,7 @@ class TestEligibilityAndFill:
             if k != 5
         ] + [(k, "m", "b", 20 - k) for k in range(11) if k != 5]
         velocities = build_velocities(make_series(rows))
-        design = build_design(velocities, "m", LagConfig(8, OWN_HISTORY))
+        design = build_design(velocities, "m", LagConfig(8, ("m",)))
         assert design.n_rows == 0
 
     def test_other_city_undefined_lags_fill_zero(self):
@@ -154,7 +163,7 @@ class TestEligibilityAndFill:
                 rows += [(k, "n", "a", 7 + k), (k, "n", "b", 9)]
         velocities = build_velocities(make_series(rows))
         design = build_design(
-            velocities, "m", LagConfig(8, ALL_HISTORY, ("m", "n"))
+            velocities, "m", LagConfig(8, ("m", "n"))
         )
         assert design.n_rows == 2  # target week 9, artists a and b
         col = {meta: i for i, meta in enumerate(design.col_meta)}
@@ -169,7 +178,7 @@ class TestEligibilityAndFill:
             rows += [(k, "m", "x", 10 + k), (k, "m", "y", 30 - k)]
             rows += [(k, "n", "x", 5), (k, "n", "z", 8 + k)]
         velocities = build_velocities(make_series(rows))
-        config = LagConfig(8, ALL_HISTORY, ("m", "n"))
+        config = LagConfig(8, ("m", "n"))
         target_rule = build_design(velocities, "m", config, active_rule="target")
         union_rule = build_design(velocities, "m", config, active_rule="union")
         assert sorted({a for a, _ in row_labels(target_rule)}) == ["x", "y"]
@@ -182,7 +191,7 @@ class TestEligibilityAndFill:
         design = build_design(
             small_velocities,
             "echo",
-            LagConfig(8, ALL_HISTORY, small_velocities.cities),
+            LagConfig(8, small_velocities.cities),
         )
         assert min(c.lag for c in design.col_meta) >= 1
 
@@ -231,27 +240,27 @@ class TestGatherMatchesColumnLoop:
     """The slab-ring gather gives the per-column assembly, bit for bit.
 
     It is checked with the positions ``build_design`` computes itself and
-    with positions passed in, built for the rows of ``config.cities(city)``
-    in order, then the target's row, as ``evaluate_region`` passes them.
-    The configurations list the cities in corpus order, reversed, as a
-    subset that leaves some targets out (their row goes last), and for the
-    target alone.
+    with positions passed in, built for the rows of
+    ``config.cities_included`` in order, then the target's row, as
+    ``evaluate_region`` passes them. The configurations list the cities in
+    corpus order, reversed, as a subset that leaves some targets out (their
+    row goes last), and each city alone: every target's own-history config,
+    and one-city configs of other cities.
     """
 
     @staticmethod
     def configs(cities, lag_count):
         return (
-            LagConfig(lag_count, ALL_HISTORY, cities),
-            LagConfig(lag_count, ALL_HISTORY, tuple(reversed(cities))),
-            LagConfig(lag_count, ALL_HISTORY, cities[1:]),
-            LagConfig(lag_count, OWN_HISTORY),
-        )
+            LagConfig(lag_count, cities),
+            LagConfig(lag_count, tuple(reversed(cities))),
+            LagConfig(lag_count, cities[1:]),
+        ) + tuple(LagConfig(lag_count, (city,)) for city in cities)
 
     @staticmethod
     def assert_bit_equal(velocities, cities, configs, active_rule):
         city_row = {c: i for i, c in enumerate(velocities.cities)}
         for config, city in itertools.product(configs, cities):
-            rows = [city_row[c] for c in (*config.cities(city), city)]
+            rows = [city_row[c] for c in (*config.cities_included, city)]
             shared = slab_positions(velocities, dict.fromkeys(rows))
             ref = build_design_by_columns(velocities, city, config, active_rule)
             for positions in (None, shared):
@@ -273,7 +282,7 @@ class TestGatherMatchesColumnLoop:
         velocities = build_velocities(generate_planted(spec))
         cities = velocities.cities
         configs = self.configs(cities, 8) + (
-            LagConfig(3, ALL_HISTORY, tuple(reversed(cities))),
+            LagConfig(3, tuple(reversed(cities))),
         )
         self.assert_bit_equal(velocities, cities, configs, active_rule)
 
@@ -301,7 +310,7 @@ class TestGatherMatchesColumnLoop:
         assert not velocities.defined[:, velocities.cities.index("n")].all()
         cities = velocities.cities
         configs = self.configs(cities, 4) + (
-            LagConfig(2, ALL_HISTORY, tuple(reversed(cities))),
+            LagConfig(2, tuple(reversed(cities))),
         )
         self.assert_bit_equal(velocities, cities, configs, active_rule)
 
@@ -322,7 +331,7 @@ class TestGatherMatchesColumnLoop:
 
     def test_positions_for_other_rows(self, small_velocities):
         cities = small_velocities.cities
-        config = LagConfig(4, ALL_HISTORY, cities)
+        config = LagConfig(4, cities)
         rows = list(range(len(cities)))
         for bad in (rows[:-1], rows[::-1], rows[1:] + rows[:1]):
             with pytest.raises(ValueError, match="positions are built for"):
@@ -336,7 +345,7 @@ class TestGatherMatchesColumnLoop:
 
 class TestDeterminismAndEquivariance:
     def test_bit_identical_rebuild(self, small_velocities):
-        config = LagConfig(8, ALL_HISTORY, small_velocities.cities)
+        config = LagConfig(8, small_velocities.cities)
         a = build_design(small_velocities, "echo", config)
         b = build_design(small_velocities, "echo", config)
         assert a.x.tobytes() == b.x.tobytes()
@@ -347,10 +356,10 @@ class TestDeterminismAndEquivariance:
         cities = small_velocities.cities
         permuted = tuple(reversed(cities))
         d1 = build_design(
-            small_velocities, "echo", LagConfig(4, ALL_HISTORY, cities)
+            small_velocities, "echo", LagConfig(4, cities)
         )
         d2 = build_design(
-            small_velocities, "echo", LagConfig(4, ALL_HISTORY, permuted)
+            small_velocities, "echo", LagConfig(4, permuted)
         )
         mapping = [d2.col_meta.index(meta) for meta in d1.col_meta]
         assert np.array_equal(d1.x, d2.x[:, mapping])
@@ -364,10 +373,12 @@ class TestDeterminismAndEquivariance:
 class TestErrors:
     def test_unknown_target(self, small_velocities):
         with pytest.raises(UnknownCityError):
-            build_design(small_velocities, "atlantis", LagConfig(8, OWN_HISTORY))
+            build_design(
+                small_velocities, "atlantis", LagConfig(8, ("atlantis",))
+            )
 
     def test_unknown_included_city(self, small_velocities):
-        config = LagConfig(8, ALL_HISTORY, ("echo", "atlantis"))
+        config = LagConfig(8, ("echo", "atlantis"))
         with pytest.raises(UnknownCityError):
             build_design(small_velocities, "echo", config)
 
@@ -377,12 +388,12 @@ class TestErrors:
         ]
         velocities = build_velocities(make_series(rows))
         with pytest.raises(InsufficientDataError):
-            build_design(velocities, "m", LagConfig(8, OWN_HISTORY))
+            build_design(velocities, "m", LagConfig(8, ("m",)))
 
     def test_huge_lag_count_fails_before_labelling_columns(
         self, small_velocities
     ):
-        config = LagConfig(10**5, ALL_HISTORY, small_velocities.cities)
+        config = LagConfig(10**5, small_velocities.cities)
         tracemalloc.start()
         try:
             with pytest.raises(InsufficientDataError):
@@ -392,25 +403,25 @@ class TestErrors:
             tracemalloc.stop()
         assert peak < 2 * 2**20
         # An unknown city still wins over the lag count.
-        config = LagConfig(10**5, ALL_HISTORY, ("echo", "atlantis"))
+        config = LagConfig(10**5, ("echo", "atlantis"))
         with pytest.raises(UnknownCityError):
             build_design(small_velocities, "echo", config)
 
     def test_bad_active_rule(self, small_velocities):
         with pytest.raises(ValueError):
             build_design(
-                small_velocities, "echo", LagConfig(8, OWN_HISTORY), "both"
+                small_velocities, "echo", LagConfig(8, ("echo",)), "both"
             )
 
     def test_bad_config(self):
-        with pytest.raises(ValueError):
-            LagConfig(0, OWN_HISTORY)
-        with pytest.raises(ValueError):
-            LagConfig(8, "some_history")
-        with pytest.raises(ValueError):
-            LagConfig(8, ALL_HISTORY, ())
+        with pytest.raises(ValueError, match="lag_count"):
+            LagConfig(0, ("a",))
+        with pytest.raises(ValueError, match="at least one city"):
+            LagConfig(8, ())
+        with pytest.raises(TypeError):
+            LagConfig(8)
         with pytest.raises(ValueError, match="'a' more than once"):
-            LagConfig(8, ALL_HISTORY, ("a", "b", "a"))
+            LagConfig(8, ("a", "b", "a"))
 
 
 class TestTemporalSplit:
@@ -418,7 +429,7 @@ class TestTemporalSplit:
         design = build_design(
             small_velocities,
             "echo",
-            LagConfig(8, ALL_HISTORY, small_velocities.cities),
+            LagConfig(8, small_velocities.cities),
         )
         boundary = default_boundary(small_velocities.weeks)
         split = temporal_split(design, boundary)
@@ -435,7 +446,7 @@ class TestTemporalSplit:
         design = build_design(
             small_velocities,
             "echo",
-            LagConfig(8, ALL_HISTORY, small_velocities.cities),
+            LagConfig(8, small_velocities.cities),
         )
         split = temporal_split(design, default_boundary(small_velocities.weeks))
         for part in (split.train, split.test):
@@ -443,12 +454,12 @@ class TestTemporalSplit:
                 assert np.shares_memory(getattr(part, name), getattr(design, name))
 
     def test_boundary_before_everything(self, small_velocities):
-        design = build_design(small_velocities, "echo", LagConfig(8, OWN_HISTORY))
+        design = build_design(small_velocities, "echo", LagConfig(8, ("echo",)))
         with pytest.raises(DegenerateSplitError):
             temporal_split(design, date(2000, 1, 1))
 
     def test_boundary_after_everything(self, small_velocities):
-        design = build_design(small_velocities, "echo", LagConfig(8, OWN_HISTORY))
+        design = build_design(small_velocities, "echo", LagConfig(8, ("echo",)))
         with pytest.raises(DegenerateSplitError):
             temporal_split(design, date(2030, 1, 1))
 
@@ -460,7 +471,7 @@ class TestTemporalSplit:
 def test_design_csv_dump():
     series, _, _ = single_city_fixture()
     velocities = build_velocities(series)
-    design = build_design(velocities, "m", LagConfig(2, OWN_HISTORY))
+    design = build_design(velocities, "m", LagConfig(2, ("m",)))
     text = design_csv_text(design)
     header = text.splitlines()[0]
     assert header == "artist,week,y,m@lag1,m@lag2"

@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 from chartflow import (
-    ALL_HISTORY,
-    OWN_HISTORY,
     CityResult,
     LagConfig,
     baseline_rmse,
@@ -204,7 +202,7 @@ class TestReportGolden:
 
 class TestEvaluateCity:
     def test_planted_follower(self, small_velocities):
-        alls = LagConfig(8, ALL_HISTORY, small_velocities.cities)
+        alls = LagConfig(8, small_velocities.cities)
         result = evaluate_city(small_velocities, "echo", alls)
         assert result.ok
         assert result.all_history_pct < result.self_history_pct
@@ -214,22 +212,20 @@ class TestEvaluateCity:
         assert result.sample_counts[0] > 0 and result.sample_counts[1] > 0
 
     def test_config_validated(self, small_velocities):
-        alls = LagConfig(8, ALL_HISTORY, small_velocities.cities)
-        with pytest.raises(ValueError, match="all_history config"):
-            evaluate_city(small_velocities, "echo", LagConfig(8, OWN_HISTORY))
+        alls = LagConfig(8, small_velocities.cities)
         with pytest.raises(ValueError):
             evaluate_city(small_velocities, "echo", alls, solver_variant="lasso")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not include target"):
             evaluate_city(
                 small_velocities,
                 "echo",
-                LagConfig(8, ALL_HISTORY, ("lead", "other")),
+                LagConfig(8, ("lead", "other")),
             )
 
     def test_own_model_is_target_slice_of_all_design(self, small_velocities):
         # Listing the target last moves its columns; the result must not move.
-        first = LagConfig(8, ALL_HISTORY, ("echo", "lead", "other"))
-        last = LagConfig(8, ALL_HISTORY, ("lead", "other", "echo"))
+        first = LagConfig(8, ("echo", "lead", "other"))
+        last = LagConfig(8, ("lead", "other", "echo"))
         a = evaluate_city(small_velocities, "echo", first)
         b = evaluate_city(small_velocities, "echo", last)
         assert a.self_history_pct == pytest.approx(b.self_history_pct, abs=1e-9)
@@ -237,7 +233,7 @@ class TestEvaluateCity:
         assert a.sample_counts == b.sample_counts
 
     def test_ridge_rejected_under_nnls(self, small_velocities):
-        alls = LagConfig(4, ALL_HISTORY, small_velocities.cities)
+        alls = LagConfig(4, small_velocities.cities)
         with pytest.raises(ValueError, match="ridge"):
             evaluate_city(
                 small_velocities,
@@ -248,7 +244,7 @@ class TestEvaluateCity:
             )
 
     def test_nnls_variant_runs(self, small_velocities):
-        alls = LagConfig(4, ALL_HISTORY, small_velocities.cities)
+        alls = LagConfig(4, small_velocities.cities)
         result = evaluate_city(
             small_velocities, "echo", alls, solver_variant="nnls"
         )
@@ -339,7 +335,7 @@ class TestEvaluateRegion:
         a region-wide (week, artist, city) array, 55 KiB here, together.
         """
         cities = small_velocities.cities
-        config = LagConfig(8, ALL_HISTORY, cities)
+        config = LagConfig(8, cities)
         design_bytes = max(
             d.x.nbytes + d.y.nbytes
             for d in (
@@ -398,7 +394,7 @@ class TestUnionActiveSet:
         assert [r.status for r in results] == ["ok"] * len(velocities.cities)
         boundary = default_boundary(velocities.weeks)
         for result in results:
-            config = LagConfig(4, ALL_HISTORY, velocities.cities)
+            config = LagConfig(4, velocities.cities)
             design = build_design(velocities, result.city, config, "union")
             split = temporal_split(design, boundary)
             assert result.sample_counts == (split.train.n_rows, split.test.n_rows)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -383,6 +384,39 @@ class TestSpecSerialization:
         raw = {**SMALL_PLANT.to_dict(), "weeks": "many", "seed": "lucky"}
         with pytest.raises(PlantSpecError, match="'many'"):
             PlantSpec.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("cities", 2, "name"), 5),
+            (("influence", 0, "lag"), 2.7),
+            (("influence", 0, "strength"), "0.8"),
+            (("weeks",), 60.9),
+            (("artists",), True),
+            (("chart_size",), 12.0),
+            (("noise_sigma",), "0.1"),
+            (("walk_sigma",), False),
+            (("seed",), "7"),
+        ],
+    )
+    def test_ill_typed_value_exits_2(self, path, value, tmp_path, capsys):
+        """A value of the wrong JSON type is an error naming it, never
+        coerced and never a traceback."""
+        raw = SMALL_PLANT.to_dict()
+        *parents, key = path
+        holder = raw
+        for step in parents:
+            holder = holder[step]
+        holder[key] = value
+        named = f"got {re.escape(repr(value))}$"
+        with pytest.raises(PlantSpecError, match=named):
+            PlantSpec.from_dict(raw)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["synth", str(spec_path), "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "corpus.csv").exists()
 
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "spec.json"
