@@ -4,14 +4,20 @@ Synthesizes 30 cities x 2000 artists x 160 weeks at chart size 500 (2.4M
 records; c00-c03 lead c04-c07 at lags 1-4), writes and re-parses it as CSV,
 then builds velocities and evaluates the whole region with OLS. Each layer
 is timed once in this process with ``time.perf_counter``; the process's peak
-RSS is read after each one. The result is stored under LABEL (default
-``current``) in ``BENCH_paper_scale.json`` in the working directory, next
-to the runs already there, so two source trees can be compared in one file:
+RSS is read after each one. With the times go the paper's answer: the
+SHA-256 of the region's ``report.csv`` text and every city's three percents
+at full precision. The result is stored under LABEL (default ``current``)
+in ``BENCH_paper_scale.json`` in the working directory, next to the runs
+already there, so two source trees can be compared in one file:
 
     python3 demos/04_paper_scale.py [LABEL]
 
-BLAS is held to one thread, as in the benchmark under ``perfbench/``. One
-run takes about a minute and up to ~0.8 GB of memory.
+The run is recorded, then the demo exits nonzero when the paper-level
+gates fail at this scale: every planted follower (c04-c07) must gain at
+least 5 points, and every unlabeled city must drift by at most 2 points.
+
+BLAS is held to one thread, as in the benchmark under ``perfbench/``. On a
+2-CPU machine one run takes 10-15 s and peaks at about 0.3 GB of RSS.
 """
 
 import os
@@ -21,6 +27,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
+import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
@@ -32,15 +39,20 @@ from pathlib import Path  # noqa: E402
 from chartflow import (  # noqa: E402
     Influence,
     PlantSpec,
+    build_report,
     build_velocities,
     evaluate_region,
     fingerprint,
     generate_planted,
     parse_chart_csv,
+    report_csv_text,
     write_chart_csv,
 )
 
 OUT = Path("BENCH_paper_scale.json")
+
+MIN_FOLLOWER_GAIN = 5.0
+MAX_NULL_DRIFT = 2.0
 
 SPEC = PlantSpec(
     cities=tuple(
@@ -89,6 +101,9 @@ def main(label: str) -> None:
     results = timed("evaluate_region", evaluate_region, velocities)
     if not all(r.ok for r in results):
         raise SystemExit(f"failed rows: {[r.status for r in results if not r.ok]}")
+    report = report_csv_text(build_report(results, SPEC.labels()))
+    digest = hashlib.sha256(report.encode("utf-8")).hexdigest()
+    print(f"report.csv sha256 {digest}")
 
     payload = json.loads(OUT.read_text()) if OUT.exists() else {}
     payload.setdefault("spec", {
@@ -99,11 +114,30 @@ def main(label: str) -> None:
     payload.setdefault("runs", {})[label] = {
         "layers": layers,
         "peak_rss_mb": round(peak_rss_mb(), 1),
+        "report_sha256": digest,
+        "percents": {
+            r.city: {
+                "self_history_pct": r.self_history_pct,
+                "all_history_pct": r.all_history_pct,
+                "difference": r.difference,
+            }
+            for r in results
+        },
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
     }
     OUT.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(f"wrote {OUT} [{label}]")
+
+    roles = dict(SPEC.cities)
+    failed = [
+        f"{r.city} ({roles[r.city]}) difference {r.difference:.3f}"
+        for r in results
+        if roles[r.city] == "follower" and not r.difference >= MIN_FOLLOWER_GAIN
+        or roles[r.city] == "unlabeled" and not abs(r.difference) <= MAX_NULL_DRIFT
+    ]
+    if failed:
+        raise SystemExit(f"paper-level gates failed: {', '.join(failed)}")
 
 
 if __name__ == "__main__":

@@ -247,8 +247,6 @@ def cmd_evaluate(config: RunConfig) -> int:
     unknown = sorted(set(cities) - set(velocities.cities))
     if unknown:
         raise CliInputError(f"cities not in corpus: {unknown}")
-    if velocities.n_weeks == 0:
-        raise CliInputError("corpus has no velocity weeks")
     check_lag_count(velocities, config.lag_count)
     boundary = config.boundary or default_boundary(velocities.weeks)
     if not velocities.weeks[0] < boundary <= velocities.weeks[-1]:

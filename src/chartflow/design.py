@@ -18,20 +18,22 @@ charts. Lagged values of *other* cities that are undefined (absence, gap)
 enter as 0.0, the no-change value.
 
 The design is gathered from a small ring of dense (artist, city) slabs,
-one per velocity week, so the values one sample row needs, all included
-cities at one lag week, lie side by side. Each week's slab is filled from
-its CSR matrix when the week enters the ring, by one scatter at positions
-that ``slab_positions`` computes once: ``evaluate_region`` computes them
-for the included cities and passes them to every ``build_design`` call;
-called alone, ``build_design`` computes the positions of the cities it
-needs. One lag table, the velocity week index ``7 * (l + 1)`` days before
-each week, decides which weeks are eligible and how many weeks the ring
-holds. Each eligible week's block of rows is then read lag-major from the
-ring with one ``take``, (artist, lag, city), and written through a
+one per velocity week, whose columns are the velocity series' own city
+rows, so the values one sample row needs, all included cities at one lag
+week, lie side by side. Each week's slab is filled from its CSR matrix
+when the week enters the ring: its ``data`` is scattered at positions that
+depend on the series alone, so ``slab_positions`` computes them once per
+series and ``evaluate_region`` passes them to every ``build_design`` call;
+called alone, ``build_design`` computes them itself. One lag table, the
+velocity week index ``7 * (l + 1)`` days before each week, decides which
+weeks are eligible and how many weeks the ring holds. Each eligible week's
+block of rows is then read lag-major from the ring with one ``take``,
+(artist, lag, city), its included cities' columns picked as a slice when
+their rows run consecutively and ascending, and written through a
 transposed view straight into the preallocated design; the response is
-read from the sample week's slab. Rows come out in ascending week order,
-so ``temporal_split`` cuts the design into two row slices, views that
-share the design's memory.
+read from the target's column of the sample week's slab. Rows come out in
+ascending week order, so ``temporal_split`` cuts the design into two row
+slices, views that share the design's memory.
 """
 
 from __future__ import annotations
@@ -110,44 +112,18 @@ class SplitDesign:
     test: LabeledDesign
 
 
-class SlabPositions(NamedTuple):
-    """Where each velocity week's entries land in a dense slab.
+def slab_positions(velocities: VelocitySeries) -> tuple[np.ndarray, ...]:
+    """Where each velocity week's stored entries land in a dense slab.
 
-    A slab is one week's ``(artists, len(rows))`` array of the city rows
-    ``rows``, in that order. Week ``w``'s stored entries of those rows go
-    to the flat slab positions ``flat[w]`` (``artist * len(rows) + p``)
-    with the values ``values[w]``, a view of the week's CSR data when the
-    series holds no other row.
+    A slab is one week's ``(artists, cities)`` array over every row of the
+    series. Week ``w``'s entries go to the flat int32 positions
+    ``artist * len(cities) + row``, in the order of its CSR ``data``.
     """
-
-    rows: tuple[int, ...]
-    flat: tuple[np.ndarray, ...]
-    values: tuple[np.ndarray, ...]
-
-
-def slab_positions(
-    velocities: VelocitySeries, rows: Sequence[int]
-) -> SlabPositions:
-    """The slab scatter of every velocity week, for the given city rows."""
-    rows = tuple(rows)
-    width = len(rows)
-    position = np.full(len(velocities.cities), -1, dtype=np.int32)
-    position[list(rows)] = np.arange(width)
-    every = bool((position >= 0).all())
-    flat, values = [], []
-    for matrix in velocities.matrices:
-        slot = np.repeat(position, np.diff(matrix.indptr))
-        at = matrix.indices.astype(np.int32)
-        at *= width
-        at += slot
-        if every:
-            flat.append(at)
-            values.append(matrix.data)
-        else:
-            keep = np.flatnonzero(slot >= 0)
-            flat.append(at.take(keep))
-            values.append(matrix.data.take(keep))
-    return SlabPositions(rows, tuple(flat), tuple(values))
+    n_cities = len(velocities.cities)
+    return tuple(
+        (matrix.indices * n_cities + matrix.rows()).astype(np.int32)
+        for matrix in velocities.matrices
+    )
 
 
 def check_lag_count(velocities: VelocitySeries, lag_count: int) -> None:
@@ -166,7 +142,7 @@ def build_design(
     config: LagConfig,
     active_rule: str = ACTIVE_TARGET,
     *,
-    positions: SlabPositions | None = None,
+    positions: Sequence[np.ndarray] | None = None,
 ) -> LabeledDesign:
     """Assemble the lagged design matrix and target vector for one city.
 
@@ -180,11 +156,11 @@ def build_design(
     lag window. Rows come out in ascending week order, artists ascending
     within a week.
 
-    ``positions`` is ``slab_positions(velocities, rows)`` for the rows of
-    ``config.cities_included``, in that order, followed by the target
-    city's row when it is not among them; callers building several designs
-    pass one to all of them. Positions built for other rows raise
-    ValueError. Without them the design computes its own.
+    ``positions`` is ``slab_positions(velocities)``; callers building
+    several designs from one series pass the same positions to all of
+    them. Positions whose count differs from a week's stored entries, as
+    when they are built for another series, raise ValueError. Without
+    them the design computes its own.
     """
     if active_rule not in (ACTIVE_TARGET, ACTIVE_UNION):
         raise ValueError(f"unknown active rule {active_rule!r}")
@@ -203,15 +179,18 @@ def build_design(
     city_row = {c: i for i, c in enumerate(cities)}
     target_row = city_row[target_city]
     included_rows = [city_row[c] for c in included]
-    rows = tuple(dict.fromkeys([*included_rows, target_row]))
-    n_included, y_pos = len(included_rows), rows.index(target_row)
-    n_artists = len(velocities.artists)
+    n_included, n_artists = len(included_rows), len(velocities.artists)
     if positions is None:
-        positions = slab_positions(velocities, rows)
-    elif positions.rows != rows:
-        raise ValueError(
-            f"positions are built for rows {positions.rows}, expected {rows}"
-        )
+        positions = slab_positions(velocities)
+    elif [at.size for at in positions] != [m.nnz for m in velocities.matrices]:
+        raise ValueError("positions are built for another velocity series")
+    # The included cities' slab columns: a slice when their rows run
+    # consecutively and ascending, as the CLI builds them.
+    first = included_rows[0]
+    if included_rows == list(range(first, first + n_included)):
+        columns = slice(first, first + n_included)
+    else:
+        columns = included_rows
 
     # lags[i, l] is the velocity week 7 * (l + 1) days before week i, or -1.
     # A week is eligible when the target city's velocity is defined there
@@ -254,7 +233,7 @@ def build_design(
     # lags[i, -1]; a ring of `depth` slabs, week j in slab j % depth, holds
     # all of them. A week's slab is filled when the week enters the ring.
     depth = 1 + max((i - int(lags[i, -1]) for i, _ in eligible), default=0)
-    ring = np.empty((depth * n_artists, len(rows)))
+    ring = np.empty((depth * n_artists, len(cities)))
     slabs = ring.reshape(depth, -1)
     lag_rows = lags % depth * n_artists
     filled = -1
@@ -265,7 +244,7 @@ def build_design(
             slab.fill(0.0)
             # An intp copy of the positions scatters twice as fast as
             # int32 positions, which numpy casts one by one.
-            slab[positions.flat[j].astype(np.intp)] = positions.values[j]
+            slab[positions[j].astype(np.intp)] = velocities.matrices[j].data
         filled = i
         stop = start + active.size
         # Columns run city-major, so the rows' (artist, city, lag) view,
@@ -273,8 +252,8 @@ def build_design(
         block = x[start:stop].reshape(active.size, n_included, config.lag_count)
         block.transpose(0, 2, 1)[...] = ring.take(
             lag_rows[i][None, :] + active[:, None], axis=0
-        )[..., :n_included]
-        y[start:stop] = ring[i % depth * n_artists + active, y_pos]
+        )[..., columns]
+        y[start:stop] = ring[i % depth * n_artists + active, target_row]
         week_idx[start:stop] = i
         artist_idx[start:stop] = active
         start = stop

@@ -24,7 +24,6 @@ import numpy as np
 from .chart_store import read_csv_pairs
 from .design import (
     LagConfig,
-    SlabPositions,
     build_design,
     default_boundary,
     slab_positions,
@@ -110,7 +109,7 @@ def evaluate_city(
     solver_variant: str = "ols",
     ridge: float = 0.0,
     active_rule: str = "target",
-    positions: SlabPositions | None = None,
+    positions: Sequence[np.ndarray] | None = None,
 ) -> CityResult:
     """Fit and score both models for one city on the identical sample set.
 
@@ -118,7 +117,8 @@ def evaluate_city(
     them, and only its design is built. The own-history model, the one-city
     case, is fitted on the target city's ``lag_count`` columns of it, so
     both models see the same rows by construction. ``positions`` goes to
-    ``build_design``: the slab scatter of the included cities, in order.
+    ``build_design``: ``slab_positions(velocities)``, the slab scatter of
+    every row of the series.
     ``ridge`` > 0 needs the OLS solver.
     """
     if target_city not in config.cities_included:
@@ -174,18 +174,16 @@ def evaluate_region(
 ) -> list[CityResult]:
     """Evaluate every included city; failures become status rows.
 
-    The slab scatter of the included cities' velocity weeks, in their
-    order, is computed once and passed to every city's design. A city
-    missing from the corpus is left out of it and fails every design.
+    The slab scatter of the velocity weeks is computed once, over every
+    row of the series, and passed to every city's design; velocities built
+    for more cities than are included scatter those rows too. A city
+    missing from the corpus fails every design.
     """
     cities = tuple(
         cities_included if cities_included is not None else velocities.cities
     )
     config = LagConfig(lag_count, cities)
-    city_row = {c: i for i, c in enumerate(velocities.cities)}
-    positions = slab_positions(
-        velocities, [city_row[c] for c in cities if c in city_row]
-    )
+    positions = slab_positions(velocities)
 
     def one(city: str) -> CityResult:
         try:

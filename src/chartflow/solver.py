@@ -107,23 +107,20 @@ def _augmented_gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _reduce(
-    x: np.ndarray, y: np.ndarray, gram: np.ndarray | None = None
+    x: np.ndarray, y: np.ndarray, gram: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Fold ``[x | y]`` into a (k + 1) x (k + 1) upper triangle ``[r | qty]``.
 
     Returns ``(r, qty, cholesky)`` such that ``||x b - y|| == ||r b - qty||``
     for every b. The triangle is the upper Cholesky factor of the augmented
-    Gram matrix ``[x | y]^T [x | y]`` (``gram``, formed by ``_gram`` when not
-    given), which equals the R factor of the QR
-    decomposition of ``[x | y]`` up to row signs. Forming the Gram matrix
-    squares the condition number, so when Cholesky fails or ``cond(r)``
-    exceeds ``MAX_GRAM_COND`` the QR fold of ``_qr_fold`` is used instead;
-    only that path sees rank-deficient or ill-conditioned systems.
-    ``cholesky`` says which path gave the triangle.
+    Gram matrix ``[x | y]^T [x | y]`` (``gram``, formed by ``_gram``), which
+    equals the R factor of the QR decomposition of ``[x | y]`` up to row
+    signs. Forming the Gram matrix squares the condition number, so when
+    Cholesky fails or ``cond(r)`` exceeds ``MAX_GRAM_COND`` the QR fold of
+    ``_qr_fold`` is used instead; only that path sees rank-deficient or
+    ill-conditioned systems. ``cholesky`` says which path gave the triangle.
     """
     k = x.shape[1]
-    if gram is None:
-        gram = _gram(x, y)
     try:
         factor = np.linalg.cholesky(gram, upper=True)
     except np.linalg.LinAlgError:

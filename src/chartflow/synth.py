@@ -227,13 +227,26 @@ _integer = _json_type("integer", int)
 _number = _json_type("number", int, float)
 
 
+def _entries(entries, *keys: str):
+    """The entries of a ``cities`` or ``influence`` list, each a JSON
+    object with no key but ``keys``: a misspelt key is an error, never
+    dropped."""
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise TypeError(f"expected a JSON object, got {entry!r}")
+        unknown = sorted(set(entry) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown keys {unknown} in {entry!r}")
+        yield entry
+
+
 # Each spec key's parser from JSON values, in conversion order: the first
 # key that fails names the error. Values are not coerced: 60.9 weeks or a
 # "7" seed is an error, not 60 or 7.
 _SPEC_PARSERS = {
     "cities": lambda cities: tuple(
         (_string(c["name"]), _string(c.get("role", "unlabeled")))
-        for c in cities
+        for c in _entries(cities, "name", "role")
     ),
     "influence": lambda edges: tuple(
         Influence(
@@ -242,7 +255,7 @@ _SPEC_PARSERS = {
             _integer(e["lag"]),
             _number(e["strength"]),
         )
-        for e in edges
+        for e in _entries(edges, "leader", "follower", "lag", "strength")
     ),
     "weeks": _integer,
     "artists": _integer,

@@ -280,6 +280,24 @@ class TestEvaluate:
         assert "cannot support 99999 lags" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("weeks", [0, 1])
+    def test_fewer_than_two_weeks_exits_2(self, weeks, tmp_path, capsys):
+        corpus = tmp_path / "short.csv"
+        if weeks:
+            write_chart_csv(make_series([(0, "m", "a", 5), (0, "m", "b", 3)]),
+                            corpus)
+        else:
+            corpus.write_text("week_start,city,artist,listeners\n")
+        out_dir = tmp_path / "out"
+        code = run(
+            ["evaluate", "--corpus-path", corpus, "--output-dir", out_dir]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: need at least 2 weeks to compute velocities, got {weeks}\n"
+        )
+        assert not out_dir.exists()
+
     def test_all_cities_failing_exits_3(self, tmp_path):
         # 10 chart weeks leave every eligible sample past the boundary, so
         # each city fails its split and the run reports total failure.

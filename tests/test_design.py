@@ -240,12 +240,11 @@ class TestGatherMatchesColumnLoop:
     """The slab-ring gather gives the per-column assembly, bit for bit.
 
     It is checked with the positions ``build_design`` computes itself and
-    with positions passed in, built for the rows of
-    ``config.cities_included`` in order, then the target's row, as
-    ``evaluate_region`` passes them. The configurations list the cities in
-    corpus order, reversed, as a subset that leaves some targets out (their
-    row goes last), and each city alone: every target's own-history config,
-    and one-city configs of other cities.
+    with one ``slab_positions(velocities)`` shared by every configuration,
+    as ``evaluate_region`` passes them. The configurations list the cities
+    in corpus order (a slice of the slab's columns), reversed, as a subset
+    that leaves some targets out, and each city alone: every target's
+    own-history config, and one-city configs of other cities.
     """
 
     @staticmethod
@@ -258,10 +257,8 @@ class TestGatherMatchesColumnLoop:
 
     @staticmethod
     def assert_bit_equal(velocities, cities, configs, active_rule):
-        city_row = {c: i for i, c in enumerate(velocities.cities)}
+        shared = slab_positions(velocities)
         for config, city in itertools.product(configs, cities):
-            rows = [city_row[c] for c in (*config.cities_included, city)]
-            shared = slab_positions(velocities, dict.fromkeys(rows))
             ref = build_design_by_columns(velocities, city, config, active_rule)
             for positions in (None, shared):
                 got = build_design(
@@ -329,18 +326,28 @@ class TestGatherMatchesColumnLoop:
         configs = self.configs(velocities.cities, 3)
         self.assert_bit_equal(velocities, ("m",), configs, active_rule)
 
-    def test_positions_for_other_rows(self, small_velocities):
-        cities = small_velocities.cities
-        config = LagConfig(4, cities)
-        rows = list(range(len(cities)))
-        for bad in (rows[:-1], rows[::-1], rows[1:] + rows[:1]):
-            with pytest.raises(ValueError, match="positions are built for"):
+    def test_positions_for_other_series(self, small_series, small_velocities):
+        config = LagConfig(4, ("echo",))
+        positions = slab_positions(small_velocities)
+        others = (
+            build_velocities(small_series, cities=("echo", "lead")),
+            build_velocities(small_series, artists=set(small_series.artists[1:])),
+        )
+        for other in others:
+            assert other.n_weeks == small_velocities.n_weeks
+            with pytest.raises(ValueError, match="another velocity series"):
                 build_design(
                     small_velocities,
                     "echo",
                     config,
-                    positions=slab_positions(small_velocities, bad),
+                    positions=slab_positions(other),
                 )
+            with pytest.raises(ValueError, match="another velocity series"):
+                build_design(other, "echo", config, positions=positions)
+        with pytest.raises(ValueError, match="another velocity series"):
+            build_design(
+                small_velocities, "echo", config, positions=positions[:-1]
+            )
 
 
 class TestDeterminismAndEquivariance:

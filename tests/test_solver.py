@@ -32,6 +32,7 @@ from chartflow import solver
 from chartflow.solver import (
     RANK_TOL,
     REDUCE_BLOCK_ROWS,
+    _gram,
     _lawson_hanson,
     _qr_fold,
     _reduce,
@@ -241,7 +242,7 @@ class TestFitNnls:
 
     def test_iteration_cap(self):
         x, y = random_system(56, 40, 3, nonneg_target=True)
-        r, qty, cholesky = _reduce(x, y)
+        r, qty, cholesky = _reduce(x, y, _gram(x, y))
         with pytest.raises(ConvergenceError):
             _lawson_hanson(r, qty, cholesky, 0, x.shape)
 
@@ -326,15 +327,18 @@ class TestReduction:
 
     def test_residual_norm_preserved(self):
         x, y = random_system(1300, self.TALL_ROWS, 7)
-        for fold in (_reduce, _qr_fold):
-            r, qty = fold(x, y)[:2]
+        folds = {
+            "_reduce": _reduce(x, y, _gram(x, y))[:2],
+            "_qr_fold": _qr_fold(x, y),
+        }
+        for fold, (r, qty) in folds.items():
             assert r.shape == (8, 7) and qty.shape == (8,)
             assert np.allclose(np.tril(r, -1), 0.0)
             for seed in range(5):
                 b = rng.normals(rng.derive_key(1301, seed), 7)
                 assert np.linalg.norm(r @ b - qty) == pytest.approx(
                     np.linalg.norm(x @ b - y), rel=1e-12
-                ), fold.__name__
+                ), fold
 
     def test_well_conditioned_system_takes_cholesky_path(self, monkeypatch):
         def unreachable(x, y):
@@ -342,7 +346,7 @@ class TestReduction:
 
         monkeypatch.setattr(solver, "_qr_fold", unreachable)
         x, y = random_system(1302, self.TALL_ROWS, 7)
-        r, qty, cholesky = _reduce(x, y)
+        r, qty, cholesky = _reduce(x, y, _gram(x, y))
         assert cholesky
         qr_r, qr_qty = _qr_fold(x, y)  # this module's name, not the patch
         # Both are the triangle of [x | y], up to the sign of each row.
@@ -363,7 +367,7 @@ class TestReduction:
         x, y = random_system(1305, self.TALL_ROWS, 5)
         nudge = 1e-7 * rng.normals(rng.derive_key(1306, 0), self.TALL_ROWS)
         x = np.column_stack([x, x[:, 2] + nudge])
-        r, qty, cholesky = _reduce(x, y)
+        r, qty, cholesky = _reduce(x, y, _gram(x, y))
         assert not cholesky
         qr_r, qr_qty = _qr_fold(x, y)
         assert np.array_equal(r, qr_r) and np.array_equal(qty, qr_qty)
@@ -482,7 +486,7 @@ class TestGramStep:
     """FNNLS steps on the Gram matrix against the lstsq step on R."""
 
     def assert_same_path(self, x, y):
-        r, qty, cholesky = _reduce(x, y)
+        r, qty, cholesky = _reduce(x, y, _gram(x, y))
         assert cholesky
         cap = max(10 * x.shape[1], 100)
         gram_beta, gram_its = _lawson_hanson(r, qty, True, cap, x.shape)
@@ -536,7 +540,7 @@ class TestGramStep:
                     rng.derive_key(1306, 0), TestReduction.TALL_ROWS
                 )
             x = np.column_stack([x, x[:, 2] + nudge])
-        assert not _reduce(x, y)[2]
+        assert not _reduce(x, y, _gram(x, y))[2]
         fit = fit_nnls(x, y)
         assert fit.iterations > 0
         assert steps["lstsq"] > 0 and steps["solve"] == 0

@@ -418,6 +418,33 @@ class TestSpecSerialization:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (tmp_path / "corpus.csv").exists()
 
+    @pytest.mark.parametrize(
+        "path, drop, extra",
+        [
+            (("cities", 0), "role", "rol"),
+            (("cities", 2), None, "colour"),
+            (("influence", 0), None, "strenght"),
+            (("influence", 0), None, "weight"),
+        ],
+    )
+    def test_unknown_entry_key_exits_2(self, path, drop, extra, tmp_path, capsys):
+        """A key a ``cities`` or ``influence`` entry does not have is an
+        error naming it, never dropped."""
+        raw = SMALL_PLANT.to_dict()
+        entry = raw[path[0]][path[1]]
+        if drop is not None:
+            entry[extra] = entry.pop(drop)
+        else:
+            entry[extra] = 0.9
+        with pytest.raises(PlantSpecError, match=rf"unknown keys \['{extra}'\]"):
+            PlantSpec.from_dict(raw)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["synth", str(spec_path), "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "corpus.csv").exists()
+
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(SMALL_PLANT.to_dict()), encoding="utf-8")
