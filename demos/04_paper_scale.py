@@ -4,7 +4,8 @@ Synthesizes 30 cities x 2000 artists x 160 weeks at chart size 500 (2.4M
 records; c00-c03 lead c04-c07 at lags 1-4), writes and re-parses it as CSV,
 then builds velocities and evaluates the whole region with OLS. Each layer
 is timed once in this process with ``time.perf_counter``; the process's peak
-RSS is read after each one. With the times go the paper's answer: the
+RSS is read after each one, and the parsed corpus's column bytes are
+recorded per column. With the times go the paper's answer: the
 SHA-256 of the region's ``report.csv`` text and every city's three percents
 at full precision. The result is stored under LABEL (default ``current``)
 in ``BENCH_paper_scale.json`` in the working directory, next to the runs
@@ -97,6 +98,11 @@ def main(label: str) -> None:
     timed("fingerprint", fingerprint, series)
     velocities = timed("velocities", build_velocities, series)
     records = len(series)
+    column_bytes = {
+        name: getattr(series, name).nbytes
+        for name in ("week_idx", "city_idx", "artist_idx", "listeners")
+    }
+    print(f"corpus columns   {sum(column_bytes.values()) / 2**20:8.2f} MiB")
     del series
     results = timed("evaluate_region", evaluate_region, velocities)
     if not all(r.ok for r in results):
@@ -113,6 +119,7 @@ def main(label: str) -> None:
     })
     payload.setdefault("runs", {})[label] = {
         "layers": layers,
+        "column_bytes": column_bytes,
         "peak_rss_mb": round(peak_rss_mb(), 1),
         "report_sha256": digest,
         "percents": {

@@ -7,9 +7,10 @@ allowed and handled downstream.
 
 The corpus is stored as integer-coded columns: one code per row into each of
 the sorted label tuples ``weeks``, ``cities`` and ``artists``, plus the
-listener counts. Every way of building a corpus (parsing, tag filtering,
-the synthetic generator) goes through the one validating constructor
-:meth:`ChartSeries.from_columns`.
+listener counts, each column at the narrowest signed width its values need
+(see :func:`column_width`). Every way of building a corpus (parsing, tag
+filtering, the synthetic generator) goes through the one validating
+constructor :meth:`ChartSeries.from_columns`.
 
 Parsing reads the file's bytes. Plain input (the exact header, no quote,
 carriage return or NUL byte, no blank line, lines of three commas and a
@@ -20,8 +21,9 @@ validation, goes whole to a row loop over ``csv.reader``. The loop is the
 only code that reports a parse error: every syntax, decode, csv and value
 error names the physical line its row starts on. The byte path holds the
 columns plus one block's scratch (blocks are 256 KiB): a first pass counts
-the lines, so the columns are allocated at their final length and each
-block is coded into its rows, and the checks of ``from_columns`` run a
+the lines, so the columns are allocated narrow at their final length and
+each block is coded into its rows (a column is widened once, should a
+block's labels or counts outgrow it), and the checks of ``from_columns`` run a
 fixed number of rows at a time, so no whole-column temporary is built.
 
 This module also owns the canonical CSV, the one rendering of a corpus:
@@ -31,7 +33,7 @@ UTF-8 bytes, a block of rows at a time: each block is laid out as a byte
 matrix of at most 64 KiB, one line per row, from tables of the labels'
 quoted fields, and one mask drops the padding and the counts' leading
 zeros. So the writer and the hash take the chunks as they come, and its
-scratch stays at a few blocks plus the label tables, however wide a label.
+scratch stays at a few blocks plus the labels' bytes, however wide a label.
 Rows already in canonical order are not sorted again, and plain input
 whose bytes are the canonical CSV (every file ``write_chart_csv`` writes,
 unless a label needs quoting) keeps the hash of the bytes read as its
@@ -80,10 +82,12 @@ class ChartSeries:
     Row ``i`` is the observation ``(weeks[week_idx[i]], cities[city_idx[i]],
     artists[artist_idx[i]], listeners[i])``. Rows are sorted by (week, city,
     artist); the label tuples are sorted and hold only labels some row uses.
-    The code columns are int32 and ``listeners`` is int64. Build corpora with
-    :meth:`from_columns`, which validates. ``digest`` is the hex SHA-256 of
-    the canonical CSV when the corpus was parsed from exactly those bytes,
-    else None; read it through :func:`fingerprint`.
+    A code column is int16 when its labels number at most 32,767 and int32
+    otherwise; ``listeners`` is int32 when every count is at most
+    2**31 - 1 and int64 otherwise (see :func:`column_width`). Build corpora
+    with :meth:`from_columns`, which validates. ``digest`` is the hex
+    SHA-256 of the canonical CSV when the corpus was parsed from exactly
+    those bytes, else None; read it through :func:`fingerprint`.
     """
 
     weeks: tuple[date, ...]
@@ -122,10 +126,12 @@ class ChartSeries:
         when they spell each row as the canonical CSV would. It is kept only
         when the rows are in canonical order and none is dropped: then those
         bytes are the canonical CSV.
-        A code column given as a 1-D int32 array whose labels are already
-        sorted, with every code in range, may be kept as the corpus's
-        column, and so may an int64 ``listeners`` array: the caller must
-        not change them afterwards.
+        The columns are stored at the corpus widths (see :class:`ChartSeries`),
+        whatever the widths given. A code column given as a 1-D array at
+        its corpus width whose labels are already sorted, with every code
+        in range, may be kept as the corpus's column, and so may a
+        ``listeners`` array at its corpus width: the caller must not change
+        them afterwards.
         """
         for labels in (weeks, cities, artists):
             if len(set(labels)) != len(labels):
@@ -141,7 +147,9 @@ class ChartSeries:
             raise ValueError("columns must have equal lengths")
         order = None if _increasing(w, c, a) else np.lexsort((a, c, w))
         _validate(weeks, cities, artists, w, c, a, counts, order, lines)
-        counts = counts.astype(np.int64, copy=False)
+        largest = int(counts.max()) if len(counts) else 0
+        counts = counts.astype(column_width(largest, COUNT_WIDTHS),
+                               copy=False)
         nonzero = counts != 0
         if order is None and nonzero.all():
             keep = slice(None)
@@ -195,32 +203,56 @@ class ChartSeries:
 
 
 def _counts(listeners) -> np.ndarray:
-    """Listener counts as int64, or as Python ints when one does not fit."""
+    """Listener counts as a signed integer array: one given as such is
+    taken as it is, anything else as int64, or as Python ints when one does
+    not fit."""
+    if isinstance(listeners, np.ndarray) and listeners.dtype.kind == "i":
+        return listeners
     try:
         return np.asarray(listeners, dtype=np.int64)
     except OverflowError:
         return np.array(listeners, dtype=object)
 
 
+# The signed integer widths a column may be stored at, narrowest first.
+CODE_WIDTHS = (np.int16, np.int32, np.int64)
+COUNT_WIDTHS = (np.int32, np.int64)
+
+
+def column_width(bound: int, widths: tuple = CODE_WIDTHS) -> type:
+    """The narrowest of ``widths`` that holds ``bound``: the one rule for a
+    column's width.
+
+    A code column is stored at ``column_width(len(labels))``, so it holds
+    every code and the label count itself, the end bound that
+    :meth:`ChartSeries.week_slices` searches for; ``listeners`` is stored
+    at ``column_width(largest count, COUNT_WIDTHS)``.
+    """
+    return next(width for width in widths if bound <= np.iinfo(width).max)
+
+
 def _sort_labels(labels: Sequence) -> tuple[tuple, np.ndarray]:
-    """Sorted labels and, per original position, the label's sorted rank."""
+    """Sorted labels and, per original position, the label's sorted rank,
+    at the labels' code width."""
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    rank = np.empty(len(labels), dtype=np.int32)
-    rank[order] = np.arange(len(labels), dtype=np.int32)
+    rank = np.empty(len(labels), dtype=column_width(len(labels)))
+    rank[order] = np.arange(len(labels))
     return tuple(labels[i] for i in order), rank
 
 
 def _ranked(rank: np.ndarray, codes) -> np.ndarray:
-    """The codes of sorted labels, given codes of labels in ``rank``'s order.
+    """The codes of sorted labels, given codes of labels in ``rank``'s order,
+    at ``rank``'s width.
 
-    A 1-D int32 array of in-range codes for labels already sorted (``rank``
-    is the identity) is returned as is, not copied. A signed integer array
-    indexes ``rank`` as it is, which numpy does without an ``intp`` copy.
+    A 1-D array at that width of in-range codes for labels already sorted
+    (``rank`` is the identity) is returned as is, not copied. A signed
+    integer array indexes ``rank`` as it is, which numpy does without an
+    ``intp`` copy.
     """
     if not (isinstance(codes, np.ndarray) and codes.dtype.kind == "i"):
         return rank[np.asarray(codes, dtype=np.intp)]
     if (
-        codes.dtype == np.int32
+        codes.dtype == rank.dtype
         and codes.ndim == 1
         and (rank == np.arange(len(rank))).all()
         and (codes.size == 0 or 0 <= codes.min() and codes.max() < len(rank))
@@ -250,13 +282,15 @@ _CHECK_ROWS = 1 << 14
 
 
 def _drop_unused(labels: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """Drop labels no code refers to, keeping order, and renumber the codes."""
+    """Drop labels no code refers to, keeping order, and renumber the codes
+    at the kept labels' width."""
     used = np.zeros(len(labels), dtype=bool)
-    used[codes] = True  # an int32 index is not copied, as bincount's is
+    used[codes] = True  # a narrow index is not copied, as bincount's is
     if used.all():
         return labels, codes
-    renumber = (np.cumsum(used) - 1).astype(np.int32)
-    return tuple(x for x, u in zip(labels, used) if u), renumber[codes]
+    kept = tuple(x for x, u in zip(labels, used) if u)
+    renumber = (np.cumsum(used) - 1).astype(column_width(len(kept)))
+    return kept, renumber[codes]
 
 
 def _validate(weeks, cities, artists, w, c, a, counts, order, lines) -> None:
@@ -448,10 +482,15 @@ def _plain_columns(handle) -> tuple:
     row per line, so these are the columns the row loop would collect.
     Other input raises :class:`_NotPlain`, after at most a partial read.
 
+    The labels are returned sorted, and their codes renumbered in place to
+    match (:func:`_sorted_in_place`).
+
     The header is checked first, so input without it is not read further.
     Then a first pass counts the lines after it in the seekable ``handle``,
-    so the code columns (int32) and the counts (int64) are allocated at
-    their final length and each block's rows are written into their slice.
+    so the columns are allocated at their final length, at their narrowest
+    widths (int16 codes, int32 counts), and each block's rows are written
+    into their slice. A column is widened, its rows so far copied once,
+    when a block's labels or counts outgrow it (see :func:`column_width`).
     The second pass checks the header again and codes the lines after it;
     when it codes another number of rows than the first counted (the file
     changed in between), the input raises :class:`_NotPlain`.
@@ -468,15 +507,14 @@ def _plain_columns(handle) -> tuple:
     week_of_text: dict[str, int] = {}
     labels: tuple[dict, dict, dict] = ({}, {}, {})
     reads = hashlib.sha256(header)
-    columns = (*(np.empty(rows, np.int32) for _ in range(3)),
-               np.empty(rows, np.int64))
+    columns = [*(np.empty(rows, CODE_WIDTHS[0]) for _ in range(3)),
+               np.empty(rows, COUNT_WIDTHS[0])]
     done = 0
     canonical = header == _HEADER_LINE
     # A plain line is at most four fields, three commas and a newline.
     for block, ended in _line_blocks(handle, 4 * limit + 4, reads):
         coded, leading_zero = _code_block(
-            block, limit, week_of_text, labels,
-            [column[done:] for column in columns])
+            block, limit, week_of_text, labels, columns, done)
         done += coded
         canonical = canonical and ended and not leading_zero
     if done != rows:
@@ -490,7 +528,27 @@ def _plain_columns(handle) -> tuple:
         and _csv_fields(artists) == list(artists)
     )
     digest = reads.hexdigest() if canonical else None
+    weeks, cities, artists = (
+        _sorted_in_place(store, column)
+        for store, column in zip((weeks, cities, artists), columns)
+    )
     return weeks, cities, artists, *columns, digest
+
+
+def _sorted_in_place(labels: tuple, codes: np.ndarray) -> tuple:
+    """``labels`` sorted, with ``codes`` renumbered to match in place,
+    ``_CHECK_ROWS`` rows at a time.
+
+    Labels that a later block first shows may sort before earlier ones;
+    ranked here, their column is kept by ``from_columns``, not ranked into
+    a copy.
+    """
+    labels, rank = _sort_labels(labels)
+    if not (rank == np.arange(len(rank))).all():
+        for start in range(0, len(codes), _CHECK_ROWS):
+            rows = slice(start, start + _CHECK_ROWS)
+            codes[rows] = rank[codes[rows]]
+    return labels
 
 
 def _read_header(handle) -> bytes:
@@ -505,13 +563,19 @@ def _read_header(handle) -> bytes:
 def _count_rows(handle) -> int:
     """The lines from the position of ``handle`` on, a final line without
     a newline included; ``handle`` is read to its end and rewound to its
-    start."""
+    start.
+
+    The read buffer and the compare's flags are allocated once, so the
+    count leaves no freed block in the heap for the columns to fill.
+    """
     buffer = bytearray(_BLOCK_BYTES)
     view = np.frombuffer(buffer, dtype=np.uint8)
+    flags = np.empty(_BLOCK_BYTES, dtype=bool)
     newlines, last = 0, _NEWLINE
     while size := handle.readinto(buffer):
         # A vector compare counts three times faster than bytes.count.
-        newlines += int(np.count_nonzero(view[:size] == _NEWLINE))
+        newlines += int(np.count_nonzero(
+            np.equal(view[:size], _NEWLINE, out=flags[:size])))
         last = buffer[size - 1]
     handle.seek(0)
     return newlines + (last != _NEWLINE)
@@ -563,15 +627,16 @@ def _padded(*parts, pad: int = _PAD) -> np.ndarray:
 
 
 def _code_block(block: np.ndarray, limit: int, week_of_text: dict,
-                labels: tuple[dict, dict, dict],
-                out: list) -> tuple[int, bool]:
+                labels: tuple[dict, dict, dict], columns: list,
+                done: int) -> tuple[int, bool]:
     """Code one block of whole lines into (week, city, artist, count) columns.
 
-    ``block`` is a :func:`_padded` array. ``out`` holds the four columns
-    from the block's first row on; the block's rows are written to their
-    head, and a block with more rows than they hold raises
-    :class:`_NotPlain`. Returns the number of rows and whether some count
-    starts with ``0``.
+    ``block`` is a :func:`_padded` array. ``columns`` holds the four
+    columns, whose first ``done`` rows are coded; the block's rows are
+    written to the rows after them, and a block with more rows than remain
+    raises :class:`_NotPlain`. A column the block's labels or counts
+    outgrow is replaced in ``columns`` by a wider one (:func:`_widened`).
+    Returns the number of rows and whether some count starts with ``0``.
     ``week_of_text`` and ``labels`` (weeks by date, cities, artists) gain
     the block's new labels, coded after earlier blocks' labels in
     ascending order; so a label set first seen whole in one block, as a
@@ -589,7 +654,7 @@ def _code_block(block: np.ndarray, limit: int, week_of_text: dict,
         raise _NotPlain
     del newline
     rows = len(sep) // 4
-    if rows > len(out[3]):
+    if rows > len(columns[3]) - done:
         raise _NotPlain
     if not rows:
         return 0, False
@@ -606,7 +671,12 @@ def _code_block(block: np.ndarray, limit: int, week_of_text: dict,
     starts = bounds[:-1].reshape(-1, 4)
     if widths.max() > limit:
         raise _NotPlain
-    _digits(buf, starts[:, 3], widths[:, 3], out[3][:rows])
+    head = slice(done, done + rows)
+    counts = _digits(buf, starts[:, 3], widths[:, 3], columns[3][head])
+    if counts.dtype != columns[3].dtype:  # held in int64, not in the column
+        width = column_width(int(counts.max()), COUNT_WIDTHS)
+        _widened(columns, 3, done, width)[head] = counts
+    del counts
     leading_zero = bool((buf[starts[:, 3]] == ord("0")).any())
     label_width = int(widths[:, :3].max())
     if label_width > _PAD:  # pad once for all three label columns
@@ -622,18 +692,30 @@ def _code_block(block: np.ndarray, limit: int, week_of_text: dict,
             code = _week_codes(texts, week_of_text, store)
         else:
             code = [store.setdefault(text, len(store)) for text in texts]
-        np.take(np.array(code, dtype=np.int32), inverse,
-                out=out[column][:rows])
+        out = _widened(columns, column, done, column_width(len(store)))
+        np.take(np.array(code, dtype=out.dtype), inverse, out=out[head])
     return rows, leading_zero
+
+
+def _widened(columns: list, i: int, done: int, dtype) -> np.ndarray:
+    """``columns[i]``, first replaced by a column of ``dtype`` when that is
+    wider, into which only its first ``done`` rows, those coded so far, are
+    copied."""
+    column = columns[i]
+    if np.dtype(dtype).itemsize > column.itemsize:
+        columns[i] = np.empty(len(column), dtype)
+        columns[i][:done] = column[:done]
+    return columns[i]
 
 
 # Each row's separators: three commas, then a newline.
 _ROW_SEPARATORS = np.array([False, False, False, True])
 
 
-def _digits(buf, starts, widths, counts) -> None:
-    """Write each count field's value to ``counts``, by Horner's rule over
-    its digit bytes.
+def _digits(buf, starts, widths, counts) -> np.ndarray:
+    """Each count field's value, by Horner's rule over its digit bytes, in
+    ``counts`` when its width holds every number of the widest field's
+    digits, else in a new int64 array; returns the array.
 
     Raises :class:`_NotPlain` when some field is empty, longer than
     ``_MAX_DIGITS`` or holds a byte other than an ASCII digit.
@@ -641,6 +723,8 @@ def _digits(buf, starts, widths, counts) -> None:
     width = int(widths.max())
     if widths.min() < 1 or width > _MAX_DIGITS:
         raise _NotPlain
+    if 10**width - 1 > np.iinfo(counts.dtype).max:
+        counts = np.empty(len(starts), np.int64)
     ends = starts + widths
     counts[:] = 0
     # Step k reads the k-th byte of a window of ``width`` bytes ending at
@@ -653,6 +737,7 @@ def _digits(buf, starts, widths, counts) -> None:
             raise _NotPlain
         counts *= 10
         counts += digit
+    return counts
 
 
 def _distinct(block: np.ndarray, size: int, starts,
@@ -668,8 +753,9 @@ def _distinct(block: np.ndarray, size: int, starts,
     bytes, an ``S{width}`` string otherwise. The distinct strings ascend,
     as UTF-8 text orders as ``str`` does. Runs of
     equal keys (a week, a city within a week) are collapsed before the
-    sort. When the widest field would make the keys much larger than the
-    block, the keys are Python bytes instead.
+    sort, and each field's position is found by a binary search among the
+    distinct keys. When the widest field would make the keys much larger
+    than the block, the keys are Python bytes instead.
     """
     width = int(widths.max())
     if width <= 8:
@@ -686,10 +772,18 @@ def _distinct(block: np.ndarray, size: int, starts,
     head = np.empty(len(keys), dtype=bool)
     head[0] = True
     np.not_equal(keys[1:], keys[:-1], out=head[1:])
-    distinct, inverse = np.unique(keys[head], return_inverse=True)
+    # Sorted and deduplicated by hand: np.unique without an inverse imports
+    # numpy.ma, about 1 MiB, to check for a mask.
+    distinct = np.sort(keys[head])
+    del head
+    first = np.empty(len(distinct), dtype=bool)
+    first[0] = True
+    np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
+    distinct = distinct[first]
+    inverse = np.searchsorted(distinct, keys)
     if width <= 8:
         distinct = distinct.astype(">u8").view("S8")
-    return distinct.tolist(), inverse[np.cumsum(head) - 1]
+    return distinct.tolist(), inverse
 
 
 # Mask keeping the first w bytes of a big-endian uint64, for w = 0..8.
@@ -801,10 +895,11 @@ def chart_csv_chunks(series: ChartSeries) -> Iterator[bytes]:
     of rows.
 
     Labels are rendered once each with RFC 4180 quoting (see
-    :func:`_csv_fields`) into tables of zero-padded bytes. A block lays its
-    rows out as a uint8 matrix, one line per row: the week field, the city
-    and artist fields from the tables, the count's digits and a newline.
-    One mask then drops the padding and the count's leading zeros.
+    :func:`_csv_fields`) into tables of byte windows (see
+    :func:`_field_table`). A block lays its rows out as a uint8 matrix, one
+    line per row: the week field, the city and artist fields from the
+    tables, the count's digits and a newline. One mask then drops the bytes
+    past each label and the count's leading zeros.
     """
     yield _HEADER_LINE
     if not len(series):
@@ -813,8 +908,9 @@ def chart_csv_chunks(series: ChartSeries) -> Iterator[bytes]:
         "".join(f"{week.isoformat()}," for week in series.weeks).encode(),
         dtype=np.uint8,
     ).reshape(-1, _WEEK_FIELD)
-    cities, city_len = _field_table(_csv_fields(series.cities))
-    artists, artist_len = _field_table(_csv_fields(series.artists))
+    cities, city_start, city_len = _field_table(_csv_fields(series.cities))
+    artists, artist_start, artist_len = _field_table(
+        _csv_fields(series.artists))
     digits = len(str(int(series.listeners.max())))
     # Column offsets of the city, artist and count fields within a line.
     c0 = _WEEK_FIELD
@@ -834,8 +930,8 @@ def chart_csv_chunks(series: ChartSeries) -> Iterator[bytes]:
         matrix = np.empty((len(counts), len(line)), dtype=np.uint8)
         matrix[:] = line
         matrix[:, :c0] = weeks[series.week_idx[rows]]
-        matrix[:, c0 : a0 - 1] = cities[c]
-        matrix[:, a0 : d0 - 1] = artists[a]
+        matrix[:, c0 : a0 - 1] = cities[city_start[c]]
+        matrix[:, a0 : d0 - 1] = artists[artist_start[a]]
         rest = counts
         for col in range(len(line) - 2, d0 - 1, -1):
             rest, matrix[:, col] = np.divmod(rest, 10)
@@ -843,22 +939,33 @@ def chart_csv_chunks(series: ChartSeries) -> Iterator[bytes]:
         keep = np.ones(matrix.shape, dtype=bool)
         for lo, hi, length, codes in ((c0, a0 - 1, city_len, c),
                                       (a0, d0 - 1, artist_len, a)):
-            if length.min() < hi - lo:  # some label is padded
+            if length.min() < hi - lo:  # some window runs past its label
                 np.less(np.arange(hi - lo), length[codes, None],
                         out=keep[:, lo:hi])
         np.greater_equal(counts[:, None], place, out=keep[:, d0:-1])
         yield matrix[keep].tobytes()
 
 
-def _field_table(fields: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Each field's UTF-8 bytes as a row of a zero-padded uint8 matrix as
-    wide as the longest, and each field's length in bytes."""
+def _field_table(
+    fields: list[str],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fields' UTF-8 bytes as byte windows, with each field's window
+    and its length in bytes.
+
+    The fields are joined, followed by NUL bytes as many as the longest
+    has, and window ``i`` is the run of that many bytes from byte ``i`` on:
+    a read-only view, not a copy. Field ``f``'s window, ``starts[f]``,
+    begins with its bytes; the rest are later fields' or padding. So the
+    table holds the fields' total bytes, not every field padded to the
+    longest.
+    """
     encoded = [field.encode("utf-8") for field in fields]
-    width = max(map(len, encoded))
-    table = np.frombuffer(
-        b"".join(data.ljust(width, b"\0") for data in encoded), dtype=np.uint8
-    ).reshape(len(encoded), width)
-    return table, np.array([len(data) for data in encoded])
+    lengths = np.array([len(data) for data in encoded])
+    width = int(lengths.max())
+    joined = np.frombuffer(b"".join([*encoded, bytes(width)]), dtype=np.uint8)
+    starts = np.cumsum(lengths) - lengths
+    windows = np.lib.stride_tricks.sliding_window_view(joined, width)
+    return windows, starts, lengths
 
 
 def fingerprint(series: ChartSeries) -> str:

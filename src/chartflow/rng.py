@@ -8,8 +8,9 @@ Box-Muller transform on counter pairs. All integer arithmetic is explicit
 64-bit wraparound.
 
 The vectorized draws work in place: each applies its elementwise steps to
-the array it returns, with one scratch array for the shifted words, so
-``normals(key, n)`` peaks at three ``n``-element arrays.
+the array it returns, with one scratch array for the shifted words.
+``normals(key, n)`` draws ``_CHUNK`` counter pairs at a time, so beside the
+``n`` doubles it returns it holds a few chunks, whatever ``n``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# Counter pairs per step of ``normals``; bounds its scratch.
+_CHUNK = 1 << 13
 
 
 def mix64(z: int) -> int:
@@ -77,18 +80,22 @@ def uniforms(key: int, n: int, start: int = 0) -> np.ndarray:
 def normals(key: int, n: int) -> np.ndarray:
     """``n`` standard normal doubles via Box-Muller on counter pairs.
 
-    Counters ``0 .. n-1`` give the radii and ``n .. 2n-1`` the angles; each
-    factor is transformed in place, and the product is returned in the
-    radii's array.
+    Counters ``0 .. n-1`` give the radii and ``n .. 2n-1`` the angles. They
+    are drawn ``_CHUNK`` pairs at a time: each factor is transformed in
+    place, and their product is written to the chunk's slice of the result.
     """
-    # The radii's uniforms are shifted into (0, 1] so log() never sees zero.
-    radius = uniforms(key, n)
-    radius += 2.0**-53
-    np.log(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    angle = uniforms(key, n, start=n)
-    angle *= 2.0 * np.pi
-    np.cos(angle, out=angle)
-    radius *= angle
-    return radius
+    out = np.empty(n)
+    for begin in range(0, n, _CHUNK):
+        size = min(_CHUNK, n - begin)
+        # The radii's uniforms are shifted into (0, 1] so log() never sees
+        # zero.
+        radius = uniforms(key, size, start=begin)
+        radius += 2.0**-53
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle = uniforms(key, size, start=n + begin)
+        angle *= 2.0 * np.pi
+        np.cos(angle, out=angle)
+        np.multiply(radius, angle, out=out[begin:begin + size])
+    return out

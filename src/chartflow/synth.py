@@ -25,9 +25,11 @@ one array its innovations were drawn into. Each week's chart comes from a
 partition at its threshold count, not a sort of every artist. Walk order
 does not change the output: each city's random streams are keyed by its
 position in the spec, and its chart goes to its own slot. The chart arrays,
-already int32 codes in canonical order, become the corpus's columns without
-a copy. A walk that overflows to NaN (an extreme ``walk_sigma`` or
-``noise_sigma``) raises ``PlantSpecError`` naming its city.
+already codes in canonical order at the corpus's widths (int16 artist codes
+up to 32,767 artists, int32 counts unless an extreme spec needs int64),
+become the corpus's columns without a copy. A walk that overflows to NaN
+(an extreme ``walk_sigma`` or ``noise_sigma``) raises ``PlantSpecError``
+naming its city.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .chart_store import ChartSeries, read_text
+from .chart_store import COUNT_WIDTHS, ChartSeries, column_width, read_text
 from .errors import PlantSpecError
 
 ROLES = ("leader", "follower", "unlabeled")
@@ -57,6 +59,9 @@ BASE_SPREAD = 1.0
 _TAG_MU = 1
 _TAG_ETA = 2
 _TAG_INIT = 3
+
+# Count cells per block of weeks that ``_charts`` charts at once.
+_CHART_CELLS = 1 << 14
 
 # Designs need lag weeks plus the default 8-lag window plus slack.
 _DESIGN_LAG_BUDGET = 8
@@ -322,10 +327,12 @@ def generate_planted(spec: PlantSpec) -> ChartSeries:
         cities,
         tuple(f"a{idx:0{digits}d}" for idx in range(spec.artists)),
         np.broadcast_to(
-            np.arange(shape[0], dtype=np.int32)[:, None, None], shape
+            np.arange(shape[0], dtype=column_width(shape[0]))[:, None, None],
+            shape,
         ).ravel(),
         np.broadcast_to(
-            np.arange(shape[1], dtype=np.int32)[None, :, None], shape
+            np.arange(shape[1], dtype=column_width(shape[1]))[None, :, None],
+            shape,
         ).ravel(),
         artist_idx.ravel(),
         counts.ravel(),
@@ -339,12 +346,15 @@ def generate_planted(spec: PlantSpec) -> ChartSeries:
 def _charts(spec: PlantSpec, cities: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Every city's weekly charts as ``(weeks, cities, chart)`` arrays.
 
-    Returns the int32 artist codes, ascending within each chart, and their
-    int64 counts; ``cities`` (sorted) gives the city axis. Cities are walked
-    in ``_toposort`` order, and each city's chart is written as soon as its
-    walk ends. A leader keeps what its followers read (its base profile, its
-    innovations and the state row each follower starts from) until its last
-    follower has read them. Every other walk is dropped once charted.
+    Returns the artist codes, ascending within each chart, and their
+    counts, at the corpus's widths: the codes at the artist count's, the
+    counts int32 until a city charts a count above 2**31 - 1, when the
+    cities charted so far are copied to int64. ``cities`` (sorted) gives
+    the city axis. Cities are walked in ``_toposort`` order, and each
+    city's chart is written as soon as its walk ends. A leader keeps what
+    its followers read (its base profile, its innovations and the state row
+    each follower starts from) until its last follower has read them. Every
+    other walk is dropped once charted.
     """
     names = list(spec.city_names())
     order = _toposort(names, spec.influence)
@@ -363,8 +373,9 @@ def _charts(spec: PlantSpec, cities: tuple[str, ...]) -> tuple[np.ndarray, np.nd
 
     n_artists = spec.artists
     width = min(n_artists, spec.chart_size)
-    artist_idx = np.empty((spec.weeks, len(cities), width), dtype=np.int32)
-    counts = np.empty((spec.weeks, len(cities), width), dtype=np.int64)
+    shape = (spec.weeks, len(cities), width)
+    artist_idx = np.empty(shape, dtype=column_width(n_artists))
+    counts = np.empty(shape, dtype=COUNT_WIDTHS[0])
     stationary = spec.walk_sigma / np.sqrt(1.0 - (1.0 - DAMPING) ** 2)
 
     # A city's walk x[t] is its latent offset at week spec.start_week +
@@ -425,15 +436,24 @@ def _charts(spec: PlantSpec, cities: tuple[str, ...]) -> tuple[np.ndarray, np.nd
             )
         # Counts, in place: clipped so extreme specs cannot overflow the
         # integers, and rounded, so the doubles are the integer counts. Only
-        # the charted ones are cast to int64, as they are stored.
+        # the charted ones are cast to integers, as they are stored.
         np.exp(latent, out=latent)
         latent *= spec.city_size
         np.clip(latent, 1.0, 1e15, out=latent)
         np.rint(latent, out=latent)
-        top = _chart_top(latent, width)
-        artist_idx[:, slot[city]] = top
-        counts[:, slot[city]] = np.take_along_axis(latent, top, axis=1)
-        del x, latent, top
+        # A block of weeks at a time, which bounds the chart selection's
+        # scratch.
+        step = max(1, _CHART_CELLS // n_artists)
+        for begin in range(0, spec.weeks, step):
+            weeks = slice(begin, begin + step)
+            top = _chart_top(latent[weeks], width)
+            artist_idx[weeks, slot[city]] = top
+            charted = np.take_along_axis(latent[weeks], top, axis=1)
+            largest = int(charted.max())
+            if largest > np.iinfo(counts.dtype).max:
+                counts = counts.astype(column_width(largest, COUNT_WIDTHS))
+            counts[weeks, slot[city]] = charted
+        del x, latent, top, charted
     return artist_idx, counts
 
 

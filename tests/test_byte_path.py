@@ -24,6 +24,7 @@ from datetime import date, timedelta
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -418,3 +419,88 @@ def test_pipe(tmp_path, name):
     path = tmp_path / "corpus.csv"
     path.write_bytes(data)
     assert outcome == _outcome(oracle_parse_file, path)
+
+
+def _row_loop(path):
+    """The row loop's series of the file at ``path``."""
+    with open(path, "rb") as handle:
+        text = io.TextIOWrapper(handle, encoding="utf-8", newline="")
+        rows = chart_store._csv_rows(text, CHART_HEADER)
+        return chart_store._parse_chart_rows(rows)
+
+
+def _both_paths(path, block_bytes=None):
+    """The byte path's series of the file at ``path`` and the row loop's,
+    checked equal and at equal widths."""
+    spy = mock.patch.object(chart_store, "_parse_chart_rows",
+                            wraps=chart_store._parse_chart_rows)
+    blocks = mock.patch.object(chart_store, "_BLOCK_BYTES",
+                               block_bytes or chart_store._BLOCK_BYTES)
+    with spy as loop, blocks:
+        series = parse_chart_csv(path)
+    assert not loop.called
+    again = _row_loop(path)
+    assert series == again
+    columns = ("week_idx", "city_idx", "artist_idx", "listeners")
+    assert ([getattr(series, name).dtype for name in columns]
+            == [getattr(again, name).dtype for name in columns])
+    return series
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN))
+def test_both_paths_store_equal_columns(tmp_path, name):
+    path = tmp_path / "corpus.csv"
+    path.write_bytes(PLAIN[name])
+    series = _both_paths(path)
+    assert series.artist_idx.dtype == np.int16
+
+
+@pytest.mark.parametrize("count, dtype", [
+    (2**31 - 1, np.int32), (2**31, np.int64), (MAX_LISTENERS, np.int64),
+])
+def test_count_width(tmp_path, count, dtype):
+    path = tmp_path / "corpus.csv"
+    path.write_bytes(_rows("2007-01-07,a,x,1", f"2007-01-07,a,y,{count}"))
+    assert _both_paths(path).listeners.dtype == dtype
+
+
+@pytest.mark.parametrize("artists, last_count, widened, dtype", [
+    (32_768, 5, "artist_idx", np.int32), (300, 2**31, "listeners", np.int64),
+])
+def test_later_block_widens_a_column(tmp_path, artists, last_count, widened,
+                                     dtype):
+    """The 32,768th artist, or a count above 2**31 - 1, comes only in the
+    last of many blocks: the column is widened then, and the rows coded
+    before it keep their values."""
+    lines = [f"2007-01-07,c,a{i:05d},{i % 7 + 1}" for i in range(artists)]
+    lines[-1] = f"2007-01-07,c,a{artists - 1:05d},{last_count}"
+    path = tmp_path / "corpus.csv"
+    path.write_bytes(_rows(*lines))
+    series = _both_paths(path, block_bytes=1024)
+    assert getattr(series, widened).dtype == dtype
+    assert series.listeners[:-1].tolist() == [i % 7 + 1
+                                              for i in range(artists - 1)]
+    assert series.listeners[-1] == last_count
+    assert fingerprint(series) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_labels_first_seen_out_of_order_are_ranked_in_place(tmp_path):
+    """An artist that sorts first comes only in the last of many blocks:
+    the byte path renumbers its column in place, so ``from_columns`` keeps
+    every column instead of ranking one into a copy."""
+    lines = [f"2007-01-07,c,b{i:03d},{i + 1}" for i in range(200)]
+    path = tmp_path / "corpus.csv"
+    path.write_bytes(_rows(*lines, "2007-01-14,c,a000,7"))
+    kept = []
+    ranked = chart_store._ranked
+
+    def spy(rank, codes):
+        out = ranked(rank, codes)
+        kept.append(out is codes)
+        return out
+
+    with mock.patch.object(chart_store, "_ranked", spy):
+        series = _both_paths(path, block_bytes=1024)
+    assert kept[:3] == [True, True, True]
+    assert series.artists[0] == "a000"
+    assert series.artist_idx[-1] == 0 and series.artist_idx[0] == 1

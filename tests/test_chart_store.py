@@ -185,8 +185,9 @@ class TestFromColumns:
             (week(1), "a", "q", 1),
             (week(1), "z", "p", 4),
         ]
-        assert series.week_idx.dtype == np.int32
-        assert series.listeners.dtype == np.int64
+        for column in (series.week_idx, series.city_idx, series.artist_idx):
+            assert column.dtype == np.int16
+        assert series.listeners.dtype == np.int32
 
     def test_first_invalid_row_in_input_order(self):
         # Row 1 repeats row 0's key; row 2 is negative: the repeat is first.
@@ -215,7 +216,20 @@ class TestFromColumns:
                 (week(0),), ("c", "c"), ("a",), [0], [0], [0], [1]
             )
 
-    def test_keeps_canonical_int32_columns(self):
+    def test_keeps_canonical_columns_at_their_width(self):
+        codes = [np.array(col, dtype=np.int16)
+                 for col in ([0, 0, 1], [0, 1, 1], [1, 0, 0])]
+        listeners = np.array([3, 2, 1], dtype=np.int32)
+        series = ChartSeries.from_columns(
+            (week(0), week(1)), ("a", "b"), ("p", "q"), *codes, listeners
+        )
+        kept = (series.week_idx, series.city_idx, series.artist_idx,
+                series.listeners)
+        for column, given in zip(kept, [*codes, listeners]):
+            assert np.shares_memory(column, given)
+            assert np.array_equal(column, given)
+
+    def test_wider_columns_are_stored_narrow(self):
         codes = [np.array(col, dtype=np.int32)
                  for col in ([0, 0, 1], [0, 1, 1], [1, 0, 0])]
         listeners = np.array([3, 2, 1], dtype=np.int64)
@@ -225,8 +239,39 @@ class TestFromColumns:
         kept = (series.week_idx, series.city_idx, series.artist_idx,
                 series.listeners)
         for column, given in zip(kept, [*codes, listeners]):
-            assert np.shares_memory(column, given)
+            assert column.itemsize == given.itemsize // 2
             assert np.array_equal(column, given)
+
+    @pytest.mark.parametrize("labels, unused, dtype", [
+        (32_767, 0, np.int16), (32_768, 0, np.int32), (32_768, 1, np.int16),
+    ])
+    def test_code_width_follows_the_label_count(self, labels, unused, dtype):
+        """A code column holds its label count: int16 up to 32,767 labels,
+        counted after unused labels are dropped."""
+        used = labels - unused
+        series = ChartSeries.from_columns(
+            (week(0), week(1)), ("c",),
+            tuple(f"a{i:05d}" for i in range(labels)),
+            np.arange(used) % 2, np.zeros(used, np.int32),
+            np.arange(used, dtype=np.int32), np.ones(used, np.int32),
+        )
+        assert len(series.artists) == used
+        assert series.artist_idx.dtype == dtype
+        assert series.week_idx.dtype == series.city_idx.dtype == np.int16
+        assert np.array_equal(np.sort(series.artist_idx), np.arange(used))
+        slices = dict(series.week_slices())
+        assert slices[week(0)] == slice(0, (used + 1) // 2)
+
+    @pytest.mark.parametrize("count, dtype", [
+        (2**31 - 1, np.int32), (2**31, np.int64), (MAX_LISTENERS, np.int64),
+    ])
+    def test_count_width_follows_the_largest_count(self, count, dtype):
+        series = ChartSeries.from_columns(
+            (week(0),), ("c",), ("a", "b"), [0, 0], [0, 0], [0, 1], [1, count],
+        )
+        assert series.listeners.dtype == dtype
+        assert series.listeners.tolist() == [1, count]
+        assert csv_text(series).endswith(f"c,b,{count}\n")
 
     def test_int32_codes_of_unsorted_labels_are_ranked(self):
         cities = np.array([0, 1], dtype=np.int32)
@@ -237,10 +282,10 @@ class TestFromColumns:
         assert series.cities == ("a", "z")
         assert series.city_idx.tolist() == [0, 1]
         assert series.listeners.tolist() == [2, 1]
-        assert series.city_idx.dtype == np.int32
+        assert series.city_idx.dtype == np.int16
         assert not np.shares_memory(series.city_idx, cities)
 
-    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
     def test_out_of_range_codes_raise(self, dtype):
         with pytest.raises(IndexError):
             ChartSeries.from_columns(
@@ -394,7 +439,7 @@ def test_parse_peak_memory_is_bounded_by_the_columns(tmp_path):
 
 def test_week_slices_do_not_copy_the_week_column():
     """The week bounds are searched with codes of the column's own dtype,
-    so the 180,000-row int32 column is not cast to int64 (1.4 MiB)."""
+    so the 180,000-row int16 column is not cast to int64 (1.4 MiB)."""
     weeks, cities, artists = 40, 30, 150
     series = ChartSeries.from_columns(
         tuple(week(k) for k in range(weeks)),
@@ -474,3 +519,23 @@ class TestRender:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak
+
+    def test_wide_label_among_many_artists(self):
+        """One 10,000-byte artist label among 2,000 artists: the label table
+        holds the labels' bytes, about 30 KB, not every label padded to the
+        widest (20 MB)."""
+        series = ChartSeries.from_columns(
+            (week(0),), ("c0",),
+            ("w" * 10_000, *(f"a{i:04d}" for i in range(1999))),
+            np.zeros(2000, np.int16), np.zeros(2000, np.int16),
+            np.arange(2000, dtype=np.int16),
+            np.arange(1, 2001, dtype=np.int32),
+        )
+        tracemalloc.start()
+        try:
+            rendered = b"".join(chart_csv_chunks(series))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rendered == oracle_chart_csv(series)
+        assert peak - len(rendered) < 2**20, peak

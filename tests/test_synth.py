@@ -185,6 +185,28 @@ def test_peak_memory_with_four_leaders_is_bounded_by_the_columns():
     assert peak <= 1.6 * columns, (peak, columns)
 
 
+def test_counts_widen_when_a_later_city_needs_int64():
+    """The leader is charted first, at about 250 listeners; its follower's
+    extreme noise charts counts up to the 1e15 clip. The counts widen to
+    int64 then, and keep the leader's chart, which the noise does not
+    change."""
+    base = dict(cities=(("lead", "leader"), ("echo", "follower")),
+                influence=(Influence("lead", "echo", 1, 0.5),),
+                weeks=30, artists=20, chart_size=10, seed=1)
+    extreme = generate_planted(PlantSpec(**base, noise_sigma=50.0))
+    calm = generate_planted(PlantSpec(**base, noise_sigma=0.05))
+    assert calm.listeners.dtype == np.int32
+    assert extreme.listeners.dtype == np.int64
+    assert extreme.listeners.max() > 2**31 - 1
+    assert extreme.artist_idx.dtype == calm.artist_idx.dtype == np.int16
+    lead = extreme.cities.index("lead")
+    rows = extreme.city_idx == lead
+    assert np.array_equal(rows, calm.city_idx == lead)
+    assert ([extreme.artists[a] for a in extreme.artist_idx[rows]]
+            == [calm.artists[a] for a in calm.artist_idx[rows]])
+    assert np.array_equal(extreme.listeners[rows], calm.listeners[rows])
+
+
 @st.composite
 def tied_counts(draw):
     """A count matrix drawn from few values, so most rows hold ties; some
