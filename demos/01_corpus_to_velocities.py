@@ -14,7 +14,6 @@ import numpy as np
 
 from chartflow import (
     PlantSpec,
-    build_artist_index,
     fingerprint,
     generate_planted,
     normalize_rows,
@@ -55,8 +54,7 @@ print(f"weeks: {len(series.weeks)}, gaps: {len(week_gaps(series.weeks))}")
 # ---------------------------------------------------------------------------
 # Listeners matrices: one sparse (CSR) city x artist matrix per week.
 # ---------------------------------------------------------------------------
-index = build_artist_index(series)
-listeners = to_listeners_matrices(series, index)
+listeners = to_listeners_matrices(series)
 first = listeners[0]
 print(
     f"\nweek {first.week_start}: shape {first.entries.shape}, "
@@ -73,7 +71,7 @@ print("row norms after normalization:", np.round(norms, 12))
 # ---------------------------------------------------------------------------
 # Velocities: the change of each city's position in artist space.
 # ---------------------------------------------------------------------------
-velocities = compute_velocities(normalized, series.cities, index.artists)
+velocities = compute_velocities(normalized, series.cities, series.artists)
 print(f"\n{velocities.n_weeks} velocity weeks; all rows defined:",
       bool(velocities.defined.all()))
 magnitudes = [

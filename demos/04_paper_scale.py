@@ -2,16 +2,22 @@
 
 Synthesizes 30 cities x 2000 artists x 160 weeks at chart size 500 (2.4M
 records; c00-c03 lead c04-c07 at lags 1-4), writes and re-parses it as CSV,
-then builds velocities and evaluates the whole region with OLS. Each layer
-is timed once in this process with ``time.perf_counter``; the process's peak
-RSS is read after each one, and the parsed corpus's column bytes are
-recorded per column. With the times go the paper's answer: the
-SHA-256 of the region's ``report.csv`` text and every city's three percents
-at full precision. The result is stored under LABEL (default ``current``)
-in ``BENCH_paper_scale.json`` in the working directory, next to the runs
-already there, so two source trees can be compared in one file:
+then builds velocities and evaluates the whole region, by default with OLS
+on the ``target`` active set. Each layer is timed once in this process
+with ``time.perf_counter``; the process's peak RSS is read after each one,
+and the parsed corpus's column bytes are recorded per column. With the
+times go the paper's answer: the SHA-256 of the region's ``report.csv``
+text and every city's three percents at full precision, and the solver
+and active set that produced them. The result is stored under LABEL
+(default ``current``) in ``BENCH_paper_scale.json`` in the working
+directory, next to the runs already there, so two source trees or two
+settings can be compared in one file:
 
-    python3 demos/04_paper_scale.py [LABEL]
+    python3 demos/04_paper_scale.py [LABEL] [--solver nnls] [--active-set union]
+
+A ``union`` design holds about 302,000 rows x 240 columns (0.55 GiB) per
+city, so that run's region takes about 24 s and peaks at about 0.67 GB of
+RSS; under ``--solver nnls`` it takes about as long as under OLS.
 
 The run is recorded, then the demo exits nonzero when the paper-level
 gates fail at this scale: every planted follower (c04-c07) must gain at
@@ -21,6 +27,7 @@ BLAS is held to one thread, as in the benchmark under ``perfbench/``. On a
 2-CPU machine one run takes 10-15 s and peaks at about 0.3 GB of RSS.
 """
 
+import argparse
 import os
 
 # Before numpy loads: one BLAS thread, so a run does not depend on how many
@@ -32,7 +39,6 @@ import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
-import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -75,7 +81,7 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def main(label: str) -> None:
+def main(label: str, solver: str, active_set: str) -> None:
     layers = {}
 
     def timed(name, fn, *args, **kwargs):
@@ -104,7 +110,10 @@ def main(label: str) -> None:
     }
     print(f"corpus columns   {sum(column_bytes.values()) / 2**20:8.2f} MiB")
     del series
-    results = timed("evaluate_region", evaluate_region, velocities)
+    results = timed(
+        "evaluate_region", evaluate_region, velocities,
+        solver_variant=solver, active_rule=active_set,
+    )
     if not all(r.ok for r in results):
         raise SystemExit(f"failed rows: {[r.status for r in results if not r.ok]}")
     report = report_csv_text(build_report(results, SPEC.labels()))
@@ -115,9 +124,11 @@ def main(label: str) -> None:
     payload.setdefault("spec", {
         "cities": len(SPEC.cities), "artists": SPEC.artists,
         "weeks": SPEC.weeks, "chart_size": SPEC.chart_size,
-        "records": records, "solver": "ols", "seed": SPEC.seed,
+        "records": records, "seed": SPEC.seed,
     })
     payload.setdefault("runs", {})[label] = {
+        "solver": solver,
+        "active_set": active_set,
         "layers": layers,
         "column_bytes": column_bytes,
         "peak_rss_mb": round(peak_rss_mb(), 1),
@@ -148,4 +159,11 @@ def main(label: str) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1] if len(sys.argv) > 1 else "current")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("label", nargs="?", default="current")
+    parser.add_argument("--solver", choices=("ols", "nnls"), default="ols")
+    parser.add_argument(
+        "--active-set", choices=("target", "union"), default="target"
+    )
+    args = parser.parse_args()
+    main(args.label, args.solver, args.active_set)

@@ -22,18 +22,17 @@ one per velocity week, whose columns are the velocity series' own city
 rows, so the values one sample row needs, all included cities at one lag
 week, lie side by side. Each week's slab is filled from its CSR matrix
 when the week enters the ring: its ``data`` is scattered at positions that
-depend on the series alone, so ``slab_positions`` computes them once per
-series and ``evaluate_region`` passes them to every ``build_design`` call;
-called alone, ``build_design`` computes them itself. One lag table, the
-velocity week index ``7 * (l + 1)`` days before each week, decides which
-weeks are eligible and how many weeks the ring holds. Each eligible week's
-block of rows is then read lag-major from the ring with one ``take``,
-(artist, lag, city), its included cities' columns picked as a slice when
-their rows run consecutively and ascending, and written through a
-transposed view straight into the preallocated design; the response is
-read from the target's column of the sample week's slab. Rows come out in
-ascending week order, so ``temporal_split`` cuts the design into two row
-slices, views that share the design's memory.
+depend on the series alone, ``VelocitySeries.slab_positions``, computed by
+the first design built from a series and cached on it for every later one.
+One lag table, the velocity week index ``7 * (l + 1)`` days before each
+week, decides which weeks are eligible and how many weeks the ring holds.
+Each eligible week's block of rows is then read lag-major from the ring
+with one ``take``, (artist, lag, city), its included cities' columns
+picked as a slice when their rows run consecutively and ascending, and
+written through a transposed view straight into the preallocated design;
+the response is read from the target's column of the sample week's slab.
+Rows come out in ascending week order, so ``temporal_split`` cuts the
+design into two row slices, views that share the design's memory.
 """
 
 from __future__ import annotations
@@ -84,6 +83,11 @@ class LagConfig:
             for lag in range(1, self.lag_count + 1)
         )
 
+    def city_columns(self, city: str) -> slice:
+        """The columns of ``city``'s lags; ValueError if it is not included."""
+        first = self.cities_included.index(city) * self.lag_count
+        return slice(first, first + self.lag_count)
+
 
 @dataclass(frozen=True)
 class LabeledDesign:
@@ -112,20 +116,6 @@ class SplitDesign:
     test: LabeledDesign
 
 
-def slab_positions(velocities: VelocitySeries) -> tuple[np.ndarray, ...]:
-    """Where each velocity week's stored entries land in a dense slab.
-
-    A slab is one week's ``(artists, cities)`` array over every row of the
-    series. Week ``w``'s entries go to the flat int32 positions
-    ``artist * len(cities) + row``, in the order of its CSR ``data``.
-    """
-    n_cities = len(velocities.cities)
-    return tuple(
-        (matrix.indices * n_cities + matrix.rows()).astype(np.int32)
-        for matrix in velocities.matrices
-    )
-
-
 def check_lag_count(velocities: VelocitySeries, lag_count: int) -> None:
     """Raise InsufficientDataError when the series has too few velocity
     weeks for any sample to have ``lag_count`` lags."""
@@ -141,8 +131,6 @@ def build_design(
     target_city: str,
     config: LagConfig,
     active_rule: str = ACTIVE_TARGET,
-    *,
-    positions: Sequence[np.ndarray] | None = None,
 ) -> LabeledDesign:
     """Assemble the lagged design matrix and target vector for one city.
 
@@ -154,13 +142,8 @@ def build_design(
     columns of the target's row of that velocity matrix; ``union`` widens
     that to any included city's row across the sample week and the whole
     lag window. Rows come out in ascending week order, artists ascending
-    within a week.
-
-    ``positions`` is ``slab_positions(velocities)``; callers building
-    several designs from one series pass the same positions to all of
-    them. Positions whose count differs from a week's stored entries, as
-    when they are built for another series, raise ValueError. Without
-    them the design computes its own.
+    within a week. The slab scatter reads ``velocities.slab_positions``,
+    so only the first design built from a series computes them.
     """
     if active_rule not in (ACTIVE_TARGET, ACTIVE_UNION):
         raise ValueError(f"unknown active rule {active_rule!r}")
@@ -180,10 +163,7 @@ def build_design(
     target_row = city_row[target_city]
     included_rows = [city_row[c] for c in included]
     n_included, n_artists = len(included_rows), len(velocities.artists)
-    if positions is None:
-        positions = slab_positions(velocities)
-    elif [at.size for at in positions] != [m.nnz for m in velocities.matrices]:
-        raise ValueError("positions are built for another velocity series")
+    positions = velocities.slab_positions
     # The included cities' slab columns: a slice when their rows run
     # consecutively and ascending, as the CLI builds them.
     first = included_rows[0]

@@ -21,10 +21,6 @@ class ChartValueError(ParseError):
     """A field parsed but holds an illegal value (e.g. negative listeners)."""
 
 
-class IndexingError(ChartFlowError):
-    """An artist or column was not found in the active index."""
-
-
 class UnknownCityError(ChartFlowError):
     """A requested city does not exist in the corpus."""
 

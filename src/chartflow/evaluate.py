@@ -22,13 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .chart_store import read_csv_pairs
-from .design import (
-    LagConfig,
-    build_design,
-    default_boundary,
-    slab_positions,
-    temporal_split,
-)
+from .design import LagConfig, build_design, default_boundary, temporal_split
 from .errors import (
     ChartFlowError,
     DimensionError,
@@ -109,16 +103,13 @@ def evaluate_city(
     solver_variant: str = "ols",
     ridge: float = 0.0,
     active_rule: str = "target",
-    positions: Sequence[np.ndarray] | None = None,
 ) -> CityResult:
     """Fit and score both models for one city on the identical sample set.
 
     ``config`` lists the cities of the all-history model, the target among
     them, and only its design is built. The own-history model, the one-city
     case, is fitted on the target city's ``lag_count`` columns of it, so
-    both models see the same rows by construction. ``positions`` goes to
-    ``build_design``: ``slab_positions(velocities)``, the slab scatter of
-    every row of the series.
+    both models see the same rows by construction.
     ``ridge`` > 0 needs the OLS solver.
     """
     if target_city not in config.cities_included:
@@ -128,14 +119,11 @@ def evaluate_city(
     if solver_variant == "nnls" and ridge > 0:
         raise ValueError("ridge applies to the ols solver only, not nnls")
 
-    design = build_design(
-        velocities, target_city, config, active_rule, positions=positions
-    )
+    design = build_design(velocities, target_city, config, active_rule)
     if boundary is None:
         boundary = default_boundary(velocities.weeks)
     split = temporal_split(design, boundary)
-    first = config.cities_included.index(target_city) * config.lag_count
-    own = slice(first, first + config.lag_count)
+    own = config.city_columns(target_city)
 
     def fit(x, y):
         if solver_variant == "nnls":
@@ -174,16 +162,15 @@ def evaluate_region(
 ) -> list[CityResult]:
     """Evaluate every included city; failures become status rows.
 
-    The slab scatter of the velocity weeks is computed once, over every
-    row of the series, and passed to every city's design; velocities built
-    for more cities than are included scatter those rows too. A city
-    missing from the corpus fails every design.
+    Every city's design reads the series' one cached slab scatter, over
+    every row of the series; velocities built for more cities than are
+    included scatter those rows too. A city missing from the corpus fails
+    every design.
     """
     cities = tuple(
         cities_included if cities_included is not None else velocities.cities
     )
     config = LagConfig(lag_count, cities)
-    positions = slab_positions(velocities)
 
     def one(city: str) -> CityResult:
         try:
@@ -195,7 +182,6 @@ def evaluate_region(
                 solver_variant=solver_variant,
                 ridge=ridge,
                 active_rule=active_rule,
-                positions=positions,
             )
         except ChartFlowError as exc:
             return CityResult(

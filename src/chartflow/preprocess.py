@@ -24,12 +24,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from datetime import date
+from functools import cached_property
 from typing import Collection, Sequence
 
 import numpy as np
 
 from .chart_store import ArtistIndex, ChartSeries, build_artist_index
-from .errors import IndexingError, InsufficientDataError, UnknownCityError
+from .errors import InsufficientDataError, UnknownCityError
 
 # Weekly charts list at most this many artists per city; more non-zeros in a
 # row means the corpus was not produced by chart truncation.
@@ -94,26 +95,35 @@ class VelocitySeries:
     def n_weeks(self) -> int:
         return len(self.weeks)
 
+    @cached_property
+    def slab_positions(self) -> tuple[np.ndarray, ...]:
+        """Where each week's stored entries land in a dense slab; built on
+        first use.
+
+        A slab is one week's ``(artists, cities)`` array over every row of
+        the series. Week ``w``'s entries go to the flat int32 positions
+        ``artist * len(cities) + row``, in the order of its CSR ``data``.
+        """
+        n_cities = len(self.cities)
+        return tuple(
+            (matrix.indices * n_cities + matrix.rows()).astype(np.int32)
+            for matrix in self.matrices
+        )
+
 
 def to_listeners_matrices(
-    series: ChartSeries,
-    index: ArtistIndex,
-    cities: Collection[str] | None = None,
+    series: ChartSeries, cities: Collection[str] | None = None
 ) -> list[WeekMatrix]:
     """One sparse counts matrix per distinct week of the corpus.
 
-    ``index`` must be the corpus's own (``build_artist_index(series)``):
-    its artists are the columns, so the corpus's artist codes are the
-    column codes. Any other index raises an IndexingError. ``cities``, when
-    given, keeps only those cities' rows, in corpus order (see
-    :func:`_corpus_cities`); only their counts are converted to float64.
-    Every week of the corpus gets a matrix, and the ``CHART_ROW_LIMIT``
-    warning still looks at every city's row.
+    The columns are the corpus's artists, so its artist codes are the
+    column codes. ``cities``, when given, keeps only those cities' rows, in
+    corpus order (see :func:`_corpus_cities`); only their counts are
+    converted to float64. Every week of the corpus gets a matrix, and the
+    ``CHART_ROW_LIMIT`` warning still looks at every city's row.
     """
-    if index.artists != series.artists:
-        raise IndexingError("artist index does not match the corpus artists")
     kept = _corpus_cities(series, cities)
-    shape = (len(kept), index.size)
+    shape = (len(kept), len(series.artists))
     city_start = np.arange(len(series.cities) + 1,
                            dtype=series.city_idx.dtype)
     is_kept = np.array([c in kept for c in series.cities], dtype=bool)
@@ -258,7 +268,7 @@ def build_velocities(
     """
     index = build_artist_index(series)
     kept_cities = _corpus_cities(series, cities)
-    listeners = to_listeners_matrices(series, index, kept_cities)
+    listeners = to_listeners_matrices(series, kept_cities)
     normalized = [normalize_rows(m) for m in listeners]
     del listeners  # the counts; the unit rows share only their positions
     kept = index.artists

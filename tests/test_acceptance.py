@@ -113,7 +113,7 @@ def test_normalization_and_velocity_invariants():
     series = generate_planted(spec)
     index = build_artist_index(series)
     normalized = [
-        normalize_rows(m) for m in to_listeners_matrices(series, index)
+        normalize_rows(m) for m in to_listeners_matrices(series)
     ]
     velocities = compute_velocities(normalized, series.cities, index.artists)
 

@@ -20,7 +20,7 @@ from chartflow import (
     predict,
     temporal_split,
 )
-from chartflow.design import design_csv_text, slab_positions
+from chartflow.design import design_csv_text
 from chartflow.errors import (
     DegenerateSplitError,
     InsufficientDataError,
@@ -125,6 +125,25 @@ class TestColumnCounts:
         assert len(alls.col_meta) == 160
         assert own.x.shape[1] == 8
         assert row_labels(own) == row_labels(alls)
+
+    @pytest.mark.parametrize(
+        "cities", [("a",), ("a", "b", "c"), ("c", "a", "b"), ("b", "c", "a")]
+    )
+    def test_city_columns_match_col_meta(self, cities):
+        """Each city's column slice holds exactly its lags, ascending, also
+        when the config lists it after other cities."""
+        config = LagConfig(3, cities)
+        col_meta = config.columns()
+        for city in cities:
+            columns = range(len(col_meta))[config.city_columns(city)]
+            assert [col_meta[i] for i in columns] == [
+                ColMeta(city, lag) for lag in (1, 2, 3)
+            ]
+            assert list(columns) == [
+                i for i, meta in enumerate(col_meta) if meta.city == city
+            ]
+        with pytest.raises(ValueError):
+            config.city_columns("d")
 
 
 class TestNestedColumns:
@@ -239,10 +258,9 @@ def off_grid_velocities(seed: int) -> VelocitySeries:
 class TestGatherMatchesColumnLoop:
     """The slab-ring gather gives the per-column assembly, bit for bit.
 
-    It is checked with the positions ``build_design`` computes itself and
-    with one ``slab_positions(velocities)`` shared by every configuration,
-    as ``evaluate_region`` passes them. The configurations list the cities
-    in corpus order (a slice of the slab's columns), reversed, as a subset
+    The first design computes the series' slab positions and every later
+    one reads them from the series. The configurations list the cities in
+    corpus order (a slice of the slab's columns), reversed, as a subset
     that leaves some targets out, and each city alone: every target's
     own-history config, and one-city configs of other cities.
     """
@@ -257,20 +275,16 @@ class TestGatherMatchesColumnLoop:
 
     @staticmethod
     def assert_bit_equal(velocities, cities, configs, active_rule):
-        shared = slab_positions(velocities)
         for config, city in itertools.product(configs, cities):
             ref = build_design_by_columns(velocities, city, config, active_rule)
-            for positions in (None, shared):
-                got = build_design(
-                    velocities, city, config, active_rule, positions=positions
-                )
-                assert got.n_rows > 0
-                assert got.col_meta == ref.col_meta
-                for name in ("x", "y", "week_idx", "artist_idx"):
-                    a, b = getattr(got, name), getattr(ref, name)
-                    assert a.shape == b.shape and a.dtype == b.dtype, name
-                    assert a.tobytes() == b.tobytes(), (config, city, name)
-                assert np.all(np.diff(got.week_idx) >= 0)
+            got = build_design(velocities, city, config, active_rule)
+            assert got.n_rows > 0
+            assert got.col_meta == ref.col_meta
+            for name in ("x", "y", "week_idx", "artist_idx"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.shape == b.shape and a.dtype == b.dtype, name
+                assert a.tobytes() == b.tobytes(), (config, city, name)
+            assert np.all(np.diff(got.week_idx) >= 0)
 
     @pytest.mark.parametrize("chart_size", [SMALL_PLANT.chart_size, 12])
     @pytest.mark.parametrize("active_rule", ["target", "union"])
@@ -325,29 +339,6 @@ class TestGatherMatchesColumnLoop:
         assert max(back) > 3 + 1
         configs = self.configs(velocities.cities, 3)
         self.assert_bit_equal(velocities, ("m",), configs, active_rule)
-
-    def test_positions_for_other_series(self, small_series, small_velocities):
-        config = LagConfig(4, ("echo",))
-        positions = slab_positions(small_velocities)
-        others = (
-            build_velocities(small_series, cities=("echo", "lead")),
-            build_velocities(small_series, artists=set(small_series.artists[1:])),
-        )
-        for other in others:
-            assert other.n_weeks == small_velocities.n_weeks
-            with pytest.raises(ValueError, match="another velocity series"):
-                build_design(
-                    small_velocities,
-                    "echo",
-                    config,
-                    positions=slab_positions(other),
-                )
-            with pytest.raises(ValueError, match="another velocity series"):
-                build_design(other, "echo", config, positions=positions)
-        with pytest.raises(ValueError, match="another velocity series"):
-            build_design(
-                small_velocities, "echo", config, positions=positions[:-1]
-            )
 
 
 class TestDeterminismAndEquivariance:

@@ -1,6 +1,7 @@
 """Scoring, percentages, and region-report assembly."""
 
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
@@ -31,16 +32,13 @@ from chartflow import (
     temporal_split,
     to_listeners_matrices,
 )
-from chartflow import design as design_module
-from chartflow import evaluate as evaluate_module
 from chartflow.errors import (
     DimensionError,
     ParseError,
     UndefinedBaselineError,
 )
-from chartflow.design import slab_positions
 from chartflow.evaluate import format_pct
-from chartflow.preprocess import _restrict_artists
+from chartflow.preprocess import VelocitySeries, _restrict_artists
 
 from conftest import SMALL_PLANT, make_series
 
@@ -301,7 +299,7 @@ class TestEvaluateRegion:
     def test_no_artists_gives_status_rows(self, small_series):
         index = build_artist_index(small_series)
         normalized = [
-            normalize_rows(m) for m in to_listeners_matrices(small_series, index)
+            normalize_rows(m) for m in to_listeners_matrices(small_series)
         ]
         sliced, kept = _restrict_artists(normalized, index, {"nobody"})
         velocities = compute_velocities(sliced, small_series.cities, kept)
@@ -312,23 +310,35 @@ class TestEvaluateRegion:
                 "InsufficientDataError: velocity series has no artists"
             )
 
-    def test_one_position_build_per_region(self, small_velocities, monkeypatch):
+    def test_positions_computed_once_per_series(
+        self, small_velocities, monkeypatch
+    ):
+        """A region and a later design on the same series share one
+        position build; a copy of the series builds its own."""
         calls = []
-        slab_positions = design_module.slab_positions
+        compute = VelocitySeries.slab_positions.func
 
         def counted(velocities):
             calls.append(velocities)
-            return slab_positions(velocities)
+            return compute(velocities)
 
-        monkeypatch.setattr(evaluate_module, "slab_positions", counted)
-        monkeypatch.setattr(design_module, "slab_positions", counted)
-        results = evaluate_region(small_velocities, solver_variant="nnls")
+        counted_property = functools.cached_property(counted)
+        counted_property.__set_name__(VelocitySeries, "slab_positions")
+        monkeypatch.setattr(VelocitySeries, "slab_positions", counted_property)
+        velocities = dataclasses.replace(small_velocities)
+        config = LagConfig(4, ("echo",))
+        results = evaluate_region(velocities, solver_variant="nnls")
         assert all(r.ok for r in results)
-        assert len(calls) == 1 and calls[0] is small_velocities
+        build_design(velocities, "echo", config)
+        assert len(calls) == 1 and calls[0] is velocities
+        copy = dataclasses.replace(velocities)
+        build_design(copy, "echo", config)
+        assert len(calls) == 2 and calls[1] is copy
 
     @pytest.mark.parametrize("active_rule", ["target", "union"])
     def test_peak_memory_is_one_design(self, small_velocities, active_rule):
-        """The traced peak is one design, the slab positions and the ring.
+        """The traced peak is one design, the slab positions the first design
+        caches on the series, and the ring.
 
         The fixed 96 KiB of slack covers the fit and the rows' index arrays
         (the peak sits 56-80 KiB above the other terms), but not those and
@@ -343,13 +353,13 @@ class TestEvaluateRegion:
                 for c in cities
             )
         )
-        position_bytes = sum(
-            at.nbytes for at in slab_positions(small_velocities)
-        )
+        position_bytes = sum(at.nbytes for at in small_velocities.slab_positions)
         ring_bytes = (8 + 1) * len(small_velocities.artists) * len(cities) * 8
+        # A fresh copy computes its positions inside the traced region.
+        velocities = dataclasses.replace(small_velocities)
         tracemalloc.start()
         try:
-            results = evaluate_region(small_velocities, active_rule=active_rule)
+            results = evaluate_region(velocities, active_rule=active_rule)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

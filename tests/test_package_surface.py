@@ -7,7 +7,9 @@ as does a ``csv.reader`` call anywhere but ``chart_store._csv_rows`` (the
 one reader that numbers rows by physical line), a ``hashlib.sha256`` call
 outside ``chart_store`` (the one module that owns the canonical CSV and its
 digest) and any ``splitlines`` call (it also breaks lines at form feeds and
-other separators).
+other separators). The slab layout stays with the velocity series and the
+design: no other module names ``slab_positions``, and no call passes a
+``positions=`` keyword.
 """
 
 import ast
@@ -81,3 +83,39 @@ def test_no_splitlines():
     found = [site for site in package_calls()
              if site[2].endswith(".splitlines")]
     assert found == []
+
+
+def identifiers(source: str) -> set[str]:
+    """Every name a module binds, reads or imports, and every attribute it
+    reads."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
+def test_slab_positions_stay_in_design():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    naming = {
+        module for module, source in sources.items()
+        if "slab_positions" in identifiers(source)
+    }
+    assert naming == {"preprocess", "design"}
+    passing = [
+        module
+        for module, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and any(keyword.arg == "positions" for keyword in node.keywords)
+    ]
+    assert passing == []

@@ -16,7 +16,6 @@ from chartflow import (
     to_listeners_matrices,
 )
 from chartflow.errors import (
-    IndexingError,
     InsufficientDataError,
     UnknownCityError,
 )
@@ -34,7 +33,7 @@ from oracles import (
 def pipeline(rows):
     series = make_series(rows)
     index = build_artist_index(series)
-    matrices = to_listeners_matrices(series, index)
+    matrices = to_listeners_matrices(series)
     normalized = [normalize_rows(m) for m in matrices]
     return series, index, matrices, normalized
 
@@ -57,18 +56,11 @@ class TestListenersMatrices:
         assert index.size == 2
         assert all(m.entries.shape == (1, 2) for m in matrices)
 
-    def test_missing_artist_raises(self):
-        series = make_series([(0, "c", "a", 1)])
-        other = build_artist_index(make_series([(0, "c", "b", 1)]))
-        with pytest.raises(IndexingError):
-            to_listeners_matrices(series, other)
-
     def test_overfull_row_warns(self):
         rows = [(0, "c", f"a{i:04d}", 1) for i in range(501)]
         series = make_series(rows)
-        index = build_artist_index(series)
         with pytest.warns(UserWarning, match="top-500"):
-            to_listeners_matrices(series, index)
+            to_listeners_matrices(series)
 
 
 class TestNormalizeRows:
@@ -232,7 +224,7 @@ def test_restrict_artists():
         [(0, "c", "a", 3), (0, "c", "b", 4), (1, "c", "a", 1), (1, "c", "b", 1)]
     )
     index = build_artist_index(series)
-    normalized = [normalize_rows(m) for m in to_listeners_matrices(series, index)]
+    normalized = [normalize_rows(m) for m in to_listeners_matrices(series)]
     sliced, kept = _restrict_artists(normalized, index, {"b"})
     assert kept == ("b",)
     # Norms are from the full corpus: week-0 b entry stays 0.8.
@@ -297,7 +289,7 @@ class TestMatchesScipyOracle:
     @staticmethod
     def _check(series, subset=None):
         index = build_artist_index(series)
-        listeners = to_listeners_matrices(series, index)
+        listeners = to_listeners_matrices(series)
         old_listeners = oracle_listeners_matrices(series, index)
         normalized = [normalize_rows(m) for m in listeners]
         old_normalized = [oracle_normalize_rows(m) for m in old_listeners]
@@ -395,9 +387,7 @@ class TestCitySubset:
         rows.append((0, "small", "a0000", 1))
         series = make_series(rows)
         with pytest.warns(UserWarning, match="501 non-zeros, above the top-500"):
-            matrices = to_listeners_matrices(
-                series, build_artist_index(series), ("small",)
-            )
+            matrices = to_listeners_matrices(series, ("small",))
         assert matrices[0].entries.toarray().tolist() == [[1.0] + [0.0] * 500]
 
 
