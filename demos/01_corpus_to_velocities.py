@@ -16,12 +16,15 @@ from chartflow import (
     PlantSpec,
     fingerprint,
     generate_planted,
-    normalize_rows,
     parse_chart_csv,
-    to_listeners_matrices,
     write_chart_csv,
 )
-from chartflow.preprocess import compute_velocities, week_gaps
+from chartflow.preprocess import (
+    compute_velocities,
+    normalize_rows,
+    to_listeners_matrices,
+    week_gaps,
+)
 
 # ---------------------------------------------------------------------------
 # A corpus: four cities, 30 weeks, 25 artists, no planted structure.
@@ -56,22 +59,21 @@ print(f"weeks: {len(series.weeks)}, gaps: {len(week_gaps(series.weeks))}")
 # ---------------------------------------------------------------------------
 listeners = to_listeners_matrices(series)
 first = listeners[0]
-print(
-    f"\nweek {first.week_start}: shape {first.entries.shape}, "
-    f"{first.entries.nnz} non-zeros"
-)
+print(f"\nweek {series.weeks[0]}: shape {first.shape}, {first.nnz} non-zeros")
 
 # ---------------------------------------------------------------------------
 # Unit-norm rows: cities compare by proportions, not audience size.
 # ---------------------------------------------------------------------------
 normalized = [normalize_rows(m) for m in listeners]
-norms = np.linalg.norm(normalized[0].entries.toarray(), axis=1)
+norms = np.linalg.norm(normalized[0].toarray(), axis=1)
 print("row norms after normalization:", np.round(norms, 12))
 
 # ---------------------------------------------------------------------------
 # Velocities: the change of each city's position in artist space.
 # ---------------------------------------------------------------------------
-velocities = compute_velocities(normalized, series.cities, series.artists)
+velocities = compute_velocities(
+    series.weeks, normalized, series.cities, series.artists
+)
 print(f"\n{velocities.n_weeks} velocity weeks; all rows defined:",
       bool(velocities.defined.all()))
 magnitudes = [

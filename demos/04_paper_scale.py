@@ -4,7 +4,8 @@ Synthesizes 30 cities x 2000 artists x 160 weeks at chart size 500 (2.4M
 records; c00-c03 lead c04-c07 at lags 1-4), writes and re-parses it as CSV,
 then builds velocities and evaluates the whole region, by default with OLS
 on the ``target`` active set. Each layer is timed once in this process
-with ``time.perf_counter``; the process's peak RSS is read after each one,
+with ``time.perf_counter``, and ``getrusage`` gives the system CPU time and
+minor page faults it took; the process's peak RSS is read after each one,
 and the parsed corpus's column bytes are recorded per column. With the
 times go the paper's answer: the SHA-256 of the region's ``report.csv``
 text and every city's three percents at full precision, and the solver
@@ -85,14 +86,20 @@ def main(label: str, solver: str, active_set: str) -> None:
     layers = {}
 
     def timed(name, fn, *args, **kwargs):
+        before = resource.getrusage(resource.RUSAGE_SELF)
         start = time.perf_counter()
         result = fn(*args, **kwargs)
+        seconds = time.perf_counter() - start
+        after = resource.getrusage(resource.RUSAGE_SELF)
         layers[name] = {
-            "s": round(time.perf_counter() - start, 3),
+            "s": round(seconds, 3),
+            "sys_s": round(after.ru_stime - before.ru_stime, 3),
+            "minor_faults": after.ru_minflt - before.ru_minflt,
             "peak_rss_mb_after": round(peak_rss_mb(), 1),
         }
-        print(f"{name:16s} {layers[name]['s']:8.2f} s  "
-              f"peak {layers[name]['peak_rss_mb_after']:7.1f} MB", flush=True)
+        print(f"{name:16s} {seconds:8.2f} s  sys {layers[name]['sys_s']:6.2f} s"
+              f"  {layers[name]['minor_faults']:8d} minor faults"
+              f"  peak {layers[name]['peak_rss_mb_after']:7.1f} MB", flush=True)
         return result
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -8,10 +8,7 @@ on a temporal holdout against the zero-change baseline.
 """
 
 from .chart_store import (
-    ArtistIndex,
-    ChartRecord,
     ChartSeries,
-    build_artist_index,
     filter_by_tag,
     fingerprint,
     load_tags,
@@ -41,23 +38,14 @@ from .evaluate import (
     report_table_text,
     rmse,
 )
-from .preprocess import (
-    VelocitySeries,
-    WeekMatrix,
-    build_velocities,
-    compute_velocities,
-    normalize_rows,
-    to_listeners_matrices,
-)
+from .preprocess import VelocitySeries, build_velocities
 from .solver import Coefficients, fit_nnls, fit_ols, predict
 from .synth import Influence, PlantSpec, generate_planted
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArtistIndex",
     "ChartFlowError",
-    "ChartRecord",
     "ChartSeries",
     "CityResult",
     "Coefficients",
@@ -68,13 +56,10 @@ __all__ = [
     "PlantSpec",
     "RegionReport",
     "VelocitySeries",
-    "WeekMatrix",
     "baseline_rmse",
-    "build_artist_index",
     "build_design",
     "build_report",
     "build_velocities",
-    "compute_velocities",
     "default_boundary",
     "evaluate_city",
     "evaluate_region",
@@ -84,7 +69,6 @@ __all__ = [
     "fit_ols",
     "generate_planted",
     "load_tags",
-    "normalize_rows",
     "parse_chart_csv",
     "percent_of_baseline",
     "predict",
@@ -94,6 +78,5 @@ __all__ = [
     "report_table_text",
     "rmse",
     "temporal_split",
-    "to_listeners_matrices",
     "write_chart_csv",
 ]

@@ -63,6 +63,22 @@ MAX_LISTENERS = 2**53
 TAG_HEADER = ("artist", "tag")
 # A listener count is an optional minus sign and ASCII digits, nothing else.
 _COUNT = re.compile(r"-?[0-9]+")
+# A date is YYYY-MM-DD or YYYYMMDD: both dashes or neither.
+_DATE = re.compile(r"[0-9]{4}(-?)[0-9]{2}\1[0-9]{2}")
+
+
+def parse_date(text: str) -> date:
+    """The date spelled ``YYYY-MM-DD`` or ``YYYYMMDD``, and no other way.
+
+    ``date.fromisoformat`` accepts more spellings on some Pythons than on
+    others (``20070107`` and week dates such as ``2007-W02-7`` from 3.11
+    on), so corpus weeks and configured dates are read here instead.
+    Raises ValueError for any other text, or an impossible date.
+    """
+    if not _DATE.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD or YYYYMMDD date: {text!r}")
+    digits = text.replace("-", "")
+    return date(int(digits[:4]), int(digits[4:6]), int(digits[6:]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -805,7 +821,7 @@ def _week_codes(texts: list[str], week_of_text: dict[str, int],
         code = week_of_text.get(text)
         if code is None:
             try:
-                day = date.fromisoformat(text)
+                day = parse_date(text)
             except ValueError:
                 raise _NotPlain from None
             code = week_of_text[text] = weeks.setdefault(day, len(weeks))
@@ -842,7 +858,7 @@ def _parse_chart_rows(rows, region_label: str = "") -> ChartSeries:
             w = week_of_text.get(raw_week)
             if w is None:
                 try:
-                    day = date.fromisoformat(raw_week)
+                    day = parse_date(raw_week)
                 except ValueError:
                     raise ParseError(
                         f"bad date {raw_week!r}", line=lineno

@@ -34,6 +34,7 @@ from .chart_store import (
     fingerprint,
     load_tags,
     parse_chart_csv,
+    parse_date,
     read_text,
     write_chart_csv,
 )
@@ -90,7 +91,7 @@ _PARSERS = {
     "region_label": str,
     "cities_included": _parse_cities,
     "lag_count": int,
-    "boundary": date.fromisoformat,
+    "boundary": parse_date,
     "solver": str,
     "ridge": float,
     "active_set": str,

@@ -126,11 +126,26 @@ def check_lag_count(velocities: VelocitySeries, lag_count: int) -> None:
         )
 
 
+def design_rows(
+    velocities: VelocitySeries,
+    target_city: str,
+    config: LagConfig,
+    active_rule: str = ACTIVE_TARGET,
+) -> int:
+    """The row count of :func:`build_design`'s design for these arguments,
+    found without building it; raises what ``build_design`` raises."""
+    _, eligible = _eligible_samples(velocities, target_city, config,
+                                    active_rule)
+    return sum(active.size for _, active in eligible)
+
+
 def build_design(
     velocities: VelocitySeries,
     target_city: str,
     config: LagConfig,
     active_rule: str = ACTIVE_TARGET,
+    *,
+    out: np.ndarray | None = None,
 ) -> LabeledDesign:
     """Assemble the lagged design matrix and target vector for one city.
 
@@ -144,24 +159,18 @@ def build_design(
     lag window. Rows come out in ascending week order, artists ascending
     within a week. The slab scatter reads ``velocities.slab_positions``,
     so only the first design built from a series computes them.
-    """
-    if active_rule not in (ACTIVE_TARGET, ACTIVE_UNION):
-        raise ValueError(f"unknown active rule {active_rule!r}")
-    cities = velocities.cities
-    if target_city not in cities:
-        raise UnknownCityError(f"city {target_city!r} not in corpus")
-    included = config.cities_included
-    missing = sorted(set(included) - set(cities))
-    if missing:
-        raise UnknownCityError(f"cities not in corpus: {missing}")
-    if not velocities.artists:
-        raise InsufficientDataError("velocity series has no artists")
-    check_lag_count(velocities, config.lag_count)
-    col_meta = config.columns()
 
+    ``out``, a 1-D float64 array of at least :func:`design_rows` times
+    ``lag_count * len(cities_included)`` elements, holds ``x``: the design
+    is the C-contiguous reshape of its first elements, so one buffer can
+    serve many designs in turn. Without it ``x`` is allocated.
+    """
+    lags, eligible = _eligible_samples(velocities, target_city, config,
+                                       active_rule)
+    cities = velocities.cities
     city_row = {c: i for i, c in enumerate(cities)}
     target_row = city_row[target_city]
-    included_rows = [city_row[c] for c in included]
+    included_rows = [city_row[c] for c in config.cities_included]
     n_included, n_artists = len(included_rows), len(velocities.artists)
     positions = velocities.slab_positions
     # The included cities' slab columns: a slice when their rows run
@@ -172,40 +181,12 @@ def build_design(
     else:
         columns = included_rows
 
-    # lags[i, l] is the velocity week 7 * (l + 1) days before week i, or -1.
-    # A week is eligible when the target city's velocity is defined there
-    # and at every lag week.
-    ordinals = np.array([w.toordinal() for w in velocities.weeks])
-    wanted = ordinals[:, None] - 7 * np.arange(1, config.lag_count + 1)
-    lags = np.searchsorted(ordinals, wanted)
-    lags[ordinals[lags] != wanted] = -1
-    defined = velocities.defined[:, target_row]
-    eligible_weeks = np.flatnonzero(
-        defined & (lags >= 0).all(1) & defined[lags].all(1)
-    )
-
-    if active_rule == ACTIVE_UNION:
-        # listed[j, a]: some included city lists artist a at either end of
-        # velocity week j.
-        listed = np.zeros((velocities.n_weeks, n_artists), dtype=bool)
-        is_included = np.zeros(len(cities), dtype=bool)
-        is_included[included_rows] = True
-        for j, matrix in enumerate(velocities.matrices):
-            listed[j, matrix.indices[is_included[matrix.rows()]]] = True
-
-    eligible: list[tuple[int, np.ndarray]] = []
-    for i in eligible_weeks.tolist():
-        if active_rule == ACTIVE_TARGET:
-            matrix = velocities.matrices[i]
-            start, end = matrix.indptr[target_row], matrix.indptr[target_row + 1]
-            active = matrix.indices[start:end]
-        else:
-            active = np.flatnonzero(listed[[i, *lags[i]]].any(0))
-        if active.size:
-            eligible.append((i, active))
-
+    col_meta = config.columns()
     n_rows = sum(active.size for _, active in eligible)
-    x = np.empty((n_rows, len(col_meta)))
+    if out is None:
+        x = np.empty((n_rows, len(col_meta)))
+    else:
+        x = out[:n_rows * len(col_meta)].reshape(n_rows, len(col_meta))
     y = np.empty(n_rows)
     week_idx = np.empty(n_rows, dtype=np.int32)
     artist_idx = np.empty(n_rows, dtype=np.int32)
@@ -246,6 +227,65 @@ def build_design(
         artists=velocities.artists,
         col_meta=col_meta,
     )
+
+
+def _eligible_samples(
+    velocities: VelocitySeries,
+    target_city: str,
+    config: LagConfig,
+    active_rule: str,
+) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """Check the arguments of :func:`build_design` and find its samples.
+
+    Returns the lag table, ``lags[i, l]`` the velocity week 7 * (l + 1)
+    days before week ``i`` or -1, and ``(i, active)`` for each week ``i``
+    that contributes rows, ``active`` its rows' ascending artist columns.
+    """
+    if active_rule not in (ACTIVE_TARGET, ACTIVE_UNION):
+        raise ValueError(f"unknown active rule {active_rule!r}")
+    cities = velocities.cities
+    if target_city not in cities:
+        raise UnknownCityError(f"city {target_city!r} not in corpus")
+    included = config.cities_included
+    missing = sorted(set(included) - set(cities))
+    if missing:
+        raise UnknownCityError(f"cities not in corpus: {missing}")
+    if not velocities.artists:
+        raise InsufficientDataError("velocity series has no artists")
+    check_lag_count(velocities, config.lag_count)
+    target_row = cities.index(target_city)
+
+    # A week is eligible when the target city's velocity is defined there
+    # and at every lag week.
+    ordinals = np.array([w.toordinal() for w in velocities.weeks])
+    wanted = ordinals[:, None] - 7 * np.arange(1, config.lag_count + 1)
+    lags = np.searchsorted(ordinals, wanted)
+    lags[ordinals[lags] != wanted] = -1
+    defined = velocities.defined[:, target_row]
+    eligible_weeks = np.flatnonzero(
+        defined & (lags >= 0).all(1) & defined[lags].all(1)
+    )
+
+    if active_rule == ACTIVE_UNION:
+        # listed[j, a]: some included city lists artist a at either end of
+        # velocity week j.
+        listed = np.zeros((velocities.n_weeks, len(velocities.artists)),
+                          dtype=bool)
+        is_included = np.array([c in included for c in cities])
+        for j, matrix in enumerate(velocities.matrices):
+            listed[j, matrix.indices[is_included[matrix.rows()]]] = True
+
+    eligible: list[tuple[int, np.ndarray]] = []
+    for i in eligible_weeks.tolist():
+        if active_rule == ACTIVE_TARGET:
+            matrix = velocities.matrices[i]
+            start, end = matrix.indptr[target_row], matrix.indptr[target_row + 1]
+            active = matrix.indices[start:end]
+        else:
+            active = np.flatnonzero(listed[[i, *lags[i]]].any(0))
+        if active.size:
+            eligible.append((i, active))
+    return lags, eligible
 
 
 def temporal_split(design: LabeledDesign, boundary: date) -> SplitDesign:

@@ -22,10 +22,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .chart_store import read_csv_pairs
-from .design import LagConfig, build_design, default_boundary, temporal_split
+from .design import (
+    LagConfig,
+    build_design,
+    default_boundary,
+    design_rows,
+    temporal_split,
+)
 from .errors import (
     ChartFlowError,
     DimensionError,
+    InsufficientDataError,
     ParseError,
     UndefinedBaselineError,
 )
@@ -103,14 +110,16 @@ def evaluate_city(
     solver_variant: str = "ols",
     ridge: float = 0.0,
     active_rule: str = "target",
+    out: np.ndarray | None = None,
 ) -> CityResult:
     """Fit and score both models for one city on the identical sample set.
 
     ``config`` lists the cities of the all-history model, the target among
-    them, and only its design is built. The own-history model, the one-city
-    case, is fitted on the target city's ``lag_count`` columns of it, so
-    both models see the same rows by construction.
-    ``ridge`` > 0 needs the OLS solver.
+    them, and only its design is built, into ``out`` when given (see
+    :func:`build_design`). The own-history model, the one-city case, is
+    fitted on the target city's ``lag_count`` columns of it, so both models
+    see the same rows by construction. A design without rows raises
+    InsufficientDataError. ``ridge`` > 0 needs the OLS solver.
     """
     if target_city not in config.cities_included:
         raise ValueError(f"config does not include target {target_city!r}")
@@ -119,7 +128,14 @@ def evaluate_city(
     if solver_variant == "nnls" and ridge > 0:
         raise ValueError("ridge applies to the ols solver only, not nnls")
 
-    design = build_design(velocities, target_city, config, active_rule)
+    design = build_design(velocities, target_city, config, active_rule,
+                          out=out)
+    if not design.n_rows:
+        raise InsufficientDataError(
+            f"city {target_city!r} has no eligible samples: none with its "
+            f"velocity defined at the sample week and all {config.lag_count} "
+            "lag weeks"
+        )
     if boundary is None:
         boundary = default_boundary(velocities.weeks)
     split = temporal_split(design, boundary)
@@ -164,13 +180,22 @@ def evaluate_region(
 
     Every city's design reads the series' one cached slab scatter, over
     every row of the series; velocities built for more cities than are
-    included scatter those rows too. A city missing from the corpus fails
-    every design.
+    included scatter those rows too. Every design is built into one buffer,
+    sized for the largest. A city missing from the corpus fails every
+    design.
     """
     cities = tuple(
         cities_included if cities_included is not None else velocities.cities
     )
     config = LagConfig(lag_count, cities)
+
+    def rows(city: str) -> int:
+        try:
+            return design_rows(velocities, city, config, active_rule)
+        except ChartFlowError:
+            return 0  # its design fails, and so does the city
+
+    out = np.empty(max(map(rows, cities)) * len(config.columns()))
 
     def one(city: str) -> CityResult:
         try:
@@ -182,6 +207,7 @@ def evaluate_region(
                 solver_variant=solver_variant,
                 ridge=ridge,
                 active_rule=active_rule,
+                out=out,
             )
         except ChartFlowError as exc:
             return CityResult(

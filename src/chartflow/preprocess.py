@@ -65,14 +65,6 @@ class CsrMatrix:
 
 
 @dataclass(frozen=True)
-class WeekMatrix:
-    """One week's city x artist matrix: listener counts, or unit rows."""
-
-    week_start: date
-    entries: CsrMatrix
-
-
-@dataclass(frozen=True)
 class VelocitySeries:
     """Week-over-week changes of the normalized rows.
 
@@ -113,14 +105,16 @@ class VelocitySeries:
 
 def to_listeners_matrices(
     series: ChartSeries, cities: Collection[str] | None = None
-) -> list[WeekMatrix]:
-    """One sparse counts matrix per distinct week of the corpus.
+) -> list[CsrMatrix]:
+    """One sparse counts matrix per entry of ``series.weeks``.
 
     The columns are the corpus's artists, so its artist codes are the
-    column codes. ``cities``, when given, keeps only those cities' rows, in
-    corpus order (see :func:`_corpus_cities`); only their counts are
-    converted to float64. Every week of the corpus gets a matrix, and the
-    ``CHART_ROW_LIMIT`` warning still looks at every city's row.
+    column codes, and the data are the corpus's integer counts: with every
+    city kept, each matrix's ``indices`` and ``data`` are views of the
+    corpus's own columns. ``cities``, when given, keeps only those cities'
+    rows, in corpus order (see :func:`_corpus_cities`). Every week of the
+    corpus gets a matrix, and the ``CHART_ROW_LIMIT`` warning still looks
+    at every city's row.
     """
     kept = _corpus_cities(series, cities)
     shape = (len(kept), len(series.artists))
@@ -128,7 +122,7 @@ def to_listeners_matrices(
                            dtype=series.city_idx.dtype)
     is_kept = np.array([c in kept for c in series.cities], dtype=bool)
     subset = not is_kept.all()
-    matrices: list[WeekMatrix] = []
+    matrices: list[CsrMatrix] = []
     for week, rows in series.week_slices():
         # A week's rows are sorted by city, then artist.
         indptr = np.searchsorted(series.city_idx[rows], city_start)
@@ -143,9 +137,8 @@ def to_listeners_matrices(
         if subset:
             indptr = np.concatenate(([0], np.cumsum(row_nnz[is_kept])))
             rows = rows.start + np.flatnonzero(is_kept[series.city_idx[rows]])
-        data = series.listeners[rows].astype(np.float64)
-        mat = CsrMatrix(indptr, series.artist_idx[rows], data, shape)
-        matrices.append(WeekMatrix(week, mat))
+        matrices.append(CsrMatrix(indptr, series.artist_idx[rows],
+                                  series.listeners[rows], shape))
     return matrices
 
 
@@ -163,13 +156,12 @@ def _corpus_cities(
     return tuple(c for c in series.cities if c in wanted)
 
 
-def normalize_rows(matrix: WeekMatrix) -> WeekMatrix:
-    """Scale every non-empty row to unit Euclidean norm.
+def normalize_rows(m: CsrMatrix) -> CsrMatrix:
+    """Scale every non-empty row to unit Euclidean norm, in a float64 copy.
 
     Each row's sum of squares is one ``np.add.reduceat`` segment, the
     summation order of ``scipy.sparse`` row sums, so the bits match them.
     """
-    m = matrix.entries
     data = m.data.astype(np.float64)
     nonempty = np.flatnonzero(np.diff(m.indptr))
     norms = np.zeros(m.shape[0])
@@ -179,36 +171,40 @@ def normalize_rows(matrix: WeekMatrix) -> WeekMatrix:
         )
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     data *= np.repeat(inv, np.diff(m.indptr))
-    return WeekMatrix(matrix.week_start, replace(m, data=data))
+    return replace(m, data=data)
 
 
 def compute_velocities(
-    normalized: Sequence[WeekMatrix],
+    weeks: Sequence[date],
+    normalized: Sequence[CsrMatrix],
     cities: Sequence[str],
     artists: Sequence[str],
 ) -> VelocitySeries:
     """Difference consecutive normalized matrices into a velocity series.
 
-    Produces one matrix per adjacent pair of input weeks, each row stored
-    on the union of its two endpoint rows' columns. A city's row is
-    defined only when both endpoint rows are non-empty and the pair is
-    exactly 7 days apart; everything else is flagged undefined and stores
-    +0.0. Each week's entries are keyed by (city, artist) as the merge
-    reaches it, so beside the output only two weeks' keys are held at a
-    time.
+    ``normalized[i]`` is week ``weeks[i]``'s matrix. Produces one matrix
+    per adjacent pair of input weeks, each row stored on the union of its
+    two endpoint rows' columns. A city's row is defined only when both
+    endpoint rows are non-empty and the pair is exactly 7 days apart;
+    everything else is flagged undefined and stores +0.0. Each week's
+    entries are keyed by (city, artist) as the merge reaches it, so beside
+    the output only two weeks' keys are held at a time.
     """
+    if len(weeks) != len(normalized):
+        raise ValueError(
+            f"{len(weeks)} weeks for {len(normalized)} normalized matrices"
+        )
     if len(normalized) < 2:
         raise InsufficientDataError(
             f"need at least 2 weeks to compute velocities, got {len(normalized)}"
         )
-    week_dates = [m.week_start for m in normalized]
-    if any(b <= a for a, b in zip(week_dates, week_dates[1:])):
-        raise ValueError("normalized matrices must be ordered by week_start")
+    if any(b <= a for a, b in zip(weeks, weeks[1:])):
+        raise ValueError("weeks must ascend")
     n_cities, n_artists = len(cities), len(artists)
-    entries = [m.entries for m in normalized]
-    present = np.array([np.diff(m.indptr) > 0 for m in entries], dtype=bool)
+    present = np.array([np.diff(m.indptr) > 0 for m in normalized],
+                       dtype=bool)
     consecutive = np.array(
-        [(b - a).days == 7 for a, b in zip(week_dates, week_dates[1:])]
+        [(b - a).days == 7 for a, b in zip(weeks, weeks[1:])]
     )
     defined = present[1:] & present[:-1] & consecutive[:, None]
     row_start = np.arange(n_cities + 1) * n_artists
@@ -216,16 +212,18 @@ def compute_velocities(
     matrices = []
     # Key each stored entry by (city, artist) as its week is merged; the
     # keys ascend in a week. Only two weeks' keys are held at a time.
-    later = _cells(entries[0], n_artists)
+    later = _cells(normalized[0], n_artists)
     for i in range(len(defined)):
         # Velocity week i is week i + 1 minus week i. Each week's keys are a
         # sorted run holding a key at most once, so a stable sort of the two
         # runs is a linear merge that puts a key's week-i + 1 entry right
         # before its week-i entry.
-        earlier, later = later, _cells(entries[i + 1], n_artists)
+        earlier, later = later, _cells(normalized[i + 1], n_artists)
         key = np.concatenate((later, earlier))
         # 0.0 - b, not -b: a stored zero must not become -0.0.
-        value = np.concatenate((entries[i + 1].data, 0.0 - entries[i].data))
+        value = np.concatenate(
+            (normalized[i + 1].data, 0.0 - normalized[i].data)
+        )
         order = np.argsort(key, kind="stable")
         key, value = key.take(order), value.take(order)
         repeat = key[1:] == key[:-1]  # entry j + 1 has entry j's key
@@ -240,7 +238,7 @@ def compute_velocities(
         diff[np.repeat(~defined[i], row_size)] = 0.0
         matrices.append(CsrMatrix(indptr, columns, diff, shape))
     return VelocitySeries(
-        weeks=tuple(week_dates[1:]),
+        weeks=tuple(weeks[1:]),
         matrices=tuple(matrices),
         defined=defined,
         cities=tuple(cities),
@@ -270,18 +268,18 @@ def build_velocities(
     kept_cities = _corpus_cities(series, cities)
     listeners = to_listeners_matrices(series, kept_cities)
     normalized = [normalize_rows(m) for m in listeners]
-    del listeners  # the counts; the unit rows share only their positions
+    del listeners  # counts copied for a city subset; unit rows share indices
     kept = index.artists
     if artists is not None:
         normalized, kept = _restrict_artists(normalized, index, artists)
-    return compute_velocities(normalized, kept_cities, kept)
+    return compute_velocities(series.weeks, normalized, kept_cities, kept)
 
 
 def _restrict_artists(
-    normalized: Sequence[WeekMatrix],
+    normalized: Sequence[CsrMatrix],
     index: ArtistIndex,
     artist_subset: set[str],
-) -> tuple[list[WeekMatrix], tuple[str, ...]]:
+) -> tuple[list[CsrMatrix], tuple[str, ...]]:
     """Column-slice normalized matrices to an artist subset.
 
     Used for post-normalization genre filtering: row norms are taken over the
@@ -301,9 +299,7 @@ def _restrict_artists(
             before[m.indptr], new[kept], m.data[kept], (m.shape[0], len(keep))
         )
 
-    return [
-        WeekMatrix(m.week_start, sliced(m.entries)) for m in normalized
-    ], kept_artists
+    return [sliced(m) for m in normalized], kept_artists
 
 
 def week_gaps(weeks: Sequence[date]) -> list[tuple[date, date, int]]:

@@ -44,7 +44,13 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .chart_store import COUNT_WIDTHS, ChartSeries, column_width, read_text
+from .chart_store import (
+    COUNT_WIDTHS,
+    ChartSeries,
+    column_width,
+    parse_date,
+    read_text,
+)
 from .errors import PlantSpecError
 
 ROLES = ("leader", "follower", "unlabeled")
@@ -268,7 +274,7 @@ _SPEC_PARSERS = {
     "noise_sigma": _number,
     "walk_sigma": _number,
     "city_size": _number,
-    "start_week": date.fromisoformat,
+    "start_week": parse_date,
     "seed": _integer,
 }
 

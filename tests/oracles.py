@@ -30,7 +30,7 @@ from chartflow.chart_store import (
 )
 from chartflow.design import ACTIVE_TARGET, LabeledDesign, LagConfig
 from chartflow.errors import ChartFlowError, DimensionError, SingularMatrixError
-from chartflow.preprocess import VelocitySeries, WeekMatrix
+from chartflow.preprocess import VelocitySeries
 from chartflow.solver import Coefficients, _validated
 
 
@@ -199,49 +199,48 @@ def build_design_by_columns(
 
 def oracle_listeners_matrices(
     series: ChartSeries, index: ArtistIndex
-) -> list[WeekMatrix]:
-    """One ``scipy.sparse`` CSR counts matrix per week, built from COO."""
+) -> list[sparse.csr_matrix]:
+    """One ``scipy.sparse`` float64 CSR counts matrix per week, built from
+    COO."""
     shape = (len(series.cities), index.size)
     column_of = {a: i for i, a in enumerate(index.artists)}
     column = np.array([column_of[a] for a in series.artists], dtype=np.int32)
     cols = column[series.artist_idx]
     data = series.listeners.astype(np.float64)
     return [
-        WeekMatrix(
-            week,
-            sparse.csr_matrix(
-                (data[rows], (series.city_idx[rows], cols[rows])),
-                shape=shape,
-                dtype=np.float64,
-            ),
+        sparse.csr_matrix(
+            (data[rows], (series.city_idx[rows], cols[rows])),
+            shape=shape,
+            dtype=np.float64,
         )
-        for week, rows in series.week_slices()
+        for _, rows in series.week_slices()
     ]
 
 
-def oracle_normalize_rows(matrix: WeekMatrix) -> WeekMatrix:
+def oracle_normalize_rows(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
     """Unit rows through ``scipy.sparse`` arithmetic."""
-    m = matrix.entries.astype(np.float64).tocsr(copy=True)
+    m = matrix.astype(np.float64).tocsr(copy=True)
     norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=1)).ravel())
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     m.data *= np.repeat(inv, np.diff(m.indptr))
-    return WeekMatrix(matrix.week_start, m)
+    return m
 
 
-def oracle_compute_velocities(normalized, cities, artists) -> VelocitySeries:
+def oracle_compute_velocities(
+    weeks, normalized, cities, artists
+) -> VelocitySeries:
     """Week-by-week dense differences of adjacent unit rows, stored on the
     ``scipy.sparse`` sum of the two weeks' stored-entry patterns."""
-    week_dates = [m.week_start for m in normalized]
     present = np.array(
-        [np.diff(m.entries.indptr) > 0 for m in normalized], dtype=bool
+        [np.diff(m.indptr) > 0 for m in normalized], dtype=bool
     )
     matrices, defined_rows = [], []
     for i in range(1, len(normalized)):
-        if (week_dates[i] - week_dates[i - 1]).days == 7:
+        if (weeks[i] - weeks[i - 1]).days == 7:
             defined = present[i] & present[i - 1]
         else:
             defined = np.zeros(len(cities), dtype=bool)
-        later, earlier = normalized[i].entries, normalized[i - 1].entries
+        later, earlier = normalized[i], normalized[i - 1]
         # Ones on each stored entry, so the sum keeps stored zeros too.
         pattern = (_ones(later) + _ones(earlier)).tocsr()
         rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
@@ -250,7 +249,7 @@ def oracle_compute_velocities(normalized, cities, artists) -> VelocitySeries:
         matrices.append(pattern)
         defined_rows.append(defined)
     return VelocitySeries(
-        weeks=tuple(week_dates[1:]),
+        weeks=tuple(weeks[1:]),
         matrices=tuple(matrices),
         defined=np.array(defined_rows, dtype=bool),
         cities=tuple(cities),
@@ -267,10 +266,7 @@ def _ones(m) -> sparse.csr_matrix:
 def oracle_restrict_artists(normalized, index: ArtistIndex, artist_subset):
     """Column-slice ``scipy.sparse`` unit rows to an artist subset."""
     keep = [i for i, a in enumerate(index.artists) if a in artist_subset]
-    sliced = [
-        WeekMatrix(m.week_start, m.entries[:, keep].tocsr())
-        for m in normalized
-    ]
+    sliced = [m[:, keep].tocsr() for m in normalized]
     return sliced, tuple(index.artists[i] for i in keep)
 
 

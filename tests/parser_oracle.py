@@ -22,6 +22,15 @@ from chartflow.errors import ChartValueError, DuplicateKeyError, ParseError
 _COUNT = re.compile(r"-?[0-9]+")
 
 
+def _oracle_date(raw: str) -> date:
+    """A ``YYYY-MM-DD`` or ``YYYYMMDD`` date, checked character by character."""
+    if len(raw) == 10 and raw[4] == raw[7] == "-":
+        raw = raw[:4] + raw[5:7] + raw[8:]
+    if len(raw) != 8 or not all(ch in "0123456789" for ch in raw):
+        raise ValueError(raw)
+    return date(int(raw[:4]), int(raw[4:6]), int(raw[6:]))
+
+
 def oracle_parse(reader):
     """(sha256 of the canonical CSV, weeks, cities, artists) of a corpus.
 
@@ -75,7 +84,7 @@ def _oracle_parse(reader):
             raise ParseError(f"expected 4 fields, got {len(row)}", line=lineno)
         raw_week, city, artist, raw_listeners = row
         try:
-            week = date.fromisoformat(raw_week)
+            week = _oracle_date(raw_week)
         except ValueError:
             raise ParseError(f"bad date {raw_week!r}", line=lineno) from None
         if not _COUNT.fullmatch(raw_listeners):

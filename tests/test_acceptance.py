@@ -11,7 +11,6 @@ import numpy as np
 from chartflow import (
     LagConfig,
     PlantSpec,
-    build_artist_index,
     build_design,
     build_report,
     build_velocities,
@@ -20,17 +19,20 @@ from chartflow import (
     fit_nnls,
     fit_ols,
     generate_planted,
-    normalize_rows,
     predict,
     rmse,
     rng,
     temporal_split,
-    to_listeners_matrices,
     write_chart_csv,
 )
+from chartflow.chart_store import build_artist_index
 from chartflow.cli import main
 from chartflow.evaluate import format_pct, report_table_text
-from chartflow.preprocess import compute_velocities
+from chartflow.preprocess import (
+    compute_velocities,
+    normalize_rows,
+    to_listeners_matrices,
+)
 
 from conftest import NULL_SPEC, REFERENCE_SPEC, SMALL_PLANT, row_norms
 from oracles import oracle_nnls, oracle_ols
@@ -115,11 +117,13 @@ def test_normalization_and_velocity_invariants():
     normalized = [
         normalize_rows(m) for m in to_listeners_matrices(series)
     ]
-    velocities = compute_velocities(normalized, series.cities, index.artists)
+    velocities = compute_velocities(
+        series.weeks, normalized, series.cities, index.artists
+    )
 
     worst_norm = 0.0
     for matrix in normalized:
-        norms = row_norms(matrix.entries)
+        norms = row_norms(matrix)
         nonempty = norms[norms > 0]
         worst_norm = max(worst_norm, float(np.abs(nonempty - 1.0).max()))
     assert worst_norm < 1e-9
@@ -143,7 +147,7 @@ def test_normalization_and_velocity_invariants():
         if not both.any():
             continue
         lhs = velocities.matrices[i].toarray() + velocities.matrices[i - 1].toarray()
-        rhs = normalized[i + 1].entries.toarray() - normalized[i - 1].entries.toarray()
+        rhs = normalized[i + 1].toarray() - normalized[i - 1].toarray()
         worst_telescope = max(
             worst_telescope, float(np.abs((lhs - rhs)[both]).max())
         )

@@ -15,7 +15,6 @@ from chartflow import (
     ChartSeries,
     Influence,
     PlantSpec,
-    build_artist_index,
     filter_by_tag,
     generate_planted,
     load_tags,
@@ -23,7 +22,11 @@ from chartflow import (
     write_chart_csv,
 )
 from chartflow import chart_store
-from chartflow.chart_store import MAX_LISTENERS, chart_csv_chunks
+from chartflow.chart_store import (
+    MAX_LISTENERS,
+    build_artist_index,
+    chart_csv_chunks,
+)
 from chartflow.errors import ChartValueError, DuplicateKeyError, ParseError
 
 from conftest import make_series, series_from_rows, week
@@ -153,6 +156,29 @@ class TestParse:
         with pytest.raises(DuplicateKeyError) as err:
             parse_text(text)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize(
+        "raw", ["2007-W02-7", "2007W027", "2007-0107", "200701-07",
+                "2007-1-07", "2007-001", "2007-01-07T00", " 2007-01-07",
+                "\u0662\u0660\u0660\u0667-01-07", "2007-02-30"]
+    )
+    def test_other_date_spellings_name_their_line(self, raw, quoted):
+        # Only YYYY-MM-DD and YYYYMMDD are dates, on every Python: a week
+        # date such as 2007-W02-7 is an error, in the byte path (unquoted)
+        # and in the row loop (quoted) alike.
+        field = f'"{raw}"' if quoted else raw
+        text = HEADER + f"2007-01-07,a,x,1\n{field},a,y,2\n"
+        with pytest.raises(ParseError, match="bad date") as err:
+            parse_text(text)
+        assert err.value.line == 3
+
+    def test_parse_date(self):
+        assert chart_store.parse_date("2007-01-07") == date(2007, 1, 7)
+        assert chart_store.parse_date("20070107") == date(2007, 1, 7)
+        for raw in ("2007-W02-7", "2007-0107", "2007-01-7", "", "2007-13-01"):
+            with pytest.raises(ValueError):
+                chart_store.parse_date(raw)
 
     def test_weeks_keyed_by_date(self):
         # Both spellings are ISO 8601 for the same day: one week, one key.

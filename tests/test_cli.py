@@ -2,6 +2,7 @@
 
 import argparse
 import json
+from datetime import date
 
 import pytest
 
@@ -407,6 +408,33 @@ class TestTagFilter:
         tagged = json.loads((tagged_dir / "report.json").read_text())
         assert tagged["rows"] != plain["rows"]
 
+    @pytest.mark.parametrize("stage", ["pre", "post"])
+    def test_city_without_samples_names_its_cause(self, tmp_path, stage):
+        # "rare" charts the tagged artist only every other week, so once
+        # the tag filter applies, none of its velocities is defined.
+        rows = []
+        for k in range(30):
+            rows += [(k, "busy", "a", 10 + k % 7), (k, "busy", "b", 20 - k % 5),
+                     (k, "rare", "c", 5 + k)]
+            if k % 2 == 0:
+                rows.append((k, "rare", "a", 3 + k))
+        corpus = tmp_path / "corpus.csv"
+        write_chart_csv(make_series(rows), corpus)
+        tags = tmp_path / "tags.csv"
+        tags.write_text("artist,tag\na,indie\nb,indie\n")
+        out_dir = tmp_path / "out"
+        assert run(["evaluate", "--corpus-path", corpus, "--tags-path", tags,
+                    "--tag", "indie", "--filter-stage", stage,
+                    "--lag-count", 2, "--output-dir", out_dir]) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        status = {row["city"]: row["status"] for row in report["rows"]}
+        assert status == {
+            "busy": "ok",
+            "rare": "InsufficientDataError: city 'rare' has no eligible "
+                    "samples: none with its velocity defined at the sample "
+                    "week and all 2 lag weeks",
+        }
+
     def test_unknown_tag(self, corpus_path, tmp_path, capsys):
         tags = tmp_path / "tags.csv"
         tags.write_text("artist,tag\nx,rock\n")
@@ -616,6 +644,16 @@ class TestConfigResolution:
         config.write_text("lag_count = soon\n")
         ns = argparse.Namespace(config=str(config))
         with pytest.raises(ChartFlowError):
+            resolve_config(ns)
+
+    def test_boundary_date_spellings(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        ns = argparse.Namespace(config=str(config))
+        for raw in ("2007-02-04", "20070204"):
+            config.write_text(f"boundary = {raw}\n")
+            assert resolve_config(ns).boundary == date(2007, 2, 4)
+        config.write_text("boundary = 2007-W05-7\n")
+        with pytest.raises(CliInputError, match="bad value for 'boundary'"):
             resolve_config(ns)
 
     def test_validation(self):

@@ -20,7 +20,7 @@ from chartflow import (
     predict,
     temporal_split,
 )
-from chartflow.design import design_csv_text
+from chartflow.design import design_csv_text, design_rows
 from chartflow.errors import (
     DegenerateSplitError,
     InsufficientDataError,
@@ -285,6 +285,16 @@ class TestGatherMatchesColumnLoop:
                 assert a.shape == b.shape and a.dtype == b.dtype, name
                 assert a.tobytes() == b.tobytes(), (config, city, name)
             assert np.all(np.diff(got.week_idx) >= 0)
+            # Built into a larger buffer, whose stale values do not show.
+            assert design_rows(velocities, city, config,
+                               active_rule) == got.n_rows
+            out = np.full(got.x.size + 5, np.nan)
+            into = build_design(velocities, city, config, active_rule,
+                                out=out)
+            assert np.shares_memory(into.x, out)
+            assert into.x.flags.c_contiguous
+            assert into.x.shape == got.x.shape
+            assert into.x.tobytes() == got.x.tobytes()
 
     @pytest.mark.parametrize("chart_size", [SMALL_PLANT.chart_size, 12])
     @pytest.mark.parametrize("active_rule", ["target", "union"])

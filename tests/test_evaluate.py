@@ -13,15 +13,12 @@ from chartflow import (
     CityResult,
     LagConfig,
     baseline_rmse,
-    build_artist_index,
     build_design,
     build_report,
     build_velocities,
-    compute_velocities,
     default_boundary,
     evaluate_city,
     evaluate_region,
-    normalize_rows,
     percent_of_baseline,
     read_labels_csv,
     report_csv_text,
@@ -30,15 +27,22 @@ from chartflow import (
     report_table_text,
     rmse,
     temporal_split,
-    to_listeners_matrices,
 )
+from chartflow.chart_store import build_artist_index
 from chartflow.errors import (
     DimensionError,
     ParseError,
     UndefinedBaselineError,
 )
+from chartflow import evaluate
 from chartflow.evaluate import format_pct
-from chartflow.preprocess import VelocitySeries, _restrict_artists
+from chartflow.preprocess import (
+    VelocitySeries,
+    _restrict_artists,
+    compute_velocities,
+    normalize_rows,
+    to_listeners_matrices,
+)
 
 from conftest import SMALL_PLANT, make_series
 
@@ -302,7 +306,9 @@ class TestEvaluateRegion:
             normalize_rows(m) for m in to_listeners_matrices(small_series)
         ]
         sliced, kept = _restrict_artists(normalized, index, {"nobody"})
-        velocities = compute_velocities(sliced, small_series.cities, kept)
+        velocities = compute_velocities(
+            small_series.weeks, sliced, small_series.cities, kept
+        )
         results = evaluate_region(velocities)
         assert [r.city for r in results] == list(small_series.cities)
         for result in results:
@@ -334,6 +340,34 @@ class TestEvaluateRegion:
         copy = dataclasses.replace(velocities)
         build_design(copy, "echo", config)
         assert len(calls) == 2 and calls[1] is copy
+
+    @pytest.mark.parametrize("active_rule", ["target", "union"])
+    def test_designs_share_one_buffer(
+        self, small_velocities, active_rule, monkeypatch
+    ):
+        """Every city's design is built into one buffer sized for the
+        largest, and the results are those of designs built alone."""
+        cities = small_velocities.cities
+        config = LagConfig(4, cities)
+        built = []
+
+        def recorded(*args, out=None, **kwargs):
+            built.append((out, build_design(*args, out=out, **kwargs)))
+            return built[-1][1]
+
+        monkeypatch.setattr(evaluate, "build_design", recorded)
+        results = evaluate_region(small_velocities, cities, lag_count=4,
+                                  active_rule=active_rule)
+        assert all(r.ok for r in results)
+        buffer = built[0][0]
+        assert all(out is buffer for out, _ in built)
+        assert buffer.size == max(d.x.size for _, d in built)
+        assert all(np.shares_memory(d.x, buffer) for _, d in built)
+        monkeypatch.undo()
+        for city, result in zip(cities, results):
+            assert result == evaluate_city(
+                small_velocities, city, config, active_rule=active_rule
+            )
 
     @pytest.mark.parametrize("active_rule", ["target", "union"])
     def test_peak_memory_is_one_design(self, small_velocities, active_rule):

@@ -9,11 +9,14 @@ outside ``chart_store`` (the one module that owns the canonical CSV and its
 digest) and any ``splitlines`` call (it also breaks lines at form feeds and
 other separators). The slab layout stays with the velocity series and the
 design: no other module names ``slab_positions``, and no call passes a
-``positions=`` keyword.
+``positions=`` keyword. ``chartflow`` exports the pipeline's stages and
+records, and no step inside a stage.
 """
 
 import ast
 from pathlib import Path
+
+import chartflow
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chartflow"
 
@@ -119,3 +122,18 @@ def test_slab_positions_stay_in_design():
         and any(keyword.arg == "positions" for keyword in node.keywords)
     ]
     assert passing == []
+
+
+def test_public_names():
+    assert sorted(chartflow.__all__) == [
+        "ChartFlowError", "ChartSeries", "CityResult", "Coefficients",
+        "ColMeta", "Influence", "LabeledDesign", "LagConfig", "PlantSpec",
+        "RegionReport", "VelocitySeries", "baseline_rmse", "build_design",
+        "build_report", "build_velocities", "default_boundary",
+        "evaluate_city", "evaluate_region", "filter_by_tag", "fingerprint",
+        "fit_nnls", "fit_ols", "generate_planted", "load_tags",
+        "parse_chart_csv", "percent_of_baseline", "predict",
+        "read_labels_csv", "report_csv_text", "report_json_text",
+        "report_table_text", "rmse", "temporal_split", "write_chart_csv",
+    ]
+    assert all(hasattr(chartflow, name) for name in chartflow.__all__)

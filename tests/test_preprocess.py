@@ -5,21 +5,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chartflow import (
-    Influence,
-    PlantSpec,
-    build_artist_index,
-    build_velocities,
-    compute_velocities,
-    generate_planted,
-    normalize_rows,
-    to_listeners_matrices,
-)
+from chartflow import Influence, PlantSpec, build_velocities, generate_planted
+from chartflow.chart_store import build_artist_index
 from chartflow.errors import (
     InsufficientDataError,
     UnknownCityError,
 )
-from chartflow.preprocess import CsrMatrix, WeekMatrix, _restrict_artists
+from chartflow.preprocess import (
+    CsrMatrix,
+    _restrict_artists,
+    compute_velocities,
+    normalize_rows,
+    to_listeners_matrices,
+)
 
 from conftest import make_series, row_norms, week
 from oracles import (
@@ -42,19 +40,19 @@ class TestListenersMatrices:
     def test_direct_placement(self):
         _, _, matrices, _ = pipeline([(0, "c1", "a1", 3), (0, "c1", "a2", 4)])
         assert len(matrices) == 1
-        assert matrices[0].entries.toarray().tolist() == [[3.0, 4.0]]
+        assert matrices[0].toarray().tolist() == [[3.0, 4.0]]
 
     def test_absent_city_is_zero_row(self):
         _, _, matrices, _ = pipeline(
             [(0, "c1", "a", 1), (0, "c2", "a", 2), (1, "c1", "a", 3)]
         )
-        second = matrices[1].entries.toarray()
+        second = matrices[1].toarray()
         assert second[1].tolist() == [0.0]
 
     def test_shared_column_space(self):
         _, index, matrices, _ = pipeline([(0, "c", "x", 1), (1, "c", "y", 2)])
         assert index.size == 2
-        assert all(m.entries.shape == (1, 2) for m in matrices)
+        assert all(m.shape == (1, 2) for m in matrices)
 
     def test_overfull_row_warns(self):
         rows = [(0, "c", f"a{i:04d}", 1) for i in range(501)]
@@ -68,37 +66,37 @@ class TestNormalizeRows:
         _, _, matrices, normalized = pipeline(
             [(0, "c", "a", 3), (0, "c", "b", 4)]
         )
-        row = normalized[0].entries.toarray()[0]
+        row = normalized[0].toarray()[0]
         assert row == pytest.approx([0.6, 0.8], abs=1e-12)
 
     def test_idempotent(self):
         _, _, _, normalized = pipeline([(0, "c", "a", 3), (0, "c", "b", 4)])
-        again = normalize_rows(
-            WeekMatrix(normalized[0].week_start, normalized[0].entries)
-        )
-        diff = again.entries.toarray() - normalized[0].entries.toarray()
+        again = normalize_rows(normalized[0])
+        diff = again.toarray() - normalized[0].toarray()
         assert np.abs(diff).max() < 1e-12
 
     def test_zero_row_preserved(self):
         _, _, matrices, normalized = pipeline(
             [(0, "c1", "a", 5), (0, "c2", "a", 1), (1, "c1", "a", 5)]
         )
-        assert normalized[1].entries.toarray()[1].tolist() == [0.0]
+        assert normalized[1].toarray()[1].tolist() == [0.0]
 
     def test_unit_norms(self):
         _, _, _, normalized = pipeline(
             [(0, "c", a, n) for a, n in (("w", 17), ("x", 3), ("y", 999))]
         )
-        norms = row_norms(normalized[0].entries)
+        norms = row_norms(normalized[0])
         assert abs(norms[0] - 1.0) < 1e-9
 
 
 class TestComputeVelocities:
     def test_identical_weeks_give_zero(self):
-        _, index, _, normalized = pipeline(
+        series, index, _, normalized = pipeline(
             [(0, "c", "a", 3), (0, "c", "b", 4), (1, "c", "a", 3), (1, "c", "b", 4)]
         )
-        vel = compute_velocities(normalized, ("c",), index.artists)
+        vel = compute_velocities(
+            series.weeks, normalized, ("c",), index.artists
+        )
         assert vel.defined[0, 0]
         # Both charted artists are stored, as +0.0.
         assert vel.matrices[0].indices.tolist() == [0, 1]
@@ -108,31 +106,35 @@ class TestComputeVelocities:
         # Corpora drop zero counts, but a caller's unit rows may store a
         # 0.0: when only the earlier week stores it, 0.0 - 0.0 must be
         # stored as +0.0, not -0.0.
-        def unit_row(week_offset, columns, data):
-            entries = CsrMatrix(np.array([0, len(columns)]), np.array(columns),
-                                np.array(data), (1, 2))
-            return WeekMatrix(week(week_offset), entries)
+        def unit_row(columns, data):
+            return CsrMatrix(np.array([0, len(columns)]), np.array(columns),
+                             np.array(data), (1, 2))
 
-        normalized = [unit_row(0, [0, 1], [0.0, 1.0]), unit_row(1, [1], [1.0])]
-        vel = compute_velocities(normalized, ("c",), ("a", "b"))
+        normalized = [unit_row([0, 1], [0.0, 1.0]), unit_row([1], [1.0])]
+        vel = compute_velocities((week(0), week(1)), normalized, ("c",),
+                                 ("a", "b"))
         assert vel.matrices[0].indices.tolist() == [0, 1]
         assert not np.signbit(vel.matrices[0].data).any()
 
     def test_orthogonal_swap(self):
-        _, index, _, normalized = pipeline(
+        series, index, _, normalized = pipeline(
             [(0, "c", "a", 7), (1, "c", "b", 12)]
         )
-        vel = compute_velocities(normalized, ("c",), index.artists)
+        vel = compute_velocities(
+            series.weeks, normalized, ("c",), index.artists
+        )
         assert vel.matrices[0].toarray()[0].tolist() == [-1.0, 1.0]
 
     def test_gap_fixture(self):
         # Weeks 0, 1, 3: the 1 -> 3 transition spans 14 days, so the second
         # velocity matrix exists but carries no defined rows: its one row
         # stores the endpoints' artist as +0.0.
-        _, index, _, normalized = pipeline(
+        series, index, _, normalized = pipeline(
             [(0, "c", "a", 2), (1, "c", "a", 3), (3, "c", "a", 4)]
         )
-        vel = compute_velocities(normalized, ("c",), index.artists)
+        vel = compute_velocities(
+            series.weeks, normalized, ("c",), index.artists
+        )
         assert vel.n_weeks == 2
         assert vel.weeks == (week(1), week(3))
         assert vel.defined[0, 0] and not vel.defined[1, 0]
@@ -140,10 +142,12 @@ class TestComputeVelocities:
         assert vel.matrices[1].data.tobytes() == np.zeros(1).tobytes()
 
     def test_city_absence_undefines_row(self):
-        _, index, _, normalized = pipeline(
+        series, index, _, normalized = pipeline(
             [(0, "c1", "a", 1), (0, "c2", "a", 1), (1, "c1", "a", 2)]
         )
-        vel = compute_velocities(normalized, ("c1", "c2"), index.artists)
+        vel = compute_velocities(
+            series.weeks, normalized, ("c1", "c2"), index.artists
+        )
         assert vel.defined[0, 0]
         assert not vel.defined[0, 1]
         assert vel.matrices[0].toarray()[1].tolist() == [0.0]
@@ -151,11 +155,13 @@ class TestComputeVelocities:
     def test_support_is_endpoint_union(self):
         # "gone" charts only in week 0, so its row is undefined; it still
         # stores its week-0 artists, as +0.0.
-        _, index, _, normalized = pipeline(
+        series, index, _, normalized = pipeline(
             [(0, "c", "a", 1), (0, "c", "b", 1), (1, "c", "b", 2),
              (1, "c", "d", 3), (0, "gone", "a", 4)]
         )
-        vel = compute_velocities(normalized, ("c", "gone"), index.artists)
+        vel = compute_velocities(
+            series.weeks, normalized, ("c", "gone"), index.artists
+        )
         m = vel.matrices[0]
         assert vel.defined[0].tolist() == [True, False]
         assert m.indptr.tolist() == [0, 3, 4]
@@ -167,16 +173,20 @@ class TestComputeVelocities:
         assert m.data[3:].tobytes() == np.zeros(1).tobytes()
 
     def test_too_few_weeks(self):
-        _, index, _, normalized = pipeline([(0, "c", "a", 1)])
+        series, index, _, normalized = pipeline([(0, "c", "a", 1)])
         with pytest.raises(InsufficientDataError):
-            compute_velocities(normalized, ("c",), index.artists)
+            compute_velocities(series.weeks, normalized, ("c",), index.artists)
 
     def test_unordered_weeks_rejected(self):
-        _, index, _, normalized = pipeline(
+        series, index, _, normalized = pipeline(
             [(0, "c", "a", 1), (1, "c", "a", 2)]
         )
-        with pytest.raises(ValueError):
-            compute_velocities(normalized[::-1], ("c",), index.artists)
+        with pytest.raises(ValueError, match="ascend"):
+            compute_velocities(series.weeks[::-1], normalized[::-1], ("c",),
+                               index.artists)
+        with pytest.raises(ValueError, match="2 weeks for 1"):
+            compute_velocities(series.weeks, normalized[:1], ("c",),
+                               index.artists)
 
 
 class TestVelocityInvariants:
@@ -196,19 +206,21 @@ class TestVelocityInvariants:
         for k, week_counts in enumerate(counts):
             for a, c in zip("xyz", week_counts):
                 rows.append((k, "c", a, c))
-        _, index, _, normalized = pipeline(rows)
-        vel = compute_velocities(normalized, ("c",), index.artists)
+        series, index, _, normalized = pipeline(rows)
+        vel = compute_velocities(
+            series.weeks, normalized, ("c",), index.artists
+        )
         lhs = vel.matrices[0].toarray() + vel.matrices[1].toarray()
-        rhs = normalized[2].entries.toarray() - normalized[0].entries.toarray()
+        rhs = normalized[2].toarray() - normalized[0].toarray()
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_scale_invariance(self):
         base = [(0, "c", "a", 3), (0, "c", "b", 4), (1, "c", "a", 5), (1, "c", "b", 1)]
         scaled = [(k, c, a, n * 17) if k == 0 else (k, c, a, n) for k, c, a, n in base]
-        _, index, _, norm_a = pipeline(base)
+        series, index, _, norm_a = pipeline(base)
         _, _, _, norm_b = pipeline(scaled)
-        vel_a = compute_velocities(norm_a, ("c",), index.artists)
-        vel_b = compute_velocities(norm_b, ("c",), index.artists)
+        vel_a = compute_velocities(series.weeks, norm_a, ("c",), index.artists)
+        vel_b = compute_velocities(series.weeks, norm_b, ("c",), index.artists)
         diff = vel_a.matrices[0].toarray() - vel_b.matrices[0].toarray()
         assert np.abs(diff).max() < 1e-12
 
@@ -228,7 +240,7 @@ def test_restrict_artists():
     sliced, kept = _restrict_artists(normalized, index, {"b"})
     assert kept == ("b",)
     # Norms are from the full corpus: week-0 b entry stays 0.8.
-    assert sliced[0].entries.toarray()[0].tolist() == [0.8]
+    assert sliced[0].toarray()[0].tolist() == [0.8]
 
 
 def _assert_same_csr(new, old):
@@ -254,7 +266,7 @@ def _assert_one_pattern(velocities, normalized):
     """Each velocity row stores the union of its endpoint rows' columns,
     defined or not, and an undefined row stores +0.0 only."""
     for i, m in enumerate(velocities.matrices):
-        later, earlier = normalized[i + 1].entries, normalized[i].entries
+        later, earlier = normalized[i + 1], normalized[i]
         for r in range(m.shape[0]):
             row = slice(m.indptr[r], m.indptr[r + 1])
             union = np.union1d(
@@ -293,11 +305,17 @@ class TestMatchesScipyOracle:
         old_listeners = oracle_listeners_matrices(series, index)
         normalized = [normalize_rows(m) for m in listeners]
         old_normalized = [oracle_normalize_rows(m) for m in old_listeners]
-        for new, old in zip(
-            listeners + normalized, old_listeners + old_normalized
-        ):
-            assert new.week_start == old.week_start
-            _assert_same_csr(new.entries, old.entries)
+        assert len(listeners) == len(old_listeners) == len(series.weeks)
+        for new, old in zip(listeners, old_listeners):
+            # Views of the corpus's own integer counts, equal to the float64
+            # ones.
+            assert np.shares_memory(new.data, series.listeners)
+            assert new.data.dtype == series.listeners.dtype
+            assert np.array_equal(new.indptr, old.indptr)
+            assert np.array_equal(new.indices, old.indices)
+            assert np.array_equal(new.data, old.data)
+        for new, old in zip(normalized, old_normalized):
+            _assert_same_csr(new, old)
         artists = index.artists
         if subset is not None:
             normalized, artists = _restrict_artists(normalized, index, subset)
@@ -306,9 +324,11 @@ class TestMatchesScipyOracle:
             )
             assert artists == old_artists
             for new, old in zip(normalized, old_normalized):
-                _assert_same_csr(new.entries, old.entries)
-        new = compute_velocities(normalized, series.cities, artists)
-        old = oracle_compute_velocities(old_normalized, series.cities, artists)
+                _assert_same_csr(new, old)
+        new = compute_velocities(series.weeks, normalized, series.cities,
+                                 artists)
+        old = oracle_compute_velocities(series.weeks, old_normalized,
+                                        series.cities, artists)
         _assert_same_velocities(new, old)
         _assert_one_pattern(new, normalized)
         return new
@@ -388,7 +408,8 @@ class TestCitySubset:
         series = make_series(rows)
         with pytest.warns(UserWarning, match="501 non-zeros, above the top-500"):
             matrices = to_listeners_matrices(series, ("small",))
-        assert matrices[0].entries.toarray().tolist() == [[1.0] + [0.0] * 500]
+        assert matrices[0].toarray().tolist() == [[1.0] + [0.0] * 500]
+        assert not np.shares_memory(matrices[0].data, series.listeners)
 
 
 def test_velocity_build_peak_memory_is_bounded_by_the_output():

@@ -472,6 +472,17 @@ class TestSpecSerialization:
         path.write_text(json.dumps(SMALL_PLANT.to_dict()), encoding="utf-8")
         assert PlantSpec.from_json_file(path) == SMALL_PLANT
 
+    def test_start_week_spellings(self, tmp_path):
+        path = tmp_path / "spec.json"
+        for raw in ("20070107", "2007-W02-7"):
+            raw_spec = {**SMALL_PLANT.to_dict(), "start_week": raw}
+            path.write_text(json.dumps(raw_spec), encoding="utf-8")
+            if raw == "20070107":
+                assert PlantSpec.from_json_file(path) == SMALL_PLANT
+            else:
+                with pytest.raises(PlantSpecError, match="start_week"):
+                    PlantSpec.from_json_file(path)
+
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text("{nope", encoding="utf-8")
