@@ -9,7 +9,6 @@ on a temporal holdout against the zero-change baseline.
 
 from .chart_store import (
     ChartSeries,
-    filter_by_tag,
     fingerprint,
     load_tags,
     parse_chart_csv,
@@ -63,7 +62,6 @@ __all__ = [
     "default_boundary",
     "evaluate_city",
     "evaluate_region",
-    "filter_by_tag",
     "fingerprint",
     "fit_nnls",
     "fit_ols",

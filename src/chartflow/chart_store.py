@@ -1,4 +1,4 @@
-"""Weekly chart corpus: CSV ingestion, stable indexing, genre filtering.
+"""Weekly chart corpus: CSV ingestion, stable indexing, genre tags.
 
 A corpus is a set of (week, city, artist, listeners) observations taken from
 weekly top-N charts. Week dates must share one weekday anchor so that
@@ -8,9 +8,11 @@ allowed and handled downstream.
 The corpus is stored as integer-coded columns: one code per row into each of
 the sorted label tuples ``weeks``, ``cities`` and ``artists``, plus the
 listener counts, each column at the narrowest signed width its values need
-(see :func:`column_width`). Every way of building a corpus (parsing, tag
-filtering, the synthetic generator) goes through the one validating
-constructor :meth:`ChartSeries.from_columns`.
+(see :func:`column_width`). Every way of building a corpus (parsing, the
+synthetic generator) goes through the one validating constructor
+:meth:`ChartSeries.from_columns`. A genre tag (:func:`load_tags`) narrows
+the artists downstream, in the weekly matrices, and leaves the corpus as
+it is.
 
 Parsing reads the file's bytes. Plain input (the exact header, no quote,
 carriage return or NUL byte, no blank line, lines of three commas and a
@@ -351,17 +353,6 @@ def _validate(weeks, cities, artists, w, c, a, counts, order, lines) -> None:
             f"week {weeks[w[i]]} breaks the corpus weekday anchor", line=line
         )
     raise DuplicateKeyError(f"duplicate key {key}", line=line)
-
-
-@dataclass(frozen=True)
-class ArtistIndex:
-    """A corpus's artists in column order: column ``j`` is ``artists[j]``."""
-
-    artists: tuple[str, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.artists)
 
 
 def parse_chart_csv(path: str | Path, region_label: str = "") -> ChartSeries:
@@ -1023,22 +1014,7 @@ def load_tags(path: str | Path) -> dict[str, set[str]]:
     return tags
 
 
-def build_artist_index(series: ChartSeries) -> ArtistIndex:
-    """The corpus's artists, sorted and distinct, as its column index."""
-    return ArtistIndex(series.artists)
-
-
-def filter_by_tag(series: ChartSeries, tagged_artists: set[str]) -> ChartSeries:
-    """Keep only records whose artist is in ``tagged_artists``."""
-    tagged = np.array([a in tagged_artists for a in series.artists], dtype=bool)
-    keep = tagged[series.artist_idx]
-    return ChartSeries.from_columns(
-        series.weeks,
-        series.cities,
-        series.artists,
-        series.week_idx[keep],
-        series.city_idx[keep],
-        series.artist_idx[keep],
-        series.listeners[keep],
-        series.region_label,
-    )
+def build_artist_index(series: ChartSeries) -> tuple[str, ...]:
+    """The corpus's artists, sorted and distinct: column ``j`` of every
+    weekly matrix is ``artists[j]``."""
+    return series.artists

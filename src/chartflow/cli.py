@@ -30,7 +30,6 @@ from pathlib import Path
 
 from .chart_store import (
     ChartSeries,
-    filter_by_tag,
     fingerprint,
     load_tags,
     parse_chart_csv,
@@ -204,17 +203,17 @@ def _velocities_for(
 ) -> VelocitySeries:
     """Velocities of ``cities`` (None: every city), tag-filtered as configured.
 
-    Cities the (filtered) corpus lacks are left out, so the caller's check
-    against ``velocities.cities`` reports them as before.
+    Cities the corpus lacks are left out, so the caller's check against
+    ``velocities.cities`` reports them. A city with no tagged artist keeps
+    its rows, left empty, and gets a status row.
     """
     tagged = _tagged_artists(config)
     if tagged is not None and tagged.isdisjoint(series.artists):
         raise CliInputError(f"tag {config.tag!r} names no artist in the corpus")
-    if tagged is not None and config.filter_stage == "pre":
-        series, tagged = filter_by_tag(series, tagged), None
     if cities is not None:
         cities = tuple(c for c in cities if c in series.cities)
-    return build_velocities(series, tagged, cities)
+    return build_velocities(series, tagged, cities,
+                            filter_stage=config.filter_stage)
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -251,8 +250,12 @@ def cmd_evaluate(config: RunConfig) -> int:
     check_lag_count(velocities, config.lag_count)
     boundary = config.boundary or default_boundary(velocities.weeks)
     if not velocities.weeks[0] < boundary <= velocities.weeks[-1]:
+        which = "boundary" if config.boundary else (
+            f"default boundary (the two-thirds point of "
+            f"{velocities.n_weeks} velocity weeks)"
+        )
         raise CliInputError(
-            f"boundary {boundary} outside velocity week range "
+            f"{which} {boundary} outside velocity week range "
             f"({velocities.weeks[0]} .. {velocities.weeks[-1]})"
         )
     labels = {}

@@ -16,7 +16,11 @@ columns, and each velocity matrix comes from one merge of the sorted
 A city's velocities depend on its own rows alone, so the pipeline can build
 the rows of some cities only (``build_velocities(..., cities=...)``), with
 the same values and every week of the corpus; ``chartflow evaluate`` builds
-just the cities it fits.
+just the cities it fits. A genre tag narrows the artists by slicing columns
+(``build_velocities(..., artists=...)``): of the counts, so rows are
+normalized over the tagged artists alone (``filter_stage="pre"``), or of
+the unit rows, keeping norms over every artist (``"post"``). Either way
+the weeks and cities stay the corpus's.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Collection, Sequence
 
 import numpy as np
 
-from .chart_store import ArtistIndex, ChartSeries, build_artist_index
+from .chart_store import ChartSeries, build_artist_index
 from .errors import InsufficientDataError, UnknownCityError
 
 # Weekly charts list at most this many artists per city; more non-zeros in a
@@ -255,40 +259,52 @@ def build_velocities(
     series: ChartSeries,
     artists: set[str] | None = None,
     cities: Collection[str] | None = None,
+    *,
+    filter_stage: str = "post",
 ) -> VelocitySeries:
     """The pipeline: corpus -> counts -> unit rows -> velocities.
 
-    ``artists``, when given, keeps only those artists' columns after the
-    rows are normalized (see :func:`_restrict_artists`). ``cities``, when
-    given, builds only those cities' rows (see :func:`_corpus_cities`): each
-    city's velocities depend on its own rows alone, so they equal the rows
-    built for every city, and the weeks are still the corpus's weeks.
+    ``artists``, when given, keeps only those artists' columns (see
+    :func:`_restrict_artists`): of the counts before the rows are
+    normalized for ``filter_stage="pre"``, of the unit rows after for
+    ``"post"``. ``cities``, when given, builds only those cities' rows (see
+    :func:`_corpus_cities`): each city's velocities depend on its own rows
+    alone, so they equal the rows built for every city. The weeks are the
+    corpus's weeks in every case.
     """
-    index = build_artist_index(series)
+    if filter_stage not in ("pre", "post"):
+        raise ValueError(
+            f"filter_stage must be pre or post, got {filter_stage!r}"
+        )
+    corpus_artists = build_artist_index(series)
     kept_cities = _corpus_cities(series, cities)
-    listeners = to_listeners_matrices(series, kept_cities)
-    normalized = [normalize_rows(m) for m in listeners]
-    del listeners  # counts copied for a city subset; unit rows share indices
-    kept = index.artists
-    if artists is not None:
-        normalized, kept = _restrict_artists(normalized, index, artists)
+    matrices = to_listeners_matrices(series, kept_cities)
+    kept = corpus_artists
+    if artists is not None and filter_stage == "pre":
+        matrices, kept = _restrict_artists(matrices, corpus_artists, artists)
+    normalized = [normalize_rows(m) for m in matrices]
+    del matrices  # counts copied for a subset; unit rows share indices
+    if artists is not None and filter_stage == "post":
+        normalized, kept = _restrict_artists(normalized, corpus_artists,
+                                             artists)
     return compute_velocities(series.weeks, normalized, kept_cities, kept)
 
 
 def _restrict_artists(
-    normalized: Sequence[CsrMatrix],
-    index: ArtistIndex,
+    matrices: Sequence[CsrMatrix],
+    artists: Sequence[str],
     artist_subset: set[str],
 ) -> tuple[list[CsrMatrix], tuple[str, ...]]:
-    """Column-slice normalized matrices to an artist subset.
+    """Column-slice matrices over ``artists`` to an artist subset.
 
-    Used for post-normalization genre filtering: row norms are taken over the
-    full corpus first, then attention narrows to the tagged columns (rows are
-    deliberately not re-normalized).
+    Sliced counts normalize over the subset alone (the ``pre`` filter
+    stage); sliced unit rows keep the norms of every artist (``post``: rows
+    are deliberately not re-normalized). A row with no subset artist is
+    left empty, never dropped.
     """
-    keep = [i for i, a in enumerate(index.artists) if a in artist_subset]
-    kept_artists = tuple(index.artists[i] for i in keep)
-    column = np.full(index.size, -1, dtype=np.int32)
+    keep = [i for i, a in enumerate(artists) if a in artist_subset]
+    kept_artists = tuple(artists[i] for i in keep)
+    column = np.full(len(artists), -1, dtype=np.int32)
     column[keep] = np.arange(len(keep), dtype=np.int32)
 
     def sliced(m: CsrMatrix) -> CsrMatrix:
@@ -299,7 +315,7 @@ def _restrict_artists(
             before[m.indptr], new[kept], m.data[kept], (m.shape[0], len(keep))
         )
 
-    return [sliced(m) for m in normalized], kept_artists
+    return [sliced(m) for m in matrices], kept_artists
 
 
 def week_gaps(weeks: Sequence[date]) -> list[tuple[date, date, int]]:

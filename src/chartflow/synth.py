@@ -37,7 +37,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -164,28 +164,9 @@ class PlantSpec:
         }
 
     def to_dict(self) -> dict:
-        return {
-            "cities": [
-                {"name": name, "role": role} for name, role in self.cities
-            ],
-            "influence": [
-                {
-                    "leader": e.leader,
-                    "follower": e.follower,
-                    "lag": e.lag,
-                    "strength": e.strength,
-                }
-                for e in self.influence
-            ],
-            "weeks": self.weeks,
-            "artists": self.artists,
-            "chart_size": self.chart_size,
-            "noise_sigma": self.noise_sigma,
-            "walk_sigma": self.walk_sigma,
-            "city_size": self.city_size,
-            "start_week": self.start_week.isoformat(),
-            "seed": self.seed,
-        }
+        """The spec as a JSON object, one key per field, that
+        :meth:`from_dict` reads back."""
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PlantSpec":
@@ -219,6 +200,20 @@ class PlantSpec:
         if not isinstance(raw, dict):
             raise PlantSpecError("spec file must hold a JSON object")
         return cls.from_dict(raw)
+
+
+def _json_value(value):
+    """A spec field's value as JSON data: a date in ISO form, each city a
+    ``name``/``role`` object and each edge an object of its fields."""
+    if isinstance(value, date):
+        return value.isoformat()
+    if isinstance(value, tuple):
+        return [
+            asdict(entry) if isinstance(entry, Influence)
+            else dict(zip(("name", "role"), entry))
+            for entry in value
+        ]
+    return value
 
 
 def _json_type(kind: str, *types: type):

@@ -8,7 +8,9 @@ code with the Gram/QR reduction or the Lawson-Hanson loop of
 per-(week, city) dense rows, the way ``chartflow.design.build_design`` did
 before it gathered each week's block at once. The ``oracle_*`` preprocessing
 functions build the per-week matrices with ``scipy.sparse``, the way
-``chartflow.preprocess`` did before it kept them as plain numpy arrays.
+``chartflow.preprocess`` did before it kept them as plain numpy arrays, and
+``oracle_filter_by_tag`` rebuilds a corpus of the tagged records, the way
+the ``pre`` filter stage did before it sliced the weekly matrices.
 ``oracle_chart_top`` picks each synthetic chart with a stable sort of every
 whole row, and ``oracle_chart_csv`` renders the canonical CSV row by row
 with f-strings: both are how ``chartflow`` did it before it partitioned the
@@ -24,7 +26,6 @@ from scipy import sparse
 
 from chartflow.chart_store import (
     CHART_HEADER,
-    ArtistIndex,
     ChartSeries,
     _csv_fields,
 )
@@ -198,12 +199,12 @@ def build_design_by_columns(
 
 
 def oracle_listeners_matrices(
-    series: ChartSeries, index: ArtistIndex
+    series: ChartSeries, artists: tuple[str, ...]
 ) -> list[sparse.csr_matrix]:
     """One ``scipy.sparse`` float64 CSR counts matrix per week, built from
-    COO."""
-    shape = (len(series.cities), index.size)
-    column_of = {a: i for i, a in enumerate(index.artists)}
+    COO, with column ``j`` for ``artists[j]``."""
+    shape = (len(series.cities), len(artists))
+    column_of = {a: i for i, a in enumerate(artists)}
     column = np.array([column_of[a] for a in series.artists], dtype=np.int32)
     cols = column[series.artist_idx]
     data = series.listeners.astype(np.float64)
@@ -263,11 +264,30 @@ def _ones(m) -> sparse.csr_matrix:
     )
 
 
-def oracle_restrict_artists(normalized, index: ArtistIndex, artist_subset):
-    """Column-slice ``scipy.sparse`` unit rows to an artist subset."""
-    keep = [i for i, a in enumerate(index.artists) if a in artist_subset]
+def oracle_restrict_artists(normalized, artists, artist_subset):
+    """Column-slice ``scipy.sparse`` unit rows over ``artists`` to an artist
+    subset."""
+    keep = [i for i, a in enumerate(artists) if a in artist_subset]
     sliced = [m[:, keep].tocsr() for m in normalized]
-    return sliced, tuple(index.artists[i] for i in keep)
+    return sliced, tuple(artists[i] for i in keep)
+
+
+def oracle_filter_by_tag(series: ChartSeries, tagged_artists) -> ChartSeries:
+    """The corpus of the records whose artist is tagged, rebuilt through
+    ``ChartSeries.from_columns``: weeks, cities and artists left without a
+    record drop out."""
+    tagged = np.array([a in tagged_artists for a in series.artists], dtype=bool)
+    keep = tagged[series.artist_idx]
+    return ChartSeries.from_columns(
+        series.weeks,
+        series.cities,
+        series.artists,
+        series.week_idx[keep],
+        series.city_idx[keep],
+        series.artist_idx[keep],
+        series.listeners[keep],
+        series.region_label,
+    )
 
 
 def oracle_chart_top(counts: np.ndarray, width: int) -> np.ndarray:

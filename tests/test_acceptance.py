@@ -118,7 +118,7 @@ def test_normalization_and_velocity_invariants():
         normalize_rows(m) for m in to_listeners_matrices(series)
     ]
     velocities = compute_velocities(
-        series.weeks, normalized, series.cities, index.artists
+        series.weeks, normalized, series.cities, index
     )
 
     worst_norm = 0.0

@@ -1,4 +1,4 @@
-"""Corpus ingestion: parsing, indexing, filtering, round trips."""
+"""Corpus ingestion: parsing, indexing, round trips; tag narrowing."""
 
 import tempfile
 import tracemalloc
@@ -15,7 +15,7 @@ from chartflow import (
     ChartSeries,
     Influence,
     PlantSpec,
-    filter_by_tag,
+    build_velocities,
     generate_planted,
     load_tags,
     parse_chart_csv,
@@ -28,6 +28,7 @@ from chartflow.chart_store import (
     chart_csv_chunks,
 )
 from chartflow.errors import ChartValueError, DuplicateKeyError, ParseError
+from chartflow.preprocess import _restrict_artists, to_listeners_matrices
 
 from conftest import make_series, series_from_rows, week
 from oracles import oracle_chart_csv
@@ -327,45 +328,68 @@ class TestFromColumns:
 
 
 class TestArtistIndex:
+    """The column index is the corpus's own sorted artist tuple."""
+
     def test_lexicographic(self):
         series = make_series(
             [(0, "c", "b", 1), (0, "c", "a", 1), (0, "c", "c", 1)]
         )
-        index = build_artist_index(series)
-        assert index.artists == ("a", "b", "c")
+        assert build_artist_index(series) == ("a", "b", "c")
 
     def test_empty(self):
-        assert build_artist_index(make_series([])).size == 0
+        assert build_artist_index(make_series([])) == ()
 
     def test_distinctness(self):
         rows = [(k, "c", "solo", 5) for k in range(40)]
-        index = build_artist_index(make_series(rows))
-        assert index.size == 1
+        assert build_artist_index(make_series(rows)) == ("solo",)
 
     def test_deterministic_rebuild(self):
         series = make_series([(0, "c", a, 1) for a in "zyxw"])
         assert build_artist_index(series) == build_artist_index(series)
+        assert build_artist_index(series) is series.artists
 
 
 class TestFilterByTag:
+    """A tag narrows the weekly matrices' columns, never the corpus: the
+    ``pre`` stage's velocities (the stage that normalizes over the tagged
+    artists alone)."""
+
+    @staticmethod
+    def tagged(series, tag):
+        return build_velocities(series, tag, filter_stage="pre")
+
     def test_identity(self):
-        series = make_series([(0, "c", "x", 1), (1, "c", "y", 2)])
-        assert filter_by_tag(series, {"x", "y"}) == series
+        series = make_series([(k, "c", a, 1 + k) for k in range(3)
+                              for a in "xy"])
+        out, whole = self.tagged(series, {"x", "y"}), build_velocities(series)
+        assert (out.weeks, out.cities, out.artists) == (
+            whole.weeks, whole.cities, whole.artists
+        )
+        assert np.array_equal(out.defined, whole.defined)
+        for a, b in zip(out.matrices, whole.matrices):
+            assert a.data.tobytes() == b.data.tobytes()
 
     def test_disjoint(self):
-        series = make_series([(0, "c", "x", 1)])
-        out = filter_by_tag(series, {"nope"})
-        assert out.records == () and out.weeks == () and out.cities == ()
+        series = make_series([(0, "c", "x", 1), (1, "c", "x", 2)])
+        out = self.tagged(series, {"nope"})
+        assert out.artists == () and out.cities == ("c",)
+        assert not out.defined.any()
 
     def test_subset(self):
-        series = make_series([(0, "c", "x", 1), (0, "c", "y", 2)])
-        out = filter_by_tag(series, {"x"})
-        assert [r.artist for r in out.records] == ["x"]
+        series = make_series([(0, "c", "x", 1), (0, "c", "y", 2),
+                              (1, "c", "x", 3), (1, "c", "y", 2)])
+        out = self.tagged(series, {"x"})
+        assert out.artists == ("x",)
+        # x alone is each week's whole unit row: 1.0 both weeks.
+        assert out.matrices[0].data.tolist() == [0.0]
 
-    def test_weeks_recomputed(self):
-        series = make_series([(0, "c", "x", 1), (3, "d", "y", 2)])
-        out = filter_by_tag(series, {"x"})
-        assert out.weeks == (week(0),) and out.cities == ("c",)
+    def test_weeks_and_cities_kept(self):
+        series = make_series([(0, "c", "x", 1), (1, "c", "x", 1),
+                              (3, "d", "y", 2), (4, "d", "y", 2)])
+        out = self.tagged(series, {"x"})
+        assert out.weeks == series.weeks[1:] and out.cities == ("c", "d")
+        assert out.defined.tolist() == [[True, False], [False, False],
+                                         [False, False]]
 
 
 def test_load_tags(tmp_path):
@@ -425,9 +449,19 @@ def test_csv_roundtrip_property(series):
 @given(corpora(), st.sets(_names, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_filter_idempotent_and_monotone(series, tag_set):
-    once = filter_by_tag(series, tag_set)
-    assert filter_by_tag(once, tag_set) == once
-    assert build_artist_index(once).size <= build_artist_index(series).size
+    """A tag slices the weekly matrices' columns: slicing again by the same
+    tag changes nothing, and no artist or row is added."""
+    matrices = to_listeners_matrices(series)
+    once, kept = _restrict_artists(matrices, series.artists, tag_set)
+    twice, kept_again = _restrict_artists(once, kept, tag_set)
+    assert kept_again == kept
+    assert set(kept) <= set(series.artists) & tag_set
+    for a, b, whole in zip(once, twice, matrices):
+        assert a.shape == b.shape == (whole.shape[0], len(kept))
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.data, b.data)
+        assert a.nnz <= whole.nnz
 
 
 def test_parse_peak_memory_is_bounded_by_the_columns(tmp_path):

@@ -255,6 +255,26 @@ class TestEvaluate:
         assert code == 2
         assert "boundary" in capsys.readouterr().err
 
+    def test_default_boundary_outside_says_it_is_the_default(
+        self, tmp_path, capsys
+    ):
+        # 3 chart weeks give 2 velocity weeks; their two-thirds point falls
+        # past the last one.
+        corpus = tmp_path / "corpus.csv"
+        write_chart_csv(
+            make_series([(k, "c", a, 1 + k + i) for k in range(3)
+                         for i, a in enumerate("pq")]),
+            corpus,
+        )
+        assert run(["evaluate", "--corpus-path", corpus, "--lag-count", "1",
+                    "--output-dir", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            "error: default boundary (the two-thirds point of 2 velocity "
+            "weeks) 2007-01-23 outside velocity week range "
+            "(2007-01-14 .. 2007-01-21)\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_city(self, corpus_path, tmp_path, capsys):
         code = run(
             [
@@ -491,27 +511,46 @@ class TestTagFilter:
         assert err.count("tag 'rock' names no artist in the corpus") == 2
         assert not (tmp_path / "o").exists()
 
-    def test_pre_filter_emptying_an_included_city_exits_2(
-        self, tmp_path, capsys
-    ):
-        # "z" charts only untagged artists, so the pre-stage filter drops it
-        # from the corpus the velocities are built from.
-        rows = [(k, c, a, 1 + k % 5) for k in range(12) for c, a in
-                [("a", "p"), ("a", "q"), ("b", "p"), ("z", "r"), ("z", "s")]]
+    def test_a_city_the_tag_empties_keeps_its_status_row(self, tmp_path,
+                                                         capsys):
+        # "z" charts only untagged artists. Both stages keep its rows, all
+        # undefined, so it is reported, never "not in corpus", and "a" is
+        # still scored.
+        rows = [(k, c, a, n) for k in range(16) for c, a, n in
+                [("a", "p", 1 + k % 5), ("a", "q", 2 + k % 3),
+                 ("b", "p", 1 + k % 4), ("z", "r", 3), ("z", "s", 1 + k % 2)]]
         corpus, tags = tmp_path / "corpus.csv", tmp_path / "tags.csv"
         write_chart_csv(make_series(rows), corpus)
         tags.write_text("artist,tag\np,rock\nq,rock\nr,pop\n")
-        common = [
-            "--corpus-path", corpus, "--tags-path", tags, "--tag", "rock",
-            "--filter-stage", "pre", "--cities-included", "a,z",
-            "--lag-count", "2",
-        ]
-        assert run(["evaluate", *common, "--output-dir", tmp_path / "o"]) == 2
-        assert run(["dump-design", *common, "--city", "a"]) == 2
+        reports, designs = {}, {}
+        for stage in ("pre", "post"):
+            common = [
+                "--corpus-path", corpus, "--tags-path", tags, "--tag", "rock",
+                "--filter-stage", stage, "--cities-included", "a,z",
+                "--lag-count", "2",
+            ]
+            out = tmp_path / stage
+            assert run(["evaluate", *common, "--output-dir", out]) == 0
+            reports[stage] = (out / "report.csv").read_text().splitlines()
+            for city in ("a", "z"):
+                path = tmp_path / f"{stage}-{city}.csv"
+                assert run(["dump-design", *common, "--city", city,
+                            "--out", path]) == 0
+                designs[stage, city] = path.read_text().splitlines()
         err = capsys.readouterr().err
-        assert err.count("error: cities not in corpus: ['z']") == 2
-        assert "Traceback" not in err
-        assert not (tmp_path / "o").exists()
+        assert "not in corpus" not in err and "Traceback" not in err
+        assert reports["pre"] == reports["post"]
+        assert reports["pre"][1].startswith("a,") and \
+            reports["pre"][1].endswith(",ok")
+        assert reports["pre"][2] == (
+            "z,,,,unlabeled,InsufficientDataError: city 'z' has no eligible "
+            "samples: none with its velocity defined at the sample week and "
+            "all 2 lag weeks"
+        )
+        header = "artist,week,y,a@lag1,a@lag2,z@lag1,z@lag2"
+        assert designs["pre", "a"] == designs["post", "a"]
+        assert designs["pre", "a"][0] == header and len(designs["pre", "a"]) > 1
+        assert designs["pre", "z"] == designs["post", "z"] == [header]
 
 
 class TestSynth:

@@ -28,7 +28,6 @@ from chartflow import (
     rmse,
     temporal_split,
 )
-from chartflow.chart_store import build_artist_index
 from chartflow.errors import (
     DimensionError,
     ParseError,
@@ -301,11 +300,11 @@ class TestEvaluateRegion:
             assert result.status.startswith("UnknownCityError")
 
     def test_no_artists_gives_status_rows(self, small_series):
-        index = build_artist_index(small_series)
         normalized = [
             normalize_rows(m) for m in to_listeners_matrices(small_series)
         ]
-        sliced, kept = _restrict_artists(normalized, index, {"nobody"})
+        sliced, kept = _restrict_artists(normalized, small_series.artists,
+                                         {"nobody"})
         velocities = compute_velocities(
             small_series.weeks, sliced, small_series.cities, kept
         )

@@ -9,7 +9,10 @@ outside ``chart_store`` (the one module that owns the canonical CSV and its
 digest) and any ``splitlines`` call (it also breaks lines at form feeds and
 other separators). The slab layout stays with the velocity series and the
 design: no other module names ``slab_positions``, and no call passes a
-``positions=`` keyword. ``chartflow`` exports the pipeline's stages and
+``positions=`` keyword. A genre tag narrows artists one way, by slicing the
+weekly matrices: no module of the repository names the corpus rebuild
+``filter_by_tag`` or an ``ArtistIndex`` record beside the corpus's own
+sorted ``artists``. ``chartflow`` exports the pipeline's stages and
 records, and no step inside a stage.
 """
 
@@ -18,7 +21,8 @@ from pathlib import Path
 
 import chartflow
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chartflow"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "chartflow"
 
 
 def private_sibling_imports(source: str) -> list[str]:
@@ -124,13 +128,29 @@ def test_slab_positions_stay_in_design():
     assert passing == []
 
 
+def test_one_way_to_narrow_artists():
+    modules = [
+        path
+        for folder in ("src", "tests", "demos", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert PACKAGE / "preprocess.py" in modules
+    naming = [
+        (str(path.relative_to(ROOT)), name)
+        for path in modules
+        for name in ("ArtistIndex", "filter_by_tag")
+        if name in identifiers(path.read_text(encoding="utf-8"))
+    ]
+    assert naming == []
+
+
 def test_public_names():
     assert sorted(chartflow.__all__) == [
         "ChartFlowError", "ChartSeries", "CityResult", "Coefficients",
         "ColMeta", "Influence", "LabeledDesign", "LagConfig", "PlantSpec",
         "RegionReport", "VelocitySeries", "baseline_rmse", "build_design",
         "build_report", "build_velocities", "default_boundary",
-        "evaluate_city", "evaluate_region", "filter_by_tag", "fingerprint",
+        "evaluate_city", "evaluate_region", "fingerprint",
         "fit_nnls", "fit_ols", "generate_planted", "load_tags",
         "parse_chart_csv", "percent_of_baseline", "predict",
         "read_labels_csv", "report_csv_text", "report_json_text",

@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chartflow import Influence, PlantSpec, build_velocities, generate_planted
-from chartflow.chart_store import build_artist_index
 from chartflow.errors import (
     InsufficientDataError,
     UnknownCityError,
@@ -22,6 +23,7 @@ from chartflow.preprocess import (
 from conftest import make_series, row_norms, week
 from oracles import (
     oracle_compute_velocities,
+    oracle_filter_by_tag,
     oracle_listeners_matrices,
     oracle_normalize_rows,
     oracle_restrict_artists,
@@ -30,10 +32,9 @@ from oracles import (
 
 def pipeline(rows):
     series = make_series(rows)
-    index = build_artist_index(series)
     matrices = to_listeners_matrices(series)
     normalized = [normalize_rows(m) for m in matrices]
-    return series, index, matrices, normalized
+    return series, series.artists, matrices, normalized
 
 
 class TestListenersMatrices:
@@ -50,8 +51,8 @@ class TestListenersMatrices:
         assert second[1].tolist() == [0.0]
 
     def test_shared_column_space(self):
-        _, index, matrices, _ = pipeline([(0, "c", "x", 1), (1, "c", "y", 2)])
-        assert index.size == 2
+        _, artists, matrices, _ = pipeline([(0, "c", "x", 1), (1, "c", "y", 2)])
+        assert len(artists) == 2
         assert all(m.shape == (1, 2) for m in matrices)
 
     def test_overfull_row_warns(self):
@@ -91,11 +92,11 @@ class TestNormalizeRows:
 
 class TestComputeVelocities:
     def test_identical_weeks_give_zero(self):
-        series, index, _, normalized = pipeline(
+        series, artists, _, normalized = pipeline(
             [(0, "c", "a", 3), (0, "c", "b", 4), (1, "c", "a", 3), (1, "c", "b", 4)]
         )
         vel = compute_velocities(
-            series.weeks, normalized, ("c",), index.artists
+            series.weeks, normalized, ("c",), artists
         )
         assert vel.defined[0, 0]
         # Both charted artists are stored, as +0.0.
@@ -117,11 +118,11 @@ class TestComputeVelocities:
         assert not np.signbit(vel.matrices[0].data).any()
 
     def test_orthogonal_swap(self):
-        series, index, _, normalized = pipeline(
+        series, artists, _, normalized = pipeline(
             [(0, "c", "a", 7), (1, "c", "b", 12)]
         )
         vel = compute_velocities(
-            series.weeks, normalized, ("c",), index.artists
+            series.weeks, normalized, ("c",), artists
         )
         assert vel.matrices[0].toarray()[0].tolist() == [-1.0, 1.0]
 
@@ -129,11 +130,11 @@ class TestComputeVelocities:
         # Weeks 0, 1, 3: the 1 -> 3 transition spans 14 days, so the second
         # velocity matrix exists but carries no defined rows: its one row
         # stores the endpoints' artist as +0.0.
-        series, index, _, normalized = pipeline(
+        series, artists, _, normalized = pipeline(
             [(0, "c", "a", 2), (1, "c", "a", 3), (3, "c", "a", 4)]
         )
         vel = compute_velocities(
-            series.weeks, normalized, ("c",), index.artists
+            series.weeks, normalized, ("c",), artists
         )
         assert vel.n_weeks == 2
         assert vel.weeks == (week(1), week(3))
@@ -142,11 +143,11 @@ class TestComputeVelocities:
         assert vel.matrices[1].data.tobytes() == np.zeros(1).tobytes()
 
     def test_city_absence_undefines_row(self):
-        series, index, _, normalized = pipeline(
+        series, artists, _, normalized = pipeline(
             [(0, "c1", "a", 1), (0, "c2", "a", 1), (1, "c1", "a", 2)]
         )
         vel = compute_velocities(
-            series.weeks, normalized, ("c1", "c2"), index.artists
+            series.weeks, normalized, ("c1", "c2"), artists
         )
         assert vel.defined[0, 0]
         assert not vel.defined[0, 1]
@@ -155,12 +156,12 @@ class TestComputeVelocities:
     def test_support_is_endpoint_union(self):
         # "gone" charts only in week 0, so its row is undefined; it still
         # stores its week-0 artists, as +0.0.
-        series, index, _, normalized = pipeline(
+        series, artists, _, normalized = pipeline(
             [(0, "c", "a", 1), (0, "c", "b", 1), (1, "c", "b", 2),
              (1, "c", "d", 3), (0, "gone", "a", 4)]
         )
         vel = compute_velocities(
-            series.weeks, normalized, ("c", "gone"), index.artists
+            series.weeks, normalized, ("c", "gone"), artists
         )
         m = vel.matrices[0]
         assert vel.defined[0].tolist() == [True, False]
@@ -173,20 +174,20 @@ class TestComputeVelocities:
         assert m.data[3:].tobytes() == np.zeros(1).tobytes()
 
     def test_too_few_weeks(self):
-        series, index, _, normalized = pipeline([(0, "c", "a", 1)])
+        series, artists, _, normalized = pipeline([(0, "c", "a", 1)])
         with pytest.raises(InsufficientDataError):
-            compute_velocities(series.weeks, normalized, ("c",), index.artists)
+            compute_velocities(series.weeks, normalized, ("c",), artists)
 
     def test_unordered_weeks_rejected(self):
-        series, index, _, normalized = pipeline(
+        series, artists, _, normalized = pipeline(
             [(0, "c", "a", 1), (1, "c", "a", 2)]
         )
         with pytest.raises(ValueError, match="ascend"):
             compute_velocities(series.weeks[::-1], normalized[::-1], ("c",),
-                               index.artists)
+                               artists)
         with pytest.raises(ValueError, match="2 weeks for 1"):
             compute_velocities(series.weeks, normalized[:1], ("c",),
-                               index.artists)
+                               artists)
 
 
 class TestVelocityInvariants:
@@ -206,9 +207,9 @@ class TestVelocityInvariants:
         for k, week_counts in enumerate(counts):
             for a, c in zip("xyz", week_counts):
                 rows.append((k, "c", a, c))
-        series, index, _, normalized = pipeline(rows)
+        series, artists, _, normalized = pipeline(rows)
         vel = compute_velocities(
-            series.weeks, normalized, ("c",), index.artists
+            series.weeks, normalized, ("c",), artists
         )
         lhs = vel.matrices[0].toarray() + vel.matrices[1].toarray()
         rhs = normalized[2].toarray() - normalized[0].toarray()
@@ -217,10 +218,10 @@ class TestVelocityInvariants:
     def test_scale_invariance(self):
         base = [(0, "c", "a", 3), (0, "c", "b", 4), (1, "c", "a", 5), (1, "c", "b", 1)]
         scaled = [(k, c, a, n * 17) if k == 0 else (k, c, a, n) for k, c, a, n in base]
-        series, index, _, norm_a = pipeline(base)
+        series, artists, _, norm_a = pipeline(base)
         _, _, _, norm_b = pipeline(scaled)
-        vel_a = compute_velocities(series.weeks, norm_a, ("c",), index.artists)
-        vel_b = compute_velocities(series.weeks, norm_b, ("c",), index.artists)
+        vel_a = compute_velocities(series.weeks, norm_a, ("c",), artists)
+        vel_b = compute_velocities(series.weeks, norm_b, ("c",), artists)
         diff = vel_a.matrices[0].toarray() - vel_b.matrices[0].toarray()
         assert np.abs(diff).max() < 1e-12
 
@@ -235,9 +236,8 @@ def test_restrict_artists():
     series = make_series(
         [(0, "c", "a", 3), (0, "c", "b", 4), (1, "c", "a", 1), (1, "c", "b", 1)]
     )
-    index = build_artist_index(series)
     normalized = [normalize_rows(m) for m in to_listeners_matrices(series)]
-    sliced, kept = _restrict_artists(normalized, index, {"b"})
+    sliced, kept = _restrict_artists(normalized, series.artists, {"b"})
     assert kept == ("b",)
     # Norms are from the full corpus: week-0 b entry stays 0.8.
     assert sliced[0].toarray()[0].tolist() == [0.8]
@@ -300,9 +300,8 @@ class TestMatchesScipyOracle:
 
     @staticmethod
     def _check(series, subset=None):
-        index = build_artist_index(series)
         listeners = to_listeners_matrices(series)
-        old_listeners = oracle_listeners_matrices(series, index)
+        old_listeners = oracle_listeners_matrices(series, series.artists)
         normalized = [normalize_rows(m) for m in listeners]
         old_normalized = [oracle_normalize_rows(m) for m in old_listeners]
         assert len(listeners) == len(old_listeners) == len(series.weeks)
@@ -316,11 +315,11 @@ class TestMatchesScipyOracle:
             assert np.array_equal(new.data, old.data)
         for new, old in zip(normalized, old_normalized):
             _assert_same_csr(new, old)
-        artists = index.artists
+        artists = series.artists
         if subset is not None:
-            normalized, artists = _restrict_artists(normalized, index, subset)
+            normalized, artists = _restrict_artists(normalized, artists, subset)
             old_normalized, old_artists = oracle_restrict_artists(
-                old_normalized, index, subset
+                old_normalized, series.artists, subset
             )
             assert artists == old_artists
             for new, old in zip(normalized, old_normalized):
@@ -358,13 +357,79 @@ class TestMatchesScipyOracle:
         assert sum(np.count_nonzero(m.data) for m in velocities.matrices) == 1
 
 
+@st.composite
+def tagged_corpora(draw):
+    """A corpus of at most 6 chart weeks (a 14-day gap possible) over 3
+    cities and 6 artists, with a tag naming some of the 6."""
+    artists = [f"a{i}" for i in range(6)]
+    cells = draw(st.dictionaries(
+        st.tuples(st.sampled_from([0, 1, 2, 3, 5, 6]),
+                  st.sampled_from(["c1", "c2", "c3"]),
+                  st.sampled_from(artists)),
+        st.integers(min_value=1, max_value=10**6),
+        min_size=2, max_size=60,
+    ))
+    series = make_series([(k, c, a, n) for (k, c, a), n in cells.items()])
+    return series, draw(st.sets(st.sampled_from(artists), min_size=1))
+
+
+class TestPreFilterStage:
+    """``filter_stage="pre"`` slices the counts before the rows are
+    normalized, on the corpus's own weeks and cities."""
+
+    @given(tagged_corpora())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_filter_then_build(self, case):
+        # Where the tag leaves every week and every city a tagged record,
+        # rebuilding the corpus from the tagged records keeps its weeks and
+        # cities, and the velocities are the same bits.
+        series, tag = case
+        filtered = oracle_filter_by_tag(series, tag)
+        assume(len(series.weeks) >= 2)
+        assume((filtered.weeks, filtered.cities)
+               == (series.weeks, series.cities))
+        _assert_same_velocities(
+            build_velocities(series, tag, filter_stage="pre"),
+            build_velocities(filtered),
+        )
+
+    def test_rows_normalize_over_the_tag(self):
+        series = make_series(
+            [(0, "c", "a", 3), (0, "c", "b", 4), (1, "c", "a", 1),
+             (1, "c", "b", 1)]
+        )
+        velocities = build_velocities(series, {"b"}, filter_stage="pre")
+        assert velocities.artists == ("b",)
+        # b is each week's whole tagged row, so its unit row is 1.0 twice.
+        assert velocities.defined.tolist() == [[True]]
+        assert velocities.matrices[0].data.tolist() == [0.0]
+        post = build_velocities(series, {"b"}, filter_stage="post")
+        assert post.matrices[0].data[0] == 1 / np.sqrt(2) - 0.8
+
+    def test_a_city_the_tag_empties_keeps_its_rows(self):
+        # "solo" charts only in c1's weeks 0, 1 and 7: c2 and c3 keep their
+        # rows, all undefined, and every corpus week gets a velocity week.
+        series = _gap_and_absence_series()
+        velocities = build_velocities(series, {"solo"}, filter_stage="pre")
+        assert velocities.cities == series.cities
+        assert velocities.weeks == series.weeks[1:]
+        assert velocities.defined[:, 0].tolist() == [
+            i == 0 for i in range(velocities.n_weeks)
+        ]
+        assert not velocities.defined[:, 1:].any()
+
+    def test_unknown_stage_raises(self, small_series):
+        with pytest.raises(ValueError, match="filter_stage"):
+            build_velocities(small_series, {"x"}, filter_stage="mid")
+
+
 class TestCitySubset:
     """Velocities built for some cities equal those rows of the full build."""
 
     @staticmethod
-    def _check(series, cities, artists=None):
-        full = build_velocities(series, artists)
-        part = build_velocities(series, artists, cities)
+    def _check(series, cities, artists=None, stage="post"):
+        full = build_velocities(series, artists, filter_stage=stage)
+        part = build_velocities(series, artists, cities, filter_stage=stage)
         assert part.cities == tuple(c for c in series.cities if c in cities)
         assert (part.weeks, part.artists) == (full.weeks, full.artists)
         rows = [full.cities.index(c) for c in part.cities]
@@ -386,6 +451,10 @@ class TestCitySubset:
 
     def test_post_filter_stage(self, small_series):
         self._check(small_series, {"echo"}, set(small_series.artists[::3]))
+
+    def test_pre_filter_stage(self, small_series):
+        self._check(small_series, {"echo"}, set(small_series.artists[::3]),
+                    "pre")
 
     def test_weeks_stay_the_corpus_weeks(self):
         # "solo" only charts in c1's weeks 0, 1 and 7, but every corpus week

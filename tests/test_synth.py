@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -26,7 +26,7 @@ from chartflow import (
 )
 from chartflow.cli import main
 from chartflow.errors import PlantSpecError
-from chartflow.synth import _chart_top, sidecar_json_text
+from chartflow.synth import _SPEC_PARSERS, _chart_top, sidecar_json_text
 
 from conftest import NULL_SPEC, REFERENCE_SPEC, SMALL_PLANT, series_from_rows
 from test_golden import REFERENCE_SPEC_SHA256, SMALL_PLANT_SHA256
@@ -530,6 +530,18 @@ class TestSpecSerialization:
         payload = json.loads(text)
         assert payload["fingerprint"] == "abc123"
         assert payload["spec"]["seed"] == SMALL_PLANT.seed
+
+    def test_one_key_per_field(self):
+        names = [f.name for f in fields(PlantSpec)]
+        assert sorted(_SPEC_PARSERS) == sorted(names)
+        assert list(SMALL_PLANT.to_dict()) == names
+
+    def test_sidecar_bytes(self):
+        # The sidecar ``chartflow synth`` writes beside SMALL_PLANT's corpus.
+        text = sidecar_json_text(SMALL_PLANT, SMALL_PLANT_SHA256)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "50542c53432d860f29c3bff4425909e07cd20dd04e7b48ea168a6931d26f0da6"
+        )
 
     def test_labels(self):
         assert SMALL_PLANT.labels() == {"lead": "leader", "echo": "follower"}
