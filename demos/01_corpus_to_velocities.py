@@ -48,7 +48,7 @@ print(f"generated {len(series)} records, digest {fingerprint(series)[:16]}…")
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "corpus.csv"
     write_chart_csv(series, path)
-    again = parse_chart_csv(path, region_label=series.region_label)
+    again = parse_chart_csv(path)
     assert again == series
     print(f"round-tripped through {path.name}: corpora equal")
 

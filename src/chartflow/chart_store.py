@@ -115,7 +115,6 @@ class ChartSeries:
     city_idx: np.ndarray = field(repr=False)
     artist_idx: np.ndarray = field(repr=False)
     listeners: np.ndarray = field(repr=False)
-    region_label: str = ""
     digest: str | None = field(default=None, repr=False)
 
     @classmethod
@@ -128,7 +127,6 @@ class ChartSeries:
         city_idx,
         artist_idx,
         listeners,
-        region_label: str = "",
         *,
         lines=None,
         digest: str | None = None,
@@ -177,8 +175,7 @@ class ChartSeries:
         weeks, w = _drop_unused(weeks, w[keep])
         cities, c = _drop_unused(cities, c[keep])
         artists, a = _drop_unused(artists, a[keep])
-        return cls(weeks, cities, artists, w, c, a, counts[keep], region_label,
-                   digest)
+        return cls(weeks, cities, artists, w, c, a, counts[keep], digest)
 
     @cached_property
     def records(self) -> tuple[ChartRecord, ...]:
@@ -211,8 +208,8 @@ class ChartSeries:
         if not isinstance(other, ChartSeries):
             return NotImplemented
         return (
-            (self.region_label, self.weeks, self.cities, self.artists)
-            == (other.region_label, other.weeks, other.cities, other.artists)
+            (self.weeks, self.cities, self.artists)
+            == (other.weeks, other.cities, other.artists)
             and np.array_equal(self.week_idx, other.week_idx)
             and np.array_equal(self.city_idx, other.city_idx)
             and np.array_equal(self.artist_idx, other.artist_idx)
@@ -355,7 +352,7 @@ def _validate(weeks, cities, artists, w, c, a, counts, order, lines) -> None:
     raise DuplicateKeyError(f"duplicate key {key}", line=line)
 
 
-def parse_chart_csv(path: str | Path, region_label: str = "") -> ChartSeries:
+def parse_chart_csv(path: str | Path) -> ChartSeries:
     """Parse a chart CSV (header ``week_start,city,artist,listeners``).
 
     Zero-listener rows are dropped; negative counts, malformed rows, and
@@ -365,11 +362,11 @@ def parse_chart_csv(path: str | Path, region_label: str = "") -> ChartSeries:
     """
     with open(path, "rb") as handle:
         if not handle.seekable():  # a pipe: the row loop may need a rewind
-            return _parse_chart_binary(io.BytesIO(handle.read()), region_label)
-        return _parse_chart_binary(handle, region_label)
+            return _parse_chart_binary(io.BytesIO(handle.read()))
+        return _parse_chart_binary(handle)
 
 
-def _parse_chart_binary(handle, region_label: str) -> ChartSeries:
+def _parse_chart_binary(handle) -> ChartSeries:
     """Parse the chart CSV in a seekable binary ``handle``.
 
     Plain input (see :func:`_plain_columns`) is coded from its bytes with
@@ -380,12 +377,12 @@ def _parse_chart_binary(handle, region_label: str) -> ChartSeries:
     """
     try:
         *columns, digest = _plain_columns(handle)
-        return ChartSeries.from_columns(*columns, region_label, digest=digest)
+        return ChartSeries.from_columns(*columns, digest=digest)
     except (_NotPlain, ParseError):
         handle.seek(0)
     text = io.TextIOWrapper(handle, encoding="utf-8", newline="")
     try:
-        return _parse_chart_rows(_csv_rows(text, CHART_HEADER), region_label)
+        return _parse_chart_rows(_csv_rows(text, CHART_HEADER))
     except UnicodeDecodeError:
         raw = text.detach()
         raw.seek(0)
@@ -820,7 +817,7 @@ def _week_codes(texts: list[str], week_of_text: dict[str, int],
     return codes
 
 
-def _parse_chart_rows(rows, region_label: str = "") -> ChartSeries:
+def _parse_chart_rows(rows) -> ChartSeries:
     """Code each ``(line, row)``; :meth:`ChartSeries.from_columns` validates.
 
     The loop checks what one field decides (field count, date syntax, count
@@ -870,7 +867,7 @@ def _parse_chart_rows(rows, region_label: str = "") -> ChartSeries:
         error = exc
     series = ChartSeries.from_columns(
         tuple(weeks), tuple(cities), tuple(artists), w_col, c_col, a_col,
-        counts, region_label, lines=lines,
+        counts, lines=lines,
     )
     if error is not None:
         raise error

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -72,7 +71,6 @@ class RunConfig:
     lag_count: int = 8
     boundary: date | None = None
     solver: str = "ols"
-    ridge: float = 0.0
     active_set: str = "target"
     filter_stage: str = "pre"
     output_dir: str = "."
@@ -92,7 +90,6 @@ _PARSERS = {
     "lag_count": int,
     "boundary": parse_date,
     "solver": str,
-    "ridge": float,
     "active_set": str,
     "filter_stage": str,
     "output_dir": str,
@@ -158,10 +155,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise CliInputError(f"{key} must be {a} or {b}, got {value!r}")
     if config.lag_count < 1:
         raise CliInputError(f"lag_count must be >= 1, got {config.lag_count}")
-    if not (math.isfinite(config.ridge) and config.ridge >= 0):
-        raise CliInputError(f"ridge must be finite and >= 0, got {config.ridge}")
-    if config.solver == "nnls" and config.ridge > 0:
-        raise CliInputError(f"ridge applies to ols only, got {config.ridge} with nnls")
     if config.cities_included == ():
         raise CliInputError("cities_included must name at least one city")
     if config.cities_included is not None:
@@ -176,12 +169,13 @@ def _load_corpus(config: RunConfig) -> ChartSeries:
     if not config.corpus_path:
         raise CliInputError("corpus_path is required")
     try:
-        return parse_chart_csv(
-            config.corpus_path,
-            region_label=config.region_label or Path(config.corpus_path).stem,
-        )
+        return parse_chart_csv(config.corpus_path)
     except OSError as exc:
         raise CliInputError(f"cannot read corpus: {exc}") from exc
+
+
+def _region_label(config: RunConfig) -> str:
+    return config.region_label or Path(config.corpus_path).stem
 
 
 def _tagged_artists(config: RunConfig) -> set[str] | None:
@@ -218,7 +212,7 @@ def _velocities_for(
 
 def cmd_validate(config: RunConfig) -> int:
     series = _load_corpus(config)
-    print(f"region: {series.region_label}")
+    print(f"region: {_region_label(config)}")
     print(f"records: {len(series)}")
     if series.weeks:
         print(f"weeks: {len(series.weeks)} ({series.weeks[0]} .. {series.weeks[-1]})")
@@ -236,7 +230,7 @@ def cmd_validate(config: RunConfig) -> int:
 
 def cmd_evaluate(config: RunConfig) -> int:
     series = _load_corpus(config)
-    region_label, digest = series.region_label, fingerprint(series)
+    digest = fingerprint(series)
     velocities = _velocities_for(config, series, config.cities_included)
     del series  # the velocities hold all that is read from here on
     cities = (
@@ -270,20 +264,19 @@ def cmd_evaluate(config: RunConfig) -> int:
         lag_count=config.lag_count,
         boundary=boundary,
         solver_variant=config.solver,
-        ridge=config.ridge,
         active_rule=config.active_set,
     )
     report = build_report(
         results,
         labels,
-        region_label=region_label,
+        region_label=_region_label(config),
         genre_label=config.tag or "all",
     )
     metadata = {
         "boundary": boundary.isoformat(),
         "lag_count": config.lag_count,
         "solver": config.solver,
-        "ridge": config.ridge,
+        "ridge": 0.0,  # no penalty is applied; the key keeps reports' shape
         "active_set": config.active_set,
         "filter_stage": config.filter_stage,
         "corpus_fingerprint": digest,
@@ -320,9 +313,9 @@ def cmd_synth(spec_path: str, output_dir: str) -> int:
     return 0
 
 
-def cmd_dump_design(config: RunConfig, city: str, scope: str, out: str | None) -> int:
+def cmd_dump_design(config: RunConfig, city: str, out: str | None) -> int:
     series = _load_corpus(config)
-    included = (city,) if scope == "own" else config.cities_included
+    included = config.cities_included
     velocities = _velocities_for(
         config, series, None if included is None else (*included, city)
     )
@@ -367,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump = sub.add_parser("dump-design", help="dump one city's design matrix")
     _add_config_flags(p_dump)
     p_dump.add_argument("--city", required=True)
-    p_dump.add_argument("--scope", choices=("own", "all"), default="all")
     p_dump.add_argument("--out", help="output CSV path (default: stdout)")
 
     return parser
@@ -384,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(config)
         if args.command == "dump-design":
-            return cmd_dump_design(config, args.city, args.scope, args.out)
+            return cmd_dump_design(config, args.city, args.out)
         raise AssertionError(f"unhandled command {args.command!r}")
     except (ChartFlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

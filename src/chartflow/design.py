@@ -133,7 +133,8 @@ def design_rows(
     active_rule: str = ACTIVE_TARGET,
 ) -> int:
     """The row count of :func:`build_design`'s design for these arguments,
-    found without building it; raises what ``build_design`` raises."""
+    found without building it. It raises what ``build_design`` raises,
+    InsufficientDataError for a design with no rows included."""
     _, eligible = _eligible_samples(velocities, target_city, config,
                                     active_rule)
     return sum(active.size for _, active in eligible)
@@ -158,7 +159,8 @@ def build_design(
     that to any included city's row across the sample week and the whole
     lag window. Rows come out in ascending week order, artists ascending
     within a week. The slab scatter reads ``velocities.slab_positions``,
-    so only the first design built from a series computes them.
+    so only the first design built from a series computes them. A design
+    with no rows raises InsufficientDataError.
 
     ``out``, a 1-D float64 array of at least :func:`design_rows` times
     ``lag_count * len(cities_included)`` elements, holds ``x``: the design
@@ -193,7 +195,7 @@ def build_design(
     # The rows of week i read week i and its lag weeks, the furthest
     # lags[i, -1]; a ring of `depth` slabs, week j in slab j % depth, holds
     # all of them. A week's slab is filled when the week enters the ring.
-    depth = 1 + max((i - int(lags[i, -1]) for i, _ in eligible), default=0)
+    depth = 1 + max(i - int(lags[i, -1]) for i, _ in eligible)
     ring = np.empty((depth * n_artists, len(cities)))
     slabs = ring.reshape(depth, -1)
     lag_rows = lags % depth * n_artists
@@ -240,6 +242,7 @@ def _eligible_samples(
     Returns the lag table, ``lags[i, l]`` the velocity week 7 * (l + 1)
     days before week ``i`` or -1, and ``(i, active)`` for each week ``i``
     that contributes rows, ``active`` its rows' ascending artist columns.
+    A design with no rows raises InsufficientDataError.
     """
     if active_rule not in (ACTIVE_TARGET, ACTIVE_UNION):
         raise ValueError(f"unknown active rule {active_rule!r}")
@@ -285,6 +288,12 @@ def _eligible_samples(
             active = np.flatnonzero(listed[[i, *lags[i]]].any(0))
         if active.size:
             eligible.append((i, active))
+    if not eligible:
+        raise InsufficientDataError(
+            f"city {target_city!r} has no eligible samples: none with its "
+            f"velocity defined at the sample week and all {config.lag_count} "
+            "lag weeks"
+        )
     return lags, eligible
 
 

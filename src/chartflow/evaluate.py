@@ -32,7 +32,6 @@ from .design import (
 from .errors import (
     ChartFlowError,
     DimensionError,
-    InsufficientDataError,
     ParseError,
     UndefinedBaselineError,
 )
@@ -108,7 +107,6 @@ def evaluate_city(
     *,
     boundary: date | None = None,
     solver_variant: str = "ols",
-    ridge: float = 0.0,
     active_rule: str = "target",
     out: np.ndarray | None = None,
 ) -> CityResult:
@@ -119,33 +117,21 @@ def evaluate_city(
     :func:`build_design`). The own-history model, the one-city case, is
     fitted on the target city's ``lag_count`` columns of it, so both models
     see the same rows by construction. A design without rows raises
-    InsufficientDataError. ``ridge`` > 0 needs the OLS solver.
+    InsufficientDataError.
     """
     if target_city not in config.cities_included:
         raise ValueError(f"config does not include target {target_city!r}")
     if solver_variant not in ("ols", "nnls"):
         raise ValueError(f"unknown solver variant {solver_variant!r}")
-    if solver_variant == "nnls" and ridge > 0:
-        raise ValueError("ridge applies to the ols solver only, not nnls")
 
     design = build_design(velocities, target_city, config, active_rule,
                           out=out)
-    if not design.n_rows:
-        raise InsufficientDataError(
-            f"city {target_city!r} has no eligible samples: none with its "
-            f"velocity defined at the sample week and all {config.lag_count} "
-            "lag weeks"
-        )
     if boundary is None:
         boundary = default_boundary(velocities.weeks)
     split = temporal_split(design, boundary)
     own = config.city_columns(target_city)
 
-    def fit(x, y):
-        if solver_variant == "nnls":
-            return fit_nnls(x, y)
-        return fit_ols(x, y, ridge=ridge)
-
+    fit = fit_nnls if solver_variant == "nnls" else fit_ols
     train, test = split.train, split.test
     own_fit = fit(train.x[:, own], train.y)
     all_fit = fit(train.x, train.y)
@@ -173,7 +159,6 @@ def evaluate_region(
     lag_count: int = 8,
     boundary: date | None = None,
     solver_variant: str = "ols",
-    ridge: float = 0.0,
     active_rule: str = "target",
 ) -> list[CityResult]:
     """Evaluate every included city; failures become status rows.
@@ -205,7 +190,6 @@ def evaluate_region(
                 config,
                 boundary=boundary,
                 solver_variant=solver_variant,
-                ridge=ridge,
                 active_rule=active_rule,
                 out=out,
             )

@@ -260,7 +260,7 @@ def build_velocities(
     artists: set[str] | None = None,
     cities: Collection[str] | None = None,
     *,
-    filter_stage: str = "post",
+    filter_stage: str = "pre",
 ) -> VelocitySeries:
     """The pipeline: corpus -> counts -> unit rows -> velocities.
 

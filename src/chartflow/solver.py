@@ -154,29 +154,19 @@ def _lapack_failures_as_singular():
         raise SingularMatrixError(f"linear algebra failure: {exc}") from exc
 
 
-def fit_ols(x, y, ridge: float = 0.0) -> Coefficients:
+def fit_ols(x, y) -> Coefficients:
     """Minimum-norm least-squares fit.
 
     Rank counts the singular values above ``RANK_TOL`` times the largest;
     a deficient system still returns the minimum-norm solution but is
-    flagged. ``ridge > 0`` solves the Tikhonov-augmented system instead (and
-    is always full rank).
+    flagged.
     """
     x, y = _validated(x, y)
     gram = _gram(x, y)
-    if ridge < 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
-    n_cols = x.shape[1]
     with _lapack_failures_as_singular():
         r, qty, _ = _reduce(x, y, gram)
-        if ridge > 0:
-            r = np.vstack([r, np.sqrt(ridge) * np.eye(n_cols)])
-            qty = np.concatenate([qty, np.zeros(n_cols)])
         beta, _, rank, _ = np.linalg.lstsq(r, qty, rcond=RANK_TOL)
-    return Coefficients(
-        values=beta,
-        rank_deficient=bool(rank < n_cols) if ridge == 0 else False,
-    )
+    return Coefficients(values=beta, rank_deficient=bool(rank < x.shape[1]))
 
 
 def fit_nnls(x, y) -> Coefficients:

@@ -337,7 +337,6 @@ def generate_planted(spec: PlantSpec) -> ChartSeries:
         ).ravel(),
         artist_idx.ravel(),
         counts.ravel(),
-        region_label="synthetic",
     )
 
 

@@ -23,7 +23,7 @@ def week(k: int) -> date:
     return W0 + timedelta(days=7 * k)
 
 
-def series_from_rows(rows, region_label=""):
+def series_from_rows(rows):
     """Build a ChartSeries from (week_start, city, artist, listeners) tuples.
 
     Labels are coded in order of first appearance and the columns go to
@@ -36,15 +36,14 @@ def series_from_rows(rows, region_label=""):
             column.append(label.setdefault(key, len(label)))
         columns[3].append(listeners)
     return ChartSeries.from_columns(
-        *(tuple(label) for label in labels), *columns, region_label
+        *(tuple(label) for label in labels), *columns
     )
 
 
-def make_series(rows, region_label="test"):
+def make_series(rows):
     """Build a ChartSeries from (week_offset, city, artist, listeners) tuples."""
     return series_from_rows(
-        [(week(k), city, artist, n) for k, city, artist, n in rows],
-        region_label,
+        [(week(k), city, artist, n) for k, city, artist, n in rows]
     )
 
 

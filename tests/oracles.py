@@ -286,7 +286,6 @@ def oracle_filter_by_tag(series: ChartSeries, tagged_artists) -> ChartSeries:
         series.city_idx[keep],
         series.artist_idx[keep],
         series.listeners[keep],
-        series.region_label,
     )
 
 

@@ -321,7 +321,7 @@ def test_bytes_changed_between_the_passes(tmp_path, name, block_bytes):
 
     def parse(_):
         handle = _Rewritten(before, after)
-        return _summary(chart_store._parse_chart_binary(handle, ""))
+        return _summary(chart_store._parse_chart_binary(handle))
 
     with spy as loop, blocks:
         outcome = _outcome(parse, path)

@@ -36,12 +36,12 @@ from oracles import oracle_chart_csv
 HEADER = "week_start,city,artist,listeners\n"
 
 
-def parse_text(text, region_label=""):
+def parse_text(text):
     """``parse_chart_csv`` of a file holding the UTF-8 bytes of ``text``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.csv"
         path.write_bytes(text.encode("utf-8"))
-        return parse_chart_csv(path, region_label)
+        return parse_chart_csv(path)
 
 
 def csv_text(series):
@@ -146,7 +146,7 @@ class TestParse:
         )
         path = tmp_path / "corpus.csv"
         write_chart_csv(series, path)
-        again = parse_chart_csv(path, region_label="test")
+        again = parse_chart_csv(path)
         assert again == series
 
 
@@ -324,7 +324,6 @@ class TestFromColumns:
         base = make_series([(0, "c", "a", 1), (0, "c", "b", 2)])
         assert base == make_series([(0, "c", "b", 2), (0, "c", "a", 1)])
         assert base != make_series([(0, "c", "a", 1), (0, "c", "b", 3)])
-        assert base != make_series([(0, "c", "a", 1), (0, "c", "b", 2)], "x")
 
 
 class TestArtistIndex:
@@ -436,13 +435,13 @@ def corpora(draw):
         (week(k), city, artist, count)
         for (k, city, artist), count in entries.items()
     ]
-    return series_from_rows(rows, "prop")
+    return series_from_rows(rows)
 
 
 @given(corpora())
 @settings(max_examples=60, deadline=None)
 def test_csv_roundtrip_property(series):
-    again = parse_text(csv_text(series), region_label="prop")
+    again = parse_text(csv_text(series))
     assert again == series
 
 

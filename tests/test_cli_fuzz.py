@@ -31,12 +31,11 @@ TINY = PlantSpec(
 )
 
 # The config reaches every key's value through the "value" mutation below,
-# among them ridge and cities_included.
+# among them lag_count and cities_included.
 BASE_FILES = {
     "config.cfg": (
         b"lag_count = 2\n"
         b"solver = ols\n"
-        b"ridge = 0.5\n"
         b"active_set = target\n"
         b"filter_stage = post\n"
         b"cities_included = lead,echo,other\n"
@@ -98,8 +97,8 @@ def _config_with(old: bytes, new: bytes) -> tuple[str, bytes]:
 @given(mutated_files())
 # Mutations that random draws reach only rarely: a "byte", two "value", a
 # repeated city, and a tag that names no corpus artist (config: post stage).
-@example(_config_with(b"ridge = 0.5", b"ridge = -0.5"))
-@example(_config_with(b"ridge = 0.5", b"ridge = nan"))
+@example(_config_with(b"lag_count = 2", b"lag_count = -2"))
+@example(_config_with(b"lag_count = 2", b"lag_count = nan"))
 @example(_config_with(b"lead,echo,other", b""))
 @example(_config_with(b"lead,echo,other", b"lead,lead,echo"))
 @example(("tags.csv", b"artist,tag\nnobody,indie\n"))

@@ -171,8 +171,8 @@ class TestEligibilityAndFill:
             if k != 5
         ] + [(k, "m", "b", 20 - k) for k in range(11) if k != 5]
         velocities = build_velocities(make_series(rows))
-        design = build_design(velocities, "m", LagConfig(8, ("m",)))
-        assert design.n_rows == 0
+        with pytest.raises(InsufficientDataError, match="no eligible samples"):
+            build_design(velocities, "m", LagConfig(8, ("m",)))
 
     def test_other_city_undefined_lags_fill_zero(self):
         rows = []

@@ -233,17 +233,6 @@ class TestEvaluateCity:
         assert a.all_history_pct == pytest.approx(b.all_history_pct, abs=1e-9)
         assert a.sample_counts == b.sample_counts
 
-    def test_ridge_rejected_under_nnls(self, small_velocities):
-        alls = LagConfig(4, small_velocities.cities)
-        with pytest.raises(ValueError, match="ridge"):
-            evaluate_city(
-                small_velocities,
-                "echo",
-                alls,
-                solver_variant="nnls",
-                ridge=1000.0,
-            )
-
     def test_nnls_variant_runs(self, small_velocities):
         alls = LagConfig(4, small_velocities.cities)
         result = evaluate_city(

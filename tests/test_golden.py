@@ -71,13 +71,13 @@ REPORT_ROWS = [
 # SHA-256 of ``chartflow dump-design --city echo`` on the small-plant corpus,
 # by extra arguments. The last case lists the target after another city.
 DUMP_DESIGN_SHA256 = {
-    ("--scope", "own"): (
+    ("--cities-included", "echo"): (
         "13480fd9f4456f232adb2e07cbed5269e115f8629d815fe27faa0ccc06e266c2"
     ),
-    ("--scope", "all"): (
+    (): (
         "04563d54ef49f29dfb4092d58fcff19959226c66a10c054e1d5ec8680554f69a"
     ),
-    ("--scope", "all", "--cities-included", "other,echo",
+    ("--cities-included", "other,echo",
      "--active-set", "union", "--lag-count", "3"): (
         "5c441b85724c22e7a65f5fb3f980938539410ff3e929c28e443c9a0ab8734a85"
     ),

@@ -279,14 +279,14 @@ class TestPlantedStructure:
     def test_canonical_ordering(self):
         series = generate_planted(SMALL_PLANT)
         rows = [astuple(r) for r in series.records]
-        assert series == series_from_rows(rows, series.region_label)
+        assert series == series_from_rows(rows)
 
 
 class TestFingerprint:
     def test_order_independent(self):
         series = generate_planted(SMALL_PLANT)
         rows = [astuple(r) for r in reversed(series.records)]
-        shuffled = series_from_rows(rows, series.region_label)
+        shuffled = series_from_rows(rows)
         assert fingerprint(shuffled) == fingerprint(series)
 
     def test_sensitive_to_one_count(self):
@@ -294,7 +294,7 @@ class TestFingerprint:
         rows = [astuple(r) for r in series.records]
         week_start, city, artist, listeners = rows[0]
         rows[0] = (week_start, city, artist, listeners + 1)
-        altered = series_from_rows(rows, series.region_label)
+        altered = series_from_rows(rows)
         assert fingerprint(altered) != fingerprint(series)
 
     def test_empty_digest(self):
