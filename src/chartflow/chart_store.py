@@ -16,7 +16,7 @@ it is.
 
 Parsing reads the file's bytes. Plain input (the exact header, no quote,
 carriage return or NUL byte, no blank line, lines of three commas and a
-count of 1-16 ASCII digits; see :func:`_plain_columns`) is coded with numpy,
+count of 1-9 ASCII digits; see :func:`_plain_columns`) is coded with numpy,
 one block of whole lines at a time, and kept when it validates. Any other
 input, quoted RFC 4180 fields among it, and plain input that fails
 validation, goes whole to a row loop over ``csv.reader``. The loop is the
@@ -24,9 +24,9 @@ only code that reports a parse error: every syntax, decode, csv and value
 error names the physical line its row starts on. The byte path holds the
 columns plus one block's scratch (blocks are 256 KiB): a first pass counts
 the lines, so the columns are allocated narrow at their final length and
-each block is coded into its rows (a column is widened once, should a
-block's labels or counts outgrow it), and the checks of ``from_columns`` run a
-fixed number of rows at a time, so no whole-column temporary is built.
+each block is coded into its rows (a code column is widened once, should a
+block's labels outgrow it), and the checks of ``from_columns`` run a fixed
+number of rows at a time, so no whole-column temporary is built.
 
 This module also owns the canonical CSV, the one rendering of a corpus:
 :func:`chart_csv_chunks` renders it, :func:`write_chart_csv` writes it and
@@ -464,8 +464,8 @@ class _NotPlain(Exception):
 # bounds its temporaries: a few times this, beside the columns.
 _BLOCK_BYTES = 1 << 18
 _HEADER_LINE = (",".join(CHART_HEADER) + "\n").encode()
-# A plain count is 1-16 ASCII digits: below 2**63, so exact in int64.
-_MAX_DIGITS = 16
+# A plain count is 1-9 ASCII digits: below 2**31, so it fits the int32 column.
+_MAX_DIGITS = 9
 _COMMA, _NEWLINE = ord(","), ord("\n")
 # NUL bytes after each block's bytes. A label key is a window as wide as the
 # block's widest label, at least 8 bytes: up to this width (ISO week text,
@@ -479,7 +479,7 @@ def _plain_columns(handle) -> tuple:
     The byte path; it only accepts input and reports no error. Input is
     plain when it starts with the exact header line, holds no ``"``,
     carriage return or NUL byte, is UTF-8, and every line after the header
-    has exactly three commas, a count of 1-16 ASCII digits, an ISO date as
+    has exactly three commas, a count of 1-9 ASCII digits, an ISO date as
     its week and no field longer than ``csv.field_size_limit()`` (a missing
     final newline is allowed; a blank line is not). On plain input
     ``csv.reader`` yields the bytes between the commas as the fields, one
@@ -492,9 +492,10 @@ def _plain_columns(handle) -> tuple:
     The header is checked first, so input without it is not read further.
     Then a first pass counts the lines after it in the seekable ``handle``,
     so the columns are allocated at their final length, at their narrowest
-    widths (int16 codes, int32 counts), and each block's rows are written
-    into their slice. A column is widened, its rows so far copied once,
-    when a block's labels or counts outgrow it (see :func:`column_width`).
+    widths (int16 codes, int32 counts, which every plain count fits), and
+    each block's rows are written into their slice. A code column is
+    widened, its rows so far copied once, when a block's labels outgrow it
+    (see :func:`column_width`).
     The second pass checks the header again and codes the lines after it;
     when it codes another number of rows than the first counted (the file
     changed in between), the input raises :class:`_NotPlain`.
@@ -638,8 +639,8 @@ def _code_block(block: np.ndarray, limit: int, week_of_text: dict,
     ``block`` is a :func:`_padded` array. ``columns`` holds the four
     columns, whose first ``done`` rows are coded; the block's rows are
     written to the rows after them, and a block with more rows than remain
-    raises :class:`_NotPlain`. A column the block's labels or counts
-    outgrow is replaced in ``columns`` by a wider one (:func:`_widened`).
+    raises :class:`_NotPlain`. A code column the block's labels outgrow is
+    replaced in ``columns`` by a wider one (:func:`_widened`).
     Returns the number of rows and whether some count starts with ``0``.
     ``week_of_text`` and ``labels`` (weeks by date, cities, artists) gain
     the block's new labels, coded after earlier blocks' labels in
@@ -676,11 +677,7 @@ def _code_block(block: np.ndarray, limit: int, week_of_text: dict,
     if widths.max() > limit:
         raise _NotPlain
     head = slice(done, done + rows)
-    counts = _digits(buf, starts[:, 3], widths[:, 3], columns[3][head])
-    if counts.dtype != columns[3].dtype:  # held in int64, not in the column
-        width = column_width(int(counts.max()), COUNT_WIDTHS)
-        _widened(columns, 3, done, width)[head] = counts
-    del counts
+    _digits(buf, starts[:, 3], widths[:, 3], columns[3][head])
     leading_zero = bool((buf[starts[:, 3]] == ord("0")).any())
     label_width = int(widths[:, :3].max())
     if label_width > _PAD:  # pad once for all three label columns
@@ -693,7 +690,11 @@ def _code_block(block: np.ndarray, limit: int, week_of_text: dict,
         except UnicodeDecodeError:
             raise _NotPlain from None
         if column == 0:
-            code = _week_codes(texts, week_of_text, store)
+            try:
+                code = [_week_code(text, week_of_text, store)
+                        for text in texts]
+            except ValueError:
+                raise _NotPlain from None
         else:
             code = [store.setdefault(text, len(store)) for text in texts]
         out = _widened(columns, column, done, column_width(len(store)))
@@ -716,10 +717,9 @@ def _widened(columns: list, i: int, done: int, dtype) -> np.ndarray:
 _ROW_SEPARATORS = np.array([False, False, False, True])
 
 
-def _digits(buf, starts, widths, counts) -> np.ndarray:
-    """Each count field's value, by Horner's rule over its digit bytes, in
-    ``counts`` when its width holds every number of the widest field's
-    digits, else in a new int64 array; returns the array.
+def _digits(buf, starts, widths, counts) -> None:
+    """Write each count field's value, by Horner's rule over its 1-9 ASCII
+    digits, into the int32 array ``counts``.
 
     Raises :class:`_NotPlain` when some field is empty, longer than
     ``_MAX_DIGITS`` or holds a byte other than an ASCII digit.
@@ -727,8 +727,6 @@ def _digits(buf, starts, widths, counts) -> np.ndarray:
     width = int(widths.max())
     if widths.min() < 1 or width > _MAX_DIGITS:
         raise _NotPlain
-    if 10**width - 1 > np.iinfo(counts.dtype).max:
-        counts = np.empty(len(starts), np.int64)
     ends = starts + widths
     counts[:] = 0
     # Step k reads the k-th byte of a window of ``width`` bytes ending at
@@ -741,7 +739,6 @@ def _digits(buf, starts, widths, counts) -> np.ndarray:
             raise _NotPlain
         counts *= 10
         counts += digit
-    return counts
 
 
 def _distinct(block: np.ndarray, size: int, starts,
@@ -801,20 +798,17 @@ def _windows(block: np.ndarray, size: int, dtype: str) -> np.ndarray:
     return np.ndarray((size,), dtype=dtype, buffer=block, strides=(1,))
 
 
-def _week_codes(texts: list[str], week_of_text: dict[str, int],
-                weeks: dict[date, int]) -> list[int]:
-    """Week codes of distinct week texts, keyed by date as the loop keys them."""
-    codes = []
-    for text in texts:
-        code = week_of_text.get(text)
-        if code is None:
-            try:
-                day = parse_date(text)
-            except ValueError:
-                raise _NotPlain from None
-            code = week_of_text[text] = weeks.setdefault(day, len(weeks))
-        codes.append(code)
-    return codes
+def _week_code(text: str, week_of_text: dict[str, int],
+               weeks: dict[date, int]) -> int:
+    """The code of the week spelled ``text``: weeks are keyed by date, so
+    both spellings of a week share one code, and ``week_of_text`` keeps
+    each spelling's code. Raises ValueError when ``text`` is not a date
+    (see :func:`parse_date`)."""
+    code = week_of_text.get(text)
+    if code is None:
+        day = parse_date(text)
+        code = week_of_text[text] = weeks.setdefault(day, len(weeks))
+    return code
 
 
 def _parse_chart_rows(rows) -> ChartSeries:
@@ -843,15 +837,10 @@ def _parse_chart_rows(rows) -> ChartSeries:
                 raise ParseError(
                     f"expected 4 fields, got {len(row)}", line=lineno
                 ) from None
-            w = week_of_text.get(raw_week)
-            if w is None:
-                try:
-                    day = parse_date(raw_week)
-                except ValueError:
-                    raise ParseError(
-                        f"bad date {raw_week!r}", line=lineno
-                    ) from None
-                w = week_of_text[raw_week] = weeks.setdefault(day, len(weeks))
+            try:
+                w = _week_code(raw_week, week_of_text, weeks)
+            except ValueError:
+                raise ParseError(f"bad date {raw_week!r}", line=lineno) from None
             # The str tests pass plain counts 3x faster than the regex.
             if not (raw_count.isdigit() and raw_count.isascii()
                     or _COUNT.fullmatch(raw_count)):

@@ -155,12 +155,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise CliInputError(f"{key} must be {a} or {b}, got {value!r}")
     if config.lag_count < 1:
         raise CliInputError(f"lag_count must be >= 1, got {config.lag_count}")
-    if config.cities_included == ():
-        raise CliInputError("cities_included must name at least one city")
     if config.cities_included is not None:
         try:
             LagConfig(config.lag_count, config.cities_included)
-        except ValueError as exc:  # a repeated city
+        except ValueError as exc:  # no city, or a repeated one
             raise CliInputError(str(exc)) from None
     return config
 

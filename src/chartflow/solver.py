@@ -220,10 +220,7 @@ def _lawson_hanson(
     w = dual(beta)  # -gradient at beta = 0
     iterations = 0
     while True:
-        zero_set = ~free
-        if not zero_set.any():
-            break
-        w_zero = np.where(zero_set, w, -np.inf)
+        w_zero = np.where(free, -np.inf, w)
         j = int(np.argmax(w_zero))
         if w_zero[j] <= DUAL_TOL:
             break
