@@ -11,7 +11,10 @@ Configuration comes from four layers, later layers winning: built-in
 defaults, a flat ``key = value`` config file (``--config``), environment
 variables prefixed ``CHARTFLOW_`` (upper-cased key), and command-line flags
 (key with dashes, e.g. ``corpus_path`` -> ``--corpus-path``). Config files
-ignore blank lines and ``#`` comments.
+ignore blank lines and ``#`` comments. One ``RunConfig`` field declares each
+setting for all four layers: its name is the key, and it carries the
+default, the parser of the setting's text and, for ``solver``,
+``active_set`` and ``filter_stage``, the two allowed values.
 
 Exit codes: 0 success, 2 input error (an allocation too large for memory
 included), 3 every city failed to evaluate.
@@ -23,7 +26,7 @@ import argparse
 import io
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from datetime import date
 from pathlib import Path
 
@@ -58,49 +61,32 @@ from .synth import PlantSpec, generate_planted, sidecar_json_text
 ENV_PREFIX = "CHARTFLOW_"
 
 
-@dataclass
-class RunConfig:
-    """Every tunable of an evaluation run; defaults mirror the reference setup."""
-
-    corpus_path: str | None = None
-    tags_path: str | None = None
-    tag: str | None = None
-    labels_path: str | None = None
-    region_label: str = ""
-    cities_included: tuple[str, ...] | None = None
-    lag_count: int = 8
-    boundary: date | None = None
-    solver: str = "ols"
-    active_set: str = "target"
-    filter_stage: str = "pre"
-    output_dir: str = "."
-
-
 def _parse_cities(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-_PARSERS = {
-    "corpus_path": str,
-    "tags_path": str,
-    "tag": str,
-    "labels_path": str,
-    "region_label": str,
-    "cities_included": _parse_cities,
-    "lag_count": int,
-    "boundary": parse_date,
-    "solver": str,
-    "active_set": str,
-    "filter_stage": str,
-    "output_dir": str,
-}
+def _setting(default=None, parse=str, choices=None):
+    """A ``RunConfig`` field: ``default``, the ``parse`` of its text (config
+    file, environment or flag) and, if enumerated, its two ``choices``."""
+    return field(default=default, metadata={"parse": parse, "choices": choices})
 
-# Allowed values of the enumerated keys, for argparse and for resolve_config.
-_CHOICES = {
-    "solver": ("ols", "nnls"),
-    "active_set": ("target", "union"),
-    "filter_stage": ("pre", "post"),
-}
+
+@dataclass
+class RunConfig:
+    """Every tunable of an evaluation run; defaults mirror the reference setup."""
+
+    corpus_path: str | None = _setting()
+    tags_path: str | None = _setting()
+    tag: str | None = _setting()
+    labels_path: str | None = _setting()
+    region_label: str = _setting("")
+    cities_included: tuple[str, ...] | None = _setting(parse=_parse_cities)
+    lag_count: int = _setting(8, int)
+    boundary: date | None = _setting(parse=parse_date)
+    solver: str = _setting("ols", choices=("ols", "nnls"))
+    active_set: str = _setting("target", choices=("target", "union"))
+    filter_stage: str = _setting("pre", choices=("pre", "post"))
+    output_dir: str = _setting(".")
 
 
 class CliInputError(ChartFlowError):
@@ -112,6 +98,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
     Lines end at ``\n``, ``\r\n`` or ``\r``, as in a text-mode read.
     """
+    keys = {setting.name for setting in fields(RunConfig)}
     values: dict[str, str] = {}
     lines = io.StringIO(read_text(path), newline=None)
     for lineno, raw_line in enumerate(lines, start=1):
@@ -124,7 +111,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
             )
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _PARSERS:
+        if key not in keys:
             raise CliInputError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
@@ -132,27 +119,28 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Layer defaults, config file, environment, then flags."""
-    config = RunConfig()
-    raw: dict[str, str] = {}
-    if getattr(args, "config", None):
-        raw.update(parse_config_file(args.config))
-    for key in _PARSERS:
+    settings = {setting.name: setting.metadata for setting in fields(RunConfig)}
+    raw = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in settings:
         env_value = os.environ.get(ENV_PREFIX + key.upper())
         if env_value is not None:
             raw[key] = env_value
+    values = {}
     for key, text in raw.items():
         try:
-            config = replace(config, **{key: _PARSERS[key](text)})
+            values[key] = settings[key]["parse"](text)
         except ValueError as exc:
             raise CliInputError(f"bad value for {key!r}: {exc}") from exc
-    for spec_field in fields(RunConfig):
-        flag_value = getattr(args, spec_field.name, None)
+    for key in settings:
+        flag_value = getattr(args, key, None)
         if flag_value is not None:
-            config = replace(config, **{spec_field.name: flag_value})
-    for key, (a, b) in _CHOICES.items():
+            values[key] = flag_value
+    config = RunConfig(**values)
+    for key, setting in settings.items():
         value = getattr(config, key)
-        if value not in (a, b):
-            raise CliInputError(f"{key} must be {a} or {b}, got {value!r}")
+        if setting["choices"] and value not in setting["choices"]:
+            choices = " or ".join(setting["choices"])
+            raise CliInputError(f"{key} must be {choices}, got {value!r}")
     if config.lag_count < 1:
         raise CliInputError(f"lag_count must be >= 1, got {config.lag_count}")
     if config.cities_included is not None:
@@ -332,9 +320,11 @@ def cmd_dump_design(config: RunConfig, city: str, out: str | None) -> int:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    for key, parse in _PARSERS.items():
+    for setting in fields(RunConfig):
         parser.add_argument(
-            "--" + key.replace("_", "-"), type=parse, choices=_CHOICES.get(key)
+            "--" + setting.name.replace("_", "-"),
+            type=setting.metadata["parse"],
+            choices=setting.metadata["choices"],
         )
 
 

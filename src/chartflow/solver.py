@@ -203,7 +203,8 @@ def _lawson_hanson(
         gram, h = r.T @ r, r.T @ qty
 
         def step(free):
-            return np.linalg.solve(gram[np.ix_(free, free)], h[free])
+            idx = np.flatnonzero(free)
+            return np.linalg.solve(gram.take(idx, 0).take(idx, 1), h.take(idx))
 
         def dual(beta):
             return h - gram @ beta

@@ -15,6 +15,14 @@ Then, per workload and end-to-end metric, it prints each side's median and
 quartiles, the pairs the change won (ties count for neither side) and one
 verdict (see :func:`verdict`): ``gain``, ``regression``, ``unresolved`` or
 ``same``. It exits 1 when any run reports ``correct: false``.
+
+A verdict on ``peak_rss_mb`` or ``setup_peak_rss_mb`` needs a control run.
+glibc's dynamic mmap threshold moves where memory lands when unrelated
+allocations change, and that alone can shift a peak by a fraction of a MB
+in nine pairs of ten. So run the tool a second time with
+``MALLOC_MMAP_THRESHOLD_=131072`` exported, which ``perfbench/run.py``
+passes on to every child in both trees. Only an RSS ``gain`` or
+``regression`` that the control run shows as well is read as real.
 """
 
 import argparse
