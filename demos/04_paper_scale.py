@@ -56,6 +56,8 @@ from chartflow import (  # noqa: E402
     report_csv_text,
     write_chart_csv,
 )
+from chartflow.design import ACTIVE_RULES  # noqa: E402
+from chartflow.evaluate import SOLVERS  # noqa: E402
 
 OUT = Path("BENCH_paper_scale.json")
 
@@ -168,9 +170,9 @@ def main(label: str, solver: str, active_set: str) -> None:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", nargs="?", default="current")
-    parser.add_argument("--solver", choices=("ols", "nnls"), default="ols")
+    parser.add_argument("--solver", choices=SOLVERS, default="ols")
     parser.add_argument(
-        "--active-set", choices=("target", "union"), default="target"
+        "--active-set", choices=ACTIVE_RULES, default="target"
     )
     args = parser.parse_args()
     main(args.label, args.solver, args.active_set)

@@ -14,7 +14,8 @@ variables prefixed ``CHARTFLOW_`` (upper-cased key), and command-line flags
 ignore blank lines and ``#`` comments. One ``RunConfig`` field declares each
 setting for all four layers: its name is the key, and it carries the
 default, the parser of the setting's text and, for ``solver``,
-``active_set`` and ``filter_stage``, the two allowed values.
+``active_set`` and ``filter_stage``, the allowed values: the tuple that
+the library module checking them declares.
 
 Exit codes: 0 success, 2 input error (an allocation too large for memory
 included), 3 every city failed to evaluate.
@@ -40,6 +41,7 @@ from .chart_store import (
     write_chart_csv,
 )
 from .design import (
+    ACTIVE_RULES,
     LagConfig,
     build_design,
     check_lag_count,
@@ -48,6 +50,7 @@ from .design import (
 )
 from .errors import ChartFlowError
 from .evaluate import (
+    SOLVERS,
     build_report,
     evaluate_region,
     read_labels_csv,
@@ -55,7 +58,7 @@ from .evaluate import (
     report_json_text,
     report_table_text,
 )
-from .preprocess import VelocitySeries, build_velocities, week_gaps
+from .preprocess import FILTER_STAGES, VelocitySeries, build_velocities, week_gaps
 from .synth import PlantSpec, generate_planted, sidecar_json_text
 
 ENV_PREFIX = "CHARTFLOW_"
@@ -67,7 +70,7 @@ def _parse_cities(raw: str) -> tuple[str, ...]:
 
 def _setting(default=None, parse=str, choices=None):
     """A ``RunConfig`` field: ``default``, the ``parse`` of its text (config
-    file, environment or flag) and, if enumerated, its two ``choices``."""
+    file, environment or flag) and, if enumerated, the library's ``choices``."""
     return field(default=default, metadata={"parse": parse, "choices": choices})
 
 
@@ -83,9 +86,9 @@ class RunConfig:
     cities_included: tuple[str, ...] | None = _setting(parse=_parse_cities)
     lag_count: int = _setting(8, int)
     boundary: date | None = _setting(parse=parse_date)
-    solver: str = _setting("ols", choices=("ols", "nnls"))
-    active_set: str = _setting("target", choices=("target", "union"))
-    filter_stage: str = _setting("pre", choices=("pre", "post"))
+    solver: str = _setting("ols", choices=SOLVERS)
+    active_set: str = _setting("target", choices=ACTIVE_RULES)
+    filter_stage: str = _setting("pre", choices=FILTER_STAGES)
     output_dir: str = _setting(".")
 
 

@@ -51,6 +51,7 @@ from .preprocess import VelocitySeries
 
 ACTIVE_TARGET = "target"
 ACTIVE_UNION = "union"
+ACTIVE_RULES = (ACTIVE_TARGET, ACTIVE_UNION)
 
 
 class ColMeta(NamedTuple):
@@ -244,7 +245,7 @@ def _eligible_samples(
     that contributes rows, ``active`` its rows' ascending artist columns.
     A design with no rows raises InsufficientDataError.
     """
-    if active_rule not in (ACTIVE_TARGET, ACTIVE_UNION):
+    if active_rule not in ACTIVE_RULES:
         raise ValueError(f"unknown active rule {active_rule!r}")
     cities = velocities.cities
     if target_city not in cities:

@@ -40,6 +40,7 @@ from .solver import fit_nnls, fit_ols, predict
 
 LABEL_HEADER = ("city", "role")
 LABEL_ROLES = ("leader", "follower")
+SOLVERS = ("ols", "nnls")
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ def evaluate_city(
     """
     if target_city not in config.cities_included:
         raise ValueError(f"config does not include target {target_city!r}")
-    if solver_variant not in ("ols", "nnls"):
+    if solver_variant not in SOLVERS:
         raise ValueError(f"unknown solver variant {solver_variant!r}")
 
     design = build_design(velocities, target_city, config, active_rule,

@@ -36,6 +36,8 @@ import numpy as np
 from .chart_store import ChartSeries, build_artist_index
 from .errors import InsufficientDataError, UnknownCityError
 
+FILTER_STAGES = ("pre", "post")
+
 # Weekly charts list at most this many artists per city; more non-zeros in a
 # row means the corpus was not produced by chart truncation.
 CHART_ROW_LIMIT = 500
@@ -272,7 +274,7 @@ def build_velocities(
     alone, so they equal the rows built for every city. The weeks are the
     corpus's weeks in every case.
     """
-    if filter_stage not in ("pre", "post"):
+    if filter_stage not in FILTER_STAGES:
         raise ValueError(
             f"filter_stage must be pre or post, got {filter_stage!r}"
         )

@@ -14,7 +14,8 @@ Followers start from a lag-shifted copy of their leader's state and share
 its base popularity profile, so with ``strength = 1`` and zero noise a
 follower's chart is exactly its leader's chart shifted by ``lag`` weeks.
 All randomness comes from the keyed counter streams in :mod:`chartflow.rng`,
-so a spec generates the identical corpus on every run.
+so a spec generates the identical corpus on every run. One ``PlantSpec``
+field declares each spec key: its default, its JSON parser and its bound.
 
 Memory stays near the size of the output. Cities are walked depth first,
 each follower right after its last leader, and each city's chart is
@@ -84,20 +85,72 @@ class Influence:
     strength: float
 
 
+def _json_type(kind: str, *types: type):
+    """A parser of JSON values of ``types``, never a bool: anything else
+    raises TypeError naming the value. A number parses as a float."""
+
+    def parse(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError(f"expected a JSON {kind}, got {value!r}")
+        return float(value) if float in types else value
+
+    return parse
+
+
+_string = _json_type("string", str)
+_integer = _json_type("integer", int)
+_number = _json_type("number", int, float)
+
+
+def _entries(entries, *keys: str):
+    """The entries of a ``cities`` or ``influence`` list, each a JSON
+    object with no key but ``keys``: a misspelt key is an error, never
+    dropped."""
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise TypeError(f"expected a JSON object, got {entry!r}")
+        unknown = sorted(set(entry) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown keys {unknown} in {entry!r}")
+        yield entry
+
+
+def _cities(cities) -> tuple[tuple[str, str], ...]:
+    return tuple(
+        (_string(c["name"]), _string(c.get("role", "unlabeled")))
+        for c in _entries(cities, "name", "role")
+    )
+
+
+def _influence(edges) -> tuple[Influence, ...]:
+    return tuple(
+        Influence(_string(e["leader"]), _string(e["follower"]),
+                  _integer(e["lag"]), _number(e["strength"]))
+        for e in _entries(edges, "leader", "follower", "lag", "strength")
+    )
+
+
+def _key(parse, default=MISSING, bound=None):
+    """A ``PlantSpec`` field: its key's ``default`` (none if required), the
+    ``parse`` of its JSON value and its ``bound``, ``(">=" or ">", limit)``."""
+    return field(default=default, metadata={"parse": parse, "bound": bound})
+
+
 @dataclass(frozen=True)
 class PlantSpec:
-    """Full description of a synthetic corpus; identical spec, identical bytes."""
+    """Full description of a synthetic corpus; identical spec, identical bytes.
+    One field declares each key: its default, JSON parser and bound."""
 
-    cities: tuple[tuple[str, str], ...]  # (name, role)
-    weeks: int
-    artists: int
-    noise_sigma: float
-    seed: int
-    influence: tuple[Influence, ...] = ()
-    chart_size: int = 500
-    walk_sigma: float = DEFAULT_WALK_SIGMA
-    city_size: float = 250.0
-    start_week: date = field(default=date(2007, 1, 7))
+    cities: tuple[tuple[str, str], ...] = _key(_cities)  # (name, role)
+    weeks: int = _key(_integer)
+    artists: int = _key(_integer, bound=(">=", 1))
+    noise_sigma: float = _key(_number, bound=(">=", 0))
+    seed: int = _key(_integer)
+    influence: tuple[Influence, ...] = _key(_influence, ())
+    chart_size: int = _key(_integer, 500, (">=", 1))
+    walk_sigma: float = _key(_number, DEFAULT_WALK_SIGMA, (">", 0))
+    city_size: float = _key(_number, 250.0, (">", 0))
+    start_week: date = _key(parse_date, date(2007, 1, 7))
 
     def __post_init__(self):
         names = [name for name, _ in self.cities]
@@ -138,20 +191,16 @@ class PlantSpec:
             raise PlantSpecError(
                 f"{self.weeks} weeks from {self.start_week} run past {date.max}"
             ) from None
-        if self.artists < 1:
-            raise PlantSpecError(f"artists must be >= 1, got {self.artists}")
-        if self.chart_size < 1:
-            raise PlantSpecError(f"chart_size must be >= 1, got {self.chart_size}")
-        if self.noise_sigma < 0:
-            raise PlantSpecError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.walk_sigma <= 0:
-            raise PlantSpecError(f"walk_sigma must be > 0, got {self.walk_sigma}")
-        if self.city_size <= 0:
-            raise PlantSpecError(f"city_size must be > 0, got {self.city_size}")
-        for name in ("noise_sigma", "walk_sigma", "city_size"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise PlantSpecError(f"{name} must be finite, got {value}")
+        for key in (f for f in fields(self) if f.metadata["bound"]):
+            rule, limit = key.metadata["bound"]
+            value = getattr(self, key.name)
+            # NaN passes the bound and fails here; a huge int is finite.
+            if value < limit if rule == ">=" else value <= limit:
+                raise PlantSpecError(
+                    f"{key.name} must be {rule} {limit}, got {value}"
+                )
+            if not -math.inf < value < math.inf:
+                raise PlantSpecError(f"{key.name} must be finite, got {value}")
         _toposort(names, self.influence)  # raises on cycles
 
     def city_names(self) -> tuple[str, ...]:
@@ -170,22 +219,24 @@ class PlantSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PlantSpec":
-        """The spec of a JSON object; absent keys take the field defaults."""
-        unknown = set(raw) - set(_SPEC_PARSERS)
+        """The spec of a JSON object; absent keys take the field defaults.
+        Keys parse in field order, and the first bad one names the error.
+        Values are not coerced: 60.9 weeks or a "7" seed is an error."""
+        keys = fields(cls)
+        unknown = set(raw) - {key.name for key in keys}
         if unknown:
             raise PlantSpecError(f"unknown spec keys: {sorted(unknown)}")
-        required = {f.name for f in fields(cls) if f.default is MISSING}
-        missing = required - set(raw)
+        missing = {key.name for key in keys if key.default is MISSING} - set(raw)
         if missing:
             raise PlantSpecError(f"missing spec keys: {sorted(missing)}")
         values = {}
-        for key, parse in _SPEC_PARSERS.items():
-            if key in raw:
+        for key in keys:
+            if key.name in raw:
                 try:
-                    values[key] = parse(raw[key])
+                    values[key.name] = key.metadata["parse"](raw[key.name])
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise PlantSpecError(
-                        f"malformed spec key {key!r}: {exc}"
+                        f"malformed spec key {key.name!r}: {exc}"
                     ) from exc
         return cls(**values)
 
@@ -214,64 +265,6 @@ def _json_value(value):
             for entry in value
         ]
     return value
-
-
-def _json_type(kind: str, *types: type):
-    """A parser of JSON values of ``types``, never a bool: anything else
-    raises TypeError naming the value. A number parses as a float."""
-
-    def parse(value):
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise TypeError(f"expected a JSON {kind}, got {value!r}")
-        return float(value) if float in types else value
-
-    return parse
-
-
-_string = _json_type("string", str)
-_integer = _json_type("integer", int)
-_number = _json_type("number", int, float)
-
-
-def _entries(entries, *keys: str):
-    """The entries of a ``cities`` or ``influence`` list, each a JSON
-    object with no key but ``keys``: a misspelt key is an error, never
-    dropped."""
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise TypeError(f"expected a JSON object, got {entry!r}")
-        unknown = sorted(set(entry) - set(keys))
-        if unknown:
-            raise ValueError(f"unknown keys {unknown} in {entry!r}")
-        yield entry
-
-
-# Each spec key's parser from JSON values, in conversion order: the first
-# key that fails names the error. Values are not coerced: 60.9 weeks or a
-# "7" seed is an error, not 60 or 7.
-_SPEC_PARSERS = {
-    "cities": lambda cities: tuple(
-        (_string(c["name"]), _string(c.get("role", "unlabeled")))
-        for c in _entries(cities, "name", "role")
-    ),
-    "influence": lambda edges: tuple(
-        Influence(
-            _string(e["leader"]),
-            _string(e["follower"]),
-            _integer(e["lag"]),
-            _number(e["strength"]),
-        )
-        for e in _entries(edges, "leader", "follower", "lag", "strength")
-    ),
-    "weeks": _integer,
-    "artists": _integer,
-    "chart_size": _integer,
-    "noise_sigma": _number,
-    "walk_sigma": _number,
-    "city_size": _number,
-    "start_week": parse_date,
-    "seed": _integer,
-}
 
 
 def _toposort(names: list[str], influence: tuple[Influence, ...]) -> list[str]:

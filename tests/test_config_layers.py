@@ -7,6 +7,9 @@ from datetime import date
 import pytest
 
 from chartflow.cli import RunConfig, build_parser, resolve_config
+from chartflow.design import ACTIVE_RULES, LagConfig, build_design
+from chartflow.evaluate import SOLVERS, evaluate_city
+from chartflow.preprocess import FILTER_STAGES, build_velocities
 
 # One non-default text per setting, and the value it must resolve to.
 TEXTS = {
@@ -50,3 +53,21 @@ def test_each_layer_resolves_a_setting_alike(key, tmp_path, monkeypatch):
     from_flag = resolve_config(parser.parse_args(["evaluate", flag, text]))
 
     assert from_file == from_env == from_flag == RunConfig(**{key: expected})
+
+
+def test_enumerated_settings_read_the_library_tuples(small_series,
+                                                     small_velocities):
+    """Each enumerated setting's allowed values are the tuple of the library
+    call that checks them, which rejects any other value."""
+    choices = {setting.name: setting.metadata["choices"]
+               for setting in fields(RunConfig)}
+    assert choices["solver"] is SOLVERS
+    assert choices["active_set"] is ACTIVE_RULES
+    assert choices["filter_stage"] is FILTER_STAGES
+    config = LagConfig(8, small_velocities.cities)
+    with pytest.raises(ValueError, match="'lasso'"):
+        evaluate_city(small_velocities, "echo", config, solver_variant="lasso")
+    with pytest.raises(ValueError, match="'every'"):
+        build_design(small_velocities, "echo", config, "every")
+    with pytest.raises(ValueError, match="'mid'"):
+        build_velocities(small_series, filter_stage="mid")

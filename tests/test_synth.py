@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -26,7 +27,7 @@ from chartflow import (
 )
 from chartflow.cli import main
 from chartflow.errors import PlantSpecError
-from chartflow.synth import _SPEC_PARSERS, _chart_top, sidecar_json_text
+from chartflow.synth import _chart_top, sidecar_json_text
 
 from conftest import NULL_SPEC, REFERENCE_SPEC, SMALL_PLANT, series_from_rows
 from test_golden import REFERENCE_SPEC_SHA256, SMALL_PLANT_SHA256
@@ -368,6 +369,47 @@ class TestSpecValidation:
         with pytest.raises(PlantSpecError):
             PlantSpec(**self.base(cities=cities, influence=edges))
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("artists", 0, "artists must be >= 1, got 0"),
+            ("chart_size", 0, "chart_size must be >= 1, got 0"),
+            ("noise_sigma", -0.1, "noise_sigma must be >= 0, got -0.1"),
+            ("walk_sigma", 0.0, "walk_sigma must be > 0, got 0.0"),
+            ("city_size", 0.0, "city_size must be > 0, got 0.0"),
+            ("noise_sigma", math.nan, "noise_sigma must be finite, got nan"),
+            ("noise_sigma", math.inf, "noise_sigma must be finite, got inf"),
+            ("noise_sigma", -math.inf, "noise_sigma must be >= 0, got -inf"),
+            ("walk_sigma", math.nan, "walk_sigma must be finite, got nan"),
+            ("walk_sigma", math.inf, "walk_sigma must be finite, got inf"),
+            ("walk_sigma", -math.inf, "walk_sigma must be > 0, got -inf"),
+            ("city_size", math.nan, "city_size must be finite, got nan"),
+            ("city_size", math.inf, "city_size must be finite, got inf"),
+            ("city_size", -math.inf, "city_size must be > 0, got -inf"),
+        ],
+    )
+    def test_single_fault_message(self, key, value, message):
+        """A spec with one bad number fails with the same words whether it
+        is built in Python or read from JSON data."""
+        raw = {**PlantSpec(**self.base()).to_dict(), key: value}
+        for build in (lambda: PlantSpec(**self.base(**{key: value})),
+                      lambda: PlantSpec.from_dict(raw)):
+            with pytest.raises(PlantSpecError) as info:
+                build()
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("key", ["artists", "chart_size"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_count_rejected(self, key, value):
+        with pytest.raises(PlantSpecError,
+                           match=f"^{key} must be finite, got {value}$"):
+            PlantSpec(**self.base(**{key: value}))
+
+    def test_first_bad_number_in_field_order(self):
+        # noise_sigma is declared before walk_sigma.
+        with pytest.raises(PlantSpecError, match="^noise_sigma must be finite"):
+            PlantSpec(**self.base(noise_sigma=math.nan, walk_sigma=0.0))
+
     def test_chain_allowed(self):
         cities = (("a", "leader"), ("b", "unlabeled"), ("c", "follower"))
         edges = (
@@ -532,9 +574,18 @@ class TestSpecSerialization:
         assert payload["spec"]["seed"] == SMALL_PLANT.seed
 
     def test_one_key_per_field(self):
-        names = [f.name for f in fields(PlantSpec)]
-        assert sorted(_SPEC_PARSERS) == sorted(names)
-        assert list(SMALL_PLANT.to_dict()) == names
+        """The fields are the keys: ``to_dict`` writes them in field order,
+        and ``from_dict`` names an extra key as unknown and each absent
+        required field as missing."""
+        raw = SMALL_PLANT.to_dict()
+        assert list(raw) == [f.name for f in fields(PlantSpec)]
+        with pytest.raises(PlantSpecError) as info:
+            PlantSpec.from_dict({**raw, "sauce": 1})
+        assert str(info.value) == "unknown spec keys: ['sauce']"
+        for key in ("cities", "weeks", "artists", "noise_sigma", "seed"):
+            with pytest.raises(PlantSpecError) as info:
+                PlantSpec.from_dict({k: v for k, v in raw.items() if k != key})
+            assert str(info.value) == f"missing spec keys: ['{key}']"
 
     def test_sidecar_bytes(self):
         # The sidecar ``chartflow synth`` writes beside SMALL_PLANT's corpus.
